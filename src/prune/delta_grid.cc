@@ -1,8 +1,8 @@
 #include "prune/delta_grid.h"
 
 #include <algorithm>
-#include <cmath>
 
+#include "prune/grid_index.h"
 #include "util/check.h"
 
 namespace trajsearch {
@@ -40,20 +40,12 @@ DeltaGridIndex::DeltaGridIndex(double cell_size) : cell_size_(cell_size) {
   TRAJ_CHECK(cell_size > 0);
 }
 
-int64_t DeltaGridIndex::CellKey(double x, double y) const {
-  // Identical to GridIndex::CellKey, so base and delta grids agree on cell
-  // geometry for any shared cell size.
-  const auto ix = static_cast<int64_t>(std::floor(x / cell_size_));
-  const auto iy = static_cast<int64_t>(std::floor(y / cell_size_));
-  return (ix << 32) ^ (iy & 0xffffffffLL);
-}
-
 void DeltaGridIndex::Add(TrajectoryView trajectory) {
   const int32_t id = static_cast<int32_t>(size_++);
   int64_t last_key = 0;
   bool have_last = false;
   for (const Point& p : trajectory) {
-    const int64_t key = CellKey(p.x, p.y);
+    const int64_t key = CellKey(p.x, p.y, cell_size_);
     if (have_last && key == last_key) continue;
     last_key = key;
     have_last = true;
@@ -67,9 +59,11 @@ void DeltaGridIndex::Add(TrajectoryView trajectory) {
 }
 
 void DeltaGridIndex::CloseCounts(TrajectoryView query,
-                                 std::vector<std::pair<int, int>>* out) const {
+                                 std::vector<std::pair<int, int>>* out,
+                                 int limit) const {
+  limit = std::min(limit, size_);
   DeltaScratch& scratch = LocalScratch();
-  scratch.EnsureSize(static_cast<size_t>(size_));
+  scratch.EnsureSize(static_cast<size_t>(std::max(limit, 0)));
   scratch.touched.clear();
   const uint64_t base = scratch.next_token;
   scratch.next_token += query.size() + 1;
@@ -77,24 +71,21 @@ void DeltaGridIndex::CloseCounts(TrajectoryView query,
   for (size_t qi = 0; qi < query.size(); ++qi) {
     const uint64_t token = base + 1 + qi;
     const Point& p = query[qi];
-    const auto ix = static_cast<int64_t>(std::floor(p.x / cell_size_));
-    const auto iy = static_cast<int64_t>(std::floor(p.y / cell_size_));
-    for (int64_t dx = -1; dx <= 1; ++dx) {
-      for (int64_t dy = -1; dy <= 1; ++dy) {
-        const int64_t key = ((ix + dx) << 32) ^ ((iy + dy) & 0xffffffffLL);
-        const auto it = cells_.find(key);
-        if (it == cells_.end()) continue;
-        for (const int32_t raw_id : it->second) {
-          const size_t id = static_cast<size_t>(raw_id);
-          if (scratch.point_stamp[id] == token) continue;
-          scratch.point_stamp[id] = token;
-          if (scratch.query_stamp[id] != base) {
-            scratch.query_stamp[id] = base;
-            scratch.counts[id] = 0;
-            scratch.touched.push_back(static_cast<int>(id));
-          }
-          ++scratch.counts[id];
+    for (const int64_t key : CloseCellKeys(p.x, p.y, cell_size_)) {
+      const auto it = cells_.find(key);
+      if (it == cells_.end()) continue;
+      for (const int32_t raw_id : it->second) {
+        // Postings ascend, so the first id past the cap ends the cell.
+        if (raw_id >= limit) break;
+        const size_t id = static_cast<size_t>(raw_id);
+        if (scratch.point_stamp[id] == token) continue;
+        scratch.point_stamp[id] = token;
+        if (scratch.query_stamp[id] != base) {
+          scratch.query_stamp[id] = base;
+          scratch.counts[id] = 0;
+          scratch.touched.push_back(static_cast<int>(id));
         }
+        ++scratch.counts[id];
       }
     }
   }
@@ -107,10 +98,10 @@ void DeltaGridIndex::CloseCounts(TrajectoryView query,
 }
 
 void DeltaGridIndex::SurvivorCounts(
-    TrajectoryView query, double mu,
+    TrajectoryView query, double mu, int limit,
     std::vector<std::pair<int, int>>* out) const {
   thread_local std::vector<std::pair<int, int>> counts;
-  CloseCounts(query, &counts);
+  CloseCounts(query, &counts, limit);
   const double threshold = mu * static_cast<double>(query.size());
   out->clear();
   for (const auto& [id, count] : counts) {
@@ -119,19 +110,20 @@ void DeltaGridIndex::SurvivorCounts(
 }
 
 void DeltaGridIndex::Candidates(TrajectoryView query, double mu,
-                                std::vector<int>* out) const {
+                                std::vector<int>* out, int limit) const {
   thread_local std::vector<std::pair<int, int>> survivors;
-  SurvivorCounts(query, mu, &survivors);
+  SurvivorCounts(query, mu, limit, &survivors);
   out->clear();
   out->reserve(survivors.size());
   for (const auto& [id, count] : survivors) out->push_back(id);
 }
 
 void DeltaGridIndex::OrderedCandidates(TrajectoryView query, double mu,
-                                       std::vector<int>* out) const {
+                                       std::vector<int>* out,
+                                       int limit) const {
   thread_local std::vector<std::pair<int, int>> survivors;
   thread_local std::vector<std::pair<int, int>> order;
-  SurvivorCounts(query, mu, &survivors);
+  SurvivorCounts(query, mu, limit, &survivors);
   order.clear();
   order.reserve(survivors.size());
   for (const auto& [id, count] : survivors) order.emplace_back(-count, id);
@@ -139,6 +131,26 @@ void DeltaGridIndex::OrderedCandidates(TrajectoryView query, double mu,
   out->clear();
   out->reserve(order.size());
   for (const auto& [neg_count, id] : order) out->push_back(id);
+}
+
+SharedDeltaGrid::SharedDeltaGrid(double cell_size, obs::Counter* indexed)
+    : grid_(cell_size), indexed_(indexed) {
+  TRAJ_CHECK(indexed != nullptr);
+}
+
+void SharedDeltaGrid::CatchUp(const DeltaView& delta) {
+  {
+    // Steady state: an earlier task (or a newer generation) already
+    // indexed this delta, so the shared hold is all a reader pays.
+    ReaderLock lock(mu_);
+    if (grid_.size() >= delta.size()) return;
+  }
+  WriterLock lock(mu_);
+  const int from = grid_.size();
+  for (int id = from; id < delta.size(); ++id) grid_.Add(delta[id]);
+  if (delta.size() > from) {
+    indexed_->Add(static_cast<uint64_t>(delta.size() - from));
+  }
 }
 
 }  // namespace trajsearch

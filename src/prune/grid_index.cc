@@ -1,7 +1,6 @@
 #include "prune/grid_index.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "util/check.h"
@@ -70,7 +69,7 @@ GridIndex::GridIndex(DatasetView data, double cell_size)
     int64_t last_key = 0;
     bool have_last = false;
     for (const Point& p : data[id].points()) {
-      const int64_t key = CellKey(p.x, p.y);
+      const int64_t key = CellKey(p.x, p.y, cell_size_);
       // Consecutive points usually share a cell; skip the exact duplicates
       // cheaply and leave the rest to the post-sort unique pass.
       if (have_last && key == last_key) continue;
@@ -248,12 +247,6 @@ Result<GridIndex> GridIndex::FromParts(double cell_size, int dataset_size,
   return grid;
 }
 
-int64_t GridIndex::CellKey(double x, double y) const {
-  const auto ix = static_cast<int64_t>(std::floor(x / cell_size_));
-  const auto iy = static_cast<int64_t>(std::floor(y / cell_size_));
-  return (ix << 32) ^ (iy & 0xffffffffLL);
-}
-
 std::pair<const int32_t*, const int32_t*> GridIndex::CellRange(
     int64_t key) const {
   size_t h = HashKey(key) & slot_mask_;
@@ -280,25 +273,20 @@ void GridIndex::CloseCounts(TrajectoryView query,
   for (size_t qi = 0; qi < query.size(); ++qi) {
     const uint64_t token = base + 1 + qi;
     const Point& p = query[qi];
-    const auto ix = static_cast<int64_t>(std::floor(p.x / cell_size_));
-    const auto iy = static_cast<int64_t>(std::floor(p.y / cell_size_));
-    for (int64_t dx = -1; dx <= 1; ++dx) {
-      for (int64_t dy = -1; dy <= 1; ++dy) {
-        const int64_t key = ((ix + dx) << 32) ^ ((iy + dy) & 0xffffffffLL);
-        const auto [it, end] = CellRange(key);
-        for (const int32_t* id_ptr = it; id_ptr != end; ++id_ptr) {
-          const size_t id = static_cast<size_t>(*id_ptr);
-          if (scratch.point_stamp[id] == token) {
-            continue;  // this query point already counted for id
-          }
-          scratch.point_stamp[id] = token;
-          if (scratch.query_stamp[id] != base) {
-            scratch.query_stamp[id] = base;
-            scratch.counts[id] = 0;
-            scratch.touched.push_back(static_cast<int>(id));
-          }
-          ++scratch.counts[id];
+    for (const int64_t key : CloseCellKeys(p.x, p.y, cell_size_)) {
+      const auto [it, end] = CellRange(key);
+      for (const int32_t* id_ptr = it; id_ptr != end; ++id_ptr) {
+        const size_t id = static_cast<size_t>(*id_ptr);
+        if (scratch.point_stamp[id] == token) {
+          continue;  // this query point already counted for id
         }
+        scratch.point_stamp[id] = token;
+        if (scratch.query_stamp[id] != base) {
+          scratch.query_stamp[id] = base;
+          scratch.counts[id] = 0;
+          scratch.touched.push_back(static_cast<int>(id));
+        }
+        ++scratch.counts[id];
       }
     }
   }

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -16,6 +18,50 @@ namespace trajsearch {
 /// SearchEngine, QueryService (which pins it to the full-corpus box before
 /// sharding) and the CLI, so every layer derives the same grid.
 double DefaultCellSize(const BoundingBox& box);
+
+/// Largest |cell index| a GBP cell key encodes: 2^31 - 2, so a
+/// neighbour index (+-1) still fits the key's signed 32-bit halves.
+inline constexpr int64_t kMaxCellIndex = (int64_t{1} << 31) - 2;
+
+/// Saturating cell index of one coordinate: floor(v / cell_size), clamped to
+/// [-kMaxCellIndex, kMaxCellIndex]; NaN maps to kMaxCellIndex. In-range
+/// input is untouched, so keys (and prebuilt v4 grids) are unchanged for
+/// every finite corpus whose extent stays under 2^31 cells; out-of-range and
+/// non-finite input lands in a fixed edge cell instead of overflowing.
+inline int64_t CellIndex(double v, double cell_size) {
+  constexpr double kLimit = static_cast<double>(kMaxCellIndex);
+  const double cell = std::floor(v / cell_size);
+  // Branch-free clamp (minsd/maxsd): a NaN fails `<` and takes kLimit.
+  const double upper = cell < kLimit ? cell : kLimit;
+  return static_cast<int64_t>(upper > -kLimit ? upper : -kLimit);
+}
+
+/// Packs two cell indices into one grid key (x in the high half).
+inline int64_t PackCellKey(int64_t ix, int64_t iy) {
+  return (ix << 32) ^ (iy & 0xffffffffLL);
+}
+
+/// The GBP cell key of point (x, y) — the one key function GridIndex and
+/// DeltaGridIndex share, so base and delta grids agree on cell geometry.
+inline int64_t CellKey(double x, double y, double cell_size) {
+  return PackCellKey(CellIndex(x, cell_size), CellIndex(y, cell_size));
+}
+
+/// Keys of the 3x3 neighbourhood around (x, y)'s cell: the cells whose
+/// trajectories count as "close" to a query point (Appendix B).
+inline std::array<int64_t, 9> CloseCellKeys(double x, double y,
+                                            double cell_size) {
+  const int64_t ix = CellIndex(x, cell_size);
+  const int64_t iy = CellIndex(y, cell_size);
+  std::array<int64_t, 9> keys;
+  size_t k = 0;
+  for (int64_t dx = -1; dx <= 1; ++dx) {
+    for (int64_t dy = -1; dy <= 1; ++dy) {
+      keys[k++] = PackCellKey(ix + dx, iy + dy);
+    }
+  }
+  return keys;
+}
 
 /// \brief Size/cost breakdown of a built GridIndex (surfaced by the CLI's
 /// `stats` subcommand so layout regressions are observable without a
@@ -150,7 +196,6 @@ class GridIndex {
  private:
   /// Repoints the serving views at the owned vectors (owned mode only).
   void SyncViews();
-  int64_t CellKey(double x, double y) const;
   /// Postings of the cell with `key`, or an empty range.
   std::pair<const int32_t*, const int32_t*> CellRange(int64_t key) const;
   /// The one mu-threshold filter both Candidates() and OrderedCandidates()

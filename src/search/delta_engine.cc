@@ -17,46 +17,90 @@ DeltaEngine::DeltaEngine(EngineOptions options)
   funnel_ = FunnelCounters(options_.metrics, options_.algorithm);
 }
 
+namespace {
+
+std::vector<int>& CandidateScratch() {
+  thread_local std::vector<int> scratch;
+  return scratch;
+}
+
+}  // namespace
+
 void DeltaEngine::QueryInto(TrajectoryView query, const DeltaView& delta,
                             const DeltaGridIndex* grid, SharedTopK* topk,
                             int id_offset, QueryStats* stats,
                             int excluded_id) const {
-  QueryStats local;
   IntervalTimer gbp_timer;
+  gbp_timer.Start();
+  std::vector<int>& candidates = CandidateScratch();
+  CollectCandidates(query, delta, grid, &candidates);
+  gbp_timer.Stop();
+  Evaluate(query, delta, candidates, gbp_timer.TotalSeconds(), topk,
+           id_offset, stats, excluded_id);
+}
 
+void DeltaEngine::QueryInto(TrajectoryView query, const DeltaView& delta,
+                            SharedDeltaGrid* grid, SharedTopK* topk,
+                            int id_offset, QueryStats* stats,
+                            int excluded_id) const {
+  IntervalTimer gbp_timer;
+  gbp_timer.Start();
+  std::vector<int>& candidates = CandidateScratch();
+  if (grid == nullptr) {
+    CollectCandidates(query, delta, nullptr, &candidates);
+  } else {
+    grid->CatchUp(delta);
+    grid->Read([&](const DeltaGridIndex& index) {
+      CollectCandidates(query, delta, &index, &candidates);
+    });
+  }
+  gbp_timer.Stop();
+  Evaluate(query, delta, candidates, gbp_timer.TotalSeconds(), topk,
+           id_offset, stats, excluded_id);
+}
+
+void DeltaEngine::CollectCandidates(TrajectoryView query,
+                                    const DeltaView& delta,
+                                    const DeltaGridIndex* grid,
+                                    std::vector<int>* out) const {
   // Candidate generation mirrors SearchEngine: the delta grid's postings
   // when GBP is on, every delta trajectory otherwise. The local-heap
   // ablation (share_threshold off) keeps id order, exactly like the base
   // engines, so its merge semantics stay the PR-3 ones.
-  gbp_timer.Start();
-  thread_local std::vector<int> candidate_scratch;
   const bool ordering =
       options_.order_candidates && options_.share_threshold;
   if (grid != nullptr) {
-    TRAJ_DCHECK(grid->size() == delta.size());
+    TRAJ_DCHECK(grid->size() >= delta.size());
     if (ordering) {
-      grid->OrderedCandidates(query, options_.mu, &candidate_scratch);
+      grid->OrderedCandidates(query, options_.mu, out, delta.size());
     } else {
-      grid->Candidates(query, options_.mu, &candidate_scratch);
+      grid->Candidates(query, options_.mu, out, delta.size());
     }
   } else {
-    candidate_scratch.resize(static_cast<size_t>(delta.size()));
+    out->resize(static_cast<size_t>(delta.size()));
     for (int id = 0; id < delta.size(); ++id) {
-      candidate_scratch[static_cast<size_t>(id)] = id;
+      (*out)[static_cast<size_t>(id)] = id;
     }
   }
-  gbp_timer.Stop();
-  local.candidates_after_gbp = static_cast<int>(candidate_scratch.size());
+}
+
+void DeltaEngine::Evaluate(TrajectoryView query, const DeltaView& delta,
+                           const std::vector<int>& candidates,
+                           double gbp_seconds, SharedTopK* topk,
+                           int id_offset, QueryStats* stats,
+                           int excluded_id) const {
+  QueryStats local;
+  local.candidates_after_gbp = static_cast<int>(candidates.size());
 
   const bool bound_enabled = options_.use_kpf || options_.use_osf;
   std::unique_ptr<KpfBoundPlan> bound;
-  if (bound_enabled && !query.empty() && !candidate_scratch.empty()) {
+  if (bound_enabled && !query.empty() && !candidates.empty()) {
     bound = plans_.AcquireBound();
     bound->Bind(options_.spec, query,
                 options_.use_osf ? 1.0 : options_.sample_rate);
   }
 
-  if (!candidate_scratch.empty()) {
+  if (!candidates.empty()) {
     IntervalTimer bound_timer;
     IntervalTimer pair_timer;
     std::unique_ptr<QueryRun> run = plans_.AcquireRun(*searcher_);
@@ -116,7 +160,7 @@ void DeltaEngine::QueryInto(TrajectoryView query, const DeltaView& delta,
         }
       }
     };
-    for (const int id : candidate_scratch) {
+    for (const int id : candidates) {
       if (id == excluded_id) {
         ++local.skipped;
         continue;
@@ -164,8 +208,8 @@ void DeltaEngine::QueryInto(TrajectoryView query, const DeltaView& delta,
   }
   if (bound != nullptr) plans_.ReleaseBound(std::move(bound));
 
-  local.gbp_seconds = gbp_timer.TotalSeconds();
-  local.prune_seconds = gbp_timer.TotalSeconds() + local.bound_seconds;
+  local.gbp_seconds = gbp_seconds;
+  local.prune_seconds = gbp_seconds + local.bound_seconds;
   local.search_seconds = local.pair_search_seconds;
   if (options_.metrics != nullptr && options_.metrics->enabled()) {
     funnel_.Fold(local);

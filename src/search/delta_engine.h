@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "core/live_dataset.h"
 #include "prune/delta_grid.h"
@@ -31,18 +32,39 @@ class DeltaEngine {
   /// toggles). `threads` and `scheduler` are ignored — see above.
   explicit DeltaEngine(EngineOptions options);
 
-  /// Evaluates the delta trajectories of one pinned generation. `grid` is
-  /// the generation's DeltaGridIndex (null runs every delta trajectory, the
-  /// GBP-off pipeline). Hits are offered as corpus ids: delta id +
-  /// `id_offset` (the generation's base size). `excluded_id` is delta-local
-  /// (-1 for none). Timing/pruning counters accumulate into `stats`.
+  /// Evaluates the delta trajectories of one pinned generation. `grid`
+  /// indexes at least `delta`'s trajectories (it may be a grid a newer
+  /// generation extended; candidates are read capped at delta.size()); null
+  /// runs every delta trajectory, the GBP-off pipeline. Hits are offered as
+  /// corpus ids: delta id + `id_offset` (the generation's base size).
+  /// `excluded_id` is delta-local (-1 for none). Timing/pruning counters
+  /// accumulate into `stats`.
   void QueryInto(TrajectoryView query, const DeltaView& delta,
                  const DeltaGridIndex* grid, SharedTopK* topk, int id_offset,
+                 QueryStats* stats = nullptr, int excluded_id = -1) const;
+
+  /// The serving form: `grid` is the base generation's shared index, first
+  /// caught up to `delta` (inside the candidate-generation time), then read
+  /// capped at delta.size() under its shared lock; the DP runs unlocked.
+  void QueryInto(TrajectoryView query, const DeltaView& delta,
+                 SharedDeltaGrid* grid, SharedTopK* topk, int id_offset,
                  QueryStats* stats = nullptr, int excluded_id = -1) const;
 
   const EngineOptions& options() const { return options_; }
 
  private:
+  /// Candidate ids for `query` among delta's trajectories: the grid's
+  /// postings capped at delta.size(), or every id when `grid` is null.
+  void CollectCandidates(TrajectoryView query, const DeltaView& delta,
+                         const DeltaGridIndex* grid,
+                         std::vector<int>* out) const;
+  /// The bound filter + DP stages over `candidates`; `gbp_seconds` is the
+  /// candidate-generation time the caller measured.
+  void Evaluate(TrajectoryView query, const DeltaView& delta,
+                const std::vector<int>& candidates, double gbp_seconds,
+                SharedTopK* topk, int id_offset, QueryStats* stats,
+                int excluded_id) const;
+
   EngineOptions options_;
   std::unique_ptr<Searcher> searcher_;
   mutable PlanPool plans_;  // same pooling discipline as SearchEngine

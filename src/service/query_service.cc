@@ -172,6 +172,8 @@ QueryService::QueryService(Dataset dataset, ServiceOptions options)
   metrics_.cache_lookup_nanos =
       registry_.counter("service.cache_lookup_seconds_total");
   metrics_.merge_nanos = registry_.counter("service.merge_seconds_total");
+  metrics_.delta_grid_indexed =
+      registry_.counter("service.delta_grid.indexed_trajectories");
   metrics_.batch_seconds = registry_.histogram("service.batch_seconds");
   metrics_.query_seconds = registry_.histogram("service.query_seconds");
   metrics_.stage_cache_lookup =
@@ -242,29 +244,17 @@ std::shared_ptr<const QueryService::BaseState> QueryService::BuildBaseState(
     shard.engine =
         std::make_unique<SearchEngine>(shard.view, shard_engine_options_);
   }
+  if (shard_engine_options_.use_gbp) {
+    state->delta_grid = std::make_unique<SharedDeltaGrid>(
+        shard_engine_options_.cell_size, metrics_.delta_grid_indexed);
+  }
   return state;
-}
-
-const DeltaGridIndex* QueryService::ServingState::DeltaGrid() const {
-  if (grid_cell <= 0 || view.delta_size() == 0) return nullptr;
-  // Built from this generation's own immutable DeltaView, so the result is
-  // identical no matter when (or whether) a query triggers it; call_once
-  // makes concurrent first readers race safely to one build.
-  std::call_once(grid_once_, [this]() {
-    auto grid = std::make_unique<DeltaGridIndex>(grid_cell);
-    for (int i = 0; i < view.delta_size(); ++i) grid->Add(view.delta()[i]);
-    delta_grid_ = std::move(grid);
-  });
-  return delta_grid_.get();
 }
 
 void QueryService::PublishLocked() {
   auto state = std::make_shared<ServingState>();
   state->view = live_.View();
   state->base = base_state_;
-  if (shard_engine_options_.use_gbp) {
-    state->grid_cell = shard_engine_options_.cell_size;
-  }
   state_.store(std::move(state));
 }
 
@@ -332,10 +322,15 @@ bool QueryService::CompactInternal() {
   auto merged = std::make_shared<const Dataset>(LiveDataset::Merge(pinned));
   std::shared_ptr<const BaseState> rebuilt = BuildBaseState(merged);
 
+  // The generation this swap retires may hold the last references to the
+  // old base corpus, its shard engines and its delta grid; keeping it past
+  // the lock frees them here, not inside ingest_mu_ where appends wait.
+  std::shared_ptr<const ServingState> retired;
   {
     MutexLock lock(ingest_mu_);
     live_.AdoptBase(merged, pinned.delta_size());
     base_state_ = std::move(rebuilt);
+    retired = State();
     PublishLocked();
   }
   metrics_.compactions->Add(1);
@@ -551,8 +546,8 @@ std::vector<std::vector<EngineHit>> QueryService::SubmitBatch(
         const int local_excluded =
             excluded >= base_size ? excluded - base_size : -1;
         delta_engine_->QueryInto(query, state->view.delta(),
-                                 state->DeltaGrid(), topk, base_size, stats,
-                                 local_excluded);
+                                 state->base->delta_grid.get(), topk,
+                                 base_size, stats, local_excluded);
       });
     }
   }

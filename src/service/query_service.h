@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <mutex>  // std::once_flag/std::call_once only (mutexes: util/sync.h)
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -121,8 +120,9 @@ uint64_t EngineOptionsFingerprint(const EngineOptions& options);
 /// Storage is generational (core/live_dataset.h): an immutable base corpus
 /// in its pooled Dataset form — shards are contiguous DatasetViews over that
 /// one shared pool, each with its own SearchEngine — plus an append-only
-/// delta indexed by an incremental DeltaGridIndex (materialized lazily per
-/// generation) and searched by a DeltaEngine. Every mutation publishes an
+/// delta searched by a DeltaEngine and indexed by one incremental delta grid
+/// per base generation, which queries extend lazily by the trajectories
+/// appended since the grid last grew. Every mutation publishes an
 /// immutable ServingState (generation view + shard engines) through an
 /// RCU-style publication slot (readers never touch the ingest or compaction
 /// locks); a query batch pins the state once, so all its (query,
@@ -229,33 +229,25 @@ class QueryService {
     std::unique_ptr<SearchEngine> engine;
   };
 
-  /// Base-side serving structures; immutable once built, shared by every
-  /// generation until the next compaction replaces it.
+  /// Base-side serving structures, shared by every generation until the
+  /// next compaction replaces them; immutable once built except for the
+  /// delta grid.
   struct BaseState {
     std::shared_ptr<const Dataset> corpus;
     std::vector<Shard> shards;
+    /// The one delta grid of this base generation, caught up and read by
+    /// the (query, delta) tasks of every generation over it (null when GBP
+    /// is off). Publication never touches it, so a pure ingest stream
+    /// builds no grid. A compaction renumbers delta ids and brings a new
+    /// BaseState, hence an empty grid.
+    std::unique_ptr<SharedDeltaGrid> delta_grid;
   };
 
   /// One published generation: everything a query batch needs, pinned by a
-  /// single shared_ptr. Logically immutable after publication — the delta
-  /// grid is materialized lazily (once, on the first query that needs it)
-  /// from the generation's own immutable DeltaView, so publication itself
-  /// never pays O(delta): a pure ingest stream builds no grids at all, and
-  /// a generation that is superseded before any query reads it costs
-  /// nothing beyond the view copy.
+  /// single shared_ptr; immutable after publication.
   struct ServingState {
     CorpusView view;
     std::shared_ptr<const BaseState> base;
-    /// Pinned GBP cell size; <= 0 when GBP is off (no grid is ever built).
-    double grid_cell = 0;
-
-    /// The delta grid for view.delta() (null when GBP is off or the delta
-    /// is empty). Thread-safe; at most one build per generation.
-    const DeltaGridIndex* DeltaGrid() const;
-
-   private:
-    mutable std::once_flag grid_once_;
-    mutable std::unique_ptr<DeltaGridIndex> delta_grid_;
   };
 
   /// LRU map from cache key to a cached best-first hit list.
@@ -310,6 +302,8 @@ class QueryService {
     obs::Counter* pair_search_nanos = nullptr;
     obs::Counter* cache_lookup_nanos = nullptr;
     obs::Counter* merge_nanos = nullptr;
+    /// Trajectories added to a delta grid (catch-up work, not reads).
+    obs::Counter* delta_grid_indexed = nullptr;
     /// Latency distributions (recorded only while the registry is enabled).
     obs::Histogram* batch_seconds = nullptr;
     obs::Histogram* query_seconds = nullptr;

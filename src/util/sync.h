@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <shared_mutex>
 
 namespace trajsearch {
 
@@ -44,6 +45,12 @@ namespace trajsearch {
 /// Function releases the capability (held on entry, not held on exit).
 #define TRAJ_RELEASE(...) \
   TRAJ_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
+/// Function acquires the capability shared (reader side).
+#define TRAJ_ACQUIRE_SHARED(...) \
+  TRAJ_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
+/// Function releases a shared hold of the capability.
+#define TRAJ_RELEASE_SHARED(...) \
+  TRAJ_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 /// Function acquires the capability iff it returns the given value.
 #define TRAJ_TRY_ACQUIRE(...) \
   TRAJ_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
@@ -72,7 +79,8 @@ class CondVar;
 // Mutex
 // ---------------------------------------------------------------------------
 
-/// \brief Capability-typed mutex: the repo's only mutual-exclusion primitive.
+/// \brief Capability-typed mutex: the repo's default mutual-exclusion
+/// primitive (SharedMutex below adds a reader side).
 ///
 /// A thin wrapper over std::mutex whose Lock/Unlock carry acquire/release
 /// annotations, so field accesses guarded with TRAJ_GUARDED_BY(mu_) are
@@ -128,6 +136,62 @@ class TRAJ_SCOPED_CAPABILITY MutexLock {
   friend class CondVar;
   Mutex& mu_;
   bool held_ = true;
+};
+
+// ---------------------------------------------------------------------------
+// SharedMutex
+// ---------------------------------------------------------------------------
+
+/// \brief Capability-typed reader/writer mutex over std::shared_mutex.
+///
+/// Fields guarded with TRAJ_GUARDED_BY(mu_) may be read under either a
+/// ReaderLock or a WriterLock and written only under a WriterLock; Clang
+/// rejects a write under the shared hold at compile time. Raw
+/// std::shared_mutex / std::shared_lock are banned outside this header by
+/// the same tools/lint.py rule as std::mutex.
+class TRAJ_CAPABILITY("mutex") SharedMutex {
+ public:
+  SharedMutex() = default;
+  SharedMutex(const SharedMutex&) = delete;
+  SharedMutex& operator=(const SharedMutex&) = delete;
+
+  void Lock() TRAJ_ACQUIRE() { mu_.lock(); }
+  void Unlock() TRAJ_RELEASE() { mu_.unlock(); }
+  void LockShared() TRAJ_ACQUIRE_SHARED() { mu_.lock_shared(); }
+  void UnlockShared() TRAJ_RELEASE_SHARED() { mu_.unlock_shared(); }
+
+ private:
+  std::shared_mutex mu_;
+};
+
+/// \brief Scoped exclusive hold of a SharedMutex.
+class TRAJ_SCOPED_CAPABILITY WriterLock {
+ public:
+  explicit WriterLock(SharedMutex& mu) TRAJ_ACQUIRE(mu) : mu_(mu) {
+    mu_.Lock();
+  }
+  ~WriterLock() TRAJ_RELEASE() { mu_.Unlock(); }
+
+  WriterLock(const WriterLock&) = delete;
+  WriterLock& operator=(const WriterLock&) = delete;
+
+ private:
+  SharedMutex& mu_;
+};
+
+/// \brief Scoped shared (reader) hold of a SharedMutex.
+class TRAJ_SCOPED_CAPABILITY ReaderLock {
+ public:
+  explicit ReaderLock(SharedMutex& mu) TRAJ_ACQUIRE_SHARED(mu) : mu_(mu) {
+    mu_.LockShared();
+  }
+  ~ReaderLock() TRAJ_RELEASE() { mu_.UnlockShared(); }
+
+  ReaderLock(const ReaderLock&) = delete;
+  ReaderLock& operator=(const ReaderLock&) = delete;
+
+ private:
+  SharedMutex& mu_;
 };
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 // Live-corpus subsystem tests: generational storage invariants (stable
 // dense ids, generation pinning, compaction swaps), delta-grid parity with
-// the CSR index, the hit-for-hit equivalence gate (a live corpus after
-// appends and after compaction answers exactly like a fresh-built corpus of
-// the same trajectories, across the full algorithm x distance matrix with
-// threads > 1 and shards > 1), and a concurrent ingest/read/compact stress
-// test run under TSan in CI.
+// the CSR index and prefix parity of capped reads, the hit-for-hit
+// equivalence gate (a live corpus after appends and after compaction
+// answers exactly like a fresh-built corpus of the same trajectories,
+// across the full algorithm x distance matrix with threads > 1 and
+// shards > 1, and with +-1e300 coordinates), a concurrent
+// ingest/read/compact stress test whose every mid-stream result must be
+// exact (run under TSan in CI), and the delta-grid work counter.
 
 #include "core/live_dataset.h"
 
@@ -17,8 +19,10 @@
 
 #include "core/fingerprint.h"
 #include "io/snapshot.h"
+#include "obs/export.h"
 #include "prune/delta_grid.h"
 #include "prune/grid_index.h"
+#include "search/delta_engine.h"
 #include "search/topk.h"
 #include "service/query_service.h"
 #include "tests/test_util.h"
@@ -205,6 +209,124 @@ TEST(DeltaGridIndexTest, CopyIsIndependentOfLaterAdds) {
   for (const auto& [id, count] : counts) EXPECT_LT(id, 1);
 }
 
+/// A read capped at `limit = n` sees exactly what a grid over the first n
+/// trajectories holds — for every n, including 0 and size() — which is what
+/// lets generations of one base share one grid.
+TEST(DeltaGridIndexTest, CappedReadsMatchPrefixGrid) {
+  for (const uint64_t seed : {31u, 37u, 43u}) {
+    Rng rng(seed);
+    std::vector<Trajectory> trajs;
+    const int count = 16 + static_cast<int>(seed % 5);
+    for (int i = 0; i < count; ++i) {
+      trajs.push_back(RandomWalk(&rng, 8 + i % 9));
+    }
+    std::vector<Trajectory> queries;
+    for (int i = 0; i < 6; ++i) queries.push_back(RandomWalk(&rng, 5 + i));
+    // A slice of a late trajectory: its source must vanish below the cap.
+    queries.push_back(Trajectory(trajs.back().Slice(Subrange{0, 4})));
+
+    DeltaGridIndex full(0.9);
+    for (const Trajectory& t : trajs) full.Add(t);
+    for (int n = 0; n <= count; ++n) {
+      DeltaGridIndex prefix(0.9);
+      for (int i = 0; i < n; ++i) prefix.Add(trajs[static_cast<size_t>(i)]);
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        const std::string context = "seed " + std::to_string(seed) + " n " +
+                                    std::to_string(n) + " query " +
+                                    std::to_string(qi);
+        std::vector<std::pair<int, int>> capped_counts, prefix_counts;
+        full.CloseCounts(queries[qi], &capped_counts, n);
+        prefix.CloseCounts(queries[qi], &prefix_counts);
+        EXPECT_EQ(capped_counts, prefix_counts) << context;
+        for (const double mu : {0.0, 0.3, 0.8}) {
+          std::vector<int> capped_ids, prefix_ids;
+          full.Candidates(queries[qi], mu, &capped_ids, n);
+          prefix.Candidates(queries[qi], mu, &prefix_ids);
+          EXPECT_EQ(capped_ids, prefix_ids) << context << " mu " << mu;
+          full.OrderedCandidates(queries[qi], mu, &capped_ids, n);
+          prefix.OrderedCandidates(queries[qi], mu, &prefix_ids);
+          EXPECT_EQ(capped_ids, prefix_ids) << context << " mu " << mu;
+        }
+      }
+    }
+  }
+}
+
+/// DeltaEngine over an n-prefix DeltaView answers identically whether its
+/// grid indexes exactly those n trajectories or the whole delta (the shared
+/// per-base grid a newer generation already extended), across the
+/// algorithm x distance matrix of the live equivalence gate; the serving
+/// overload (SharedDeltaGrid, caught up further than the view) agrees too.
+TEST(DeltaEngineTest, PrefixViewsMatchPrefixGridAcrossMatrix) {
+  Rng rng(57);
+  LiveDataset live(Dataset("prefix-base"));
+  std::vector<Trajectory> trajs;
+  std::vector<CorpusView> prefixes{live.View()};
+  for (int i = 0; i < 14; ++i) {
+    trajs.push_back(RandomWalk(&rng, 10 + i % 6));
+    live.Append(trajs.back());
+    prefixes.push_back(live.View());
+  }
+  const DeltaView& whole = prefixes.back().delta();
+  const double cell = 1.5;
+  DeltaGridIndex full(cell);
+  for (const Trajectory& t : trajs) full.Add(t);
+  obs::Counter indexed;
+  SharedDeltaGrid shared(cell, &indexed);
+  shared.CatchUp(whole);
+  EXPECT_EQ(indexed.Value(), trajs.size());
+
+  std::vector<Trajectory> queries;
+  for (int i = 0; i < 2; ++i) queries.push_back(RandomWalk(&rng, 6));
+  queries.push_back(Trajectory(trajs[9].Slice(Subrange{1, 7})));
+
+  const Algorithm algorithms[] = {
+      Algorithm::kCma,  Algorithm::kExactS, Algorithm::kSpring,
+      Algorithm::kGreedyBacktracking, Algorithm::kPos,
+      Algorithm::kPss,  Algorithm::kRls,    Algorithm::kRlsSkip};
+  for (const Algorithm algorithm : algorithms) {
+    for (const DistanceSpec& spec : testing::PaperGpsSpecs()) {
+      if (!Supports(algorithm, spec.kind)) continue;
+      EngineOptions options;
+      options.spec = spec;
+      options.algorithm = algorithm;
+      options.mu = 0.1;
+      options.cell_size = cell;
+      options.sample_rate = 1.0;
+      options.top_k = 3;
+      const DeltaEngine engine(options);
+      for (size_t n = 0; n < prefixes.size(); n += 3) {
+        const DeltaView& delta = prefixes[n].delta();
+        DeltaGridIndex prefix(cell);
+        for (size_t i = 0; i < n; ++i) prefix.Add(trajs[i]);
+        for (size_t qi = 0; qi < queries.size(); ++qi) {
+          const std::string context =
+              std::string(ToString(algorithm)) + "/" +
+              std::string(ToString(spec.kind)) + " n " + std::to_string(n) +
+              " query " + std::to_string(qi);
+          SharedTopK expected(options.top_k), capped(options.top_k),
+              served(options.top_k);
+          engine.QueryInto(queries[qi], delta, &prefix, &expected, 100);
+          engine.QueryInto(queries[qi], delta, &full, &capped, 100);
+          engine.QueryInto(queries[qi], delta, &shared, &served, 100);
+          const std::vector<EngineHit> want = expected.Sorted();
+          ExpectSameHits(want, capped.Sorted(), context + " full grid");
+          ExpectSameHits(want, served.Sorted(), context + " shared grid");
+          // The delta-slice query must find its source once it is in the
+          // prefix (exact algorithms: at distance 0).
+          if (qi == 2 && n > 9 && IsExact(algorithm, spec.kind)) {
+            ASSERT_FALSE(want.empty()) << context;
+            EXPECT_EQ(want[0].trajectory_id, 100 + 9) << context;
+            EXPECT_EQ(want[0].result.distance, 0.0) << context;
+          }
+        }
+      }
+    }
+  }
+  // Reads of older views never re-index: the grid was already ahead.
+  EXPECT_EQ(indexed.Value(), trajs.size());
+}
+
 // ---------------------------------------------------------------------------
 // Equivalence gate: live == fresh-built, full matrix
 // ---------------------------------------------------------------------------
@@ -306,6 +428,90 @@ TEST(LiveCorpusEquivalenceGate, FullMatrixMatchesFreshBuild) {
   }
 }
 
+/// The leading hits of a result list whose distance a +-1e300 coordinate
+/// did not swamp. Such distances saturate — to infinity, or (Frechet) to
+/// the same 1e300-scale value for every trajectory near the origin — so
+/// they tie with no defined order, and the huge-coordinate gate compares
+/// only the ordinary prefix.
+std::vector<EngineHit> OrdinaryHits(std::vector<EngineHit> hits) {
+  size_t n = 0;
+  while (n < hits.size() && hits[n].result.distance < 1e100) ++n;
+  hits.resize(n);
+  return hits;
+}
+
+/// Coordinates far outside any cell range (|x / cell| >> 2^31) used to
+/// overflow the cell-key arithmetic (UBSan signed overflow in CloseCounts).
+/// With saturating keys a live service holding appended +-1e300
+/// trajectories, queried with ordinary and with +-1e300 points, answers
+/// like a fresh build of the same corpus, before and after compaction, on
+/// every hit a huge coordinate did not swamp; every query has at least one.
+/// (Rejecting such input at the public boundary is separate work; this pins
+/// down that the grids are defined for it meanwhile.)
+TEST(LiveCorpusEquivalenceGate, HugeCoordinatesMatchFreshBuild) {
+  Rng rng(1300);
+  std::vector<Trajectory> all;
+  for (int i = 0; i < 20; ++i) all.push_back(RandomWalk(&rng, 12));
+  const int kBase = static_cast<int>(all.size());
+  for (int i = 0; i < 6; ++i) {
+    const Trajectory walk = RandomWalk(&rng, 10);
+    std::vector<Point> points(walk.View().begin(), walk.View().end());
+    const double huge = i % 2 == 0 ? 1e300 : -1e300;
+    points[static_cast<size_t>(i)] = Point{huge, -huge};
+    if (i >= 4) {
+      for (Point& p : points) p = Point{huge, huge};
+    }
+    all.push_back(Trajectory(std::move(points)));
+  }
+  const double cell = 0.5;
+
+  std::vector<Trajectory> query_storage;
+  query_storage.push_back(RandomWalk(&rng, 6));
+  // Ordinary slice of a trajectory that also holds a huge point.
+  query_storage.push_back(Trajectory(all[kBase + 1].Slice(Subrange{2, 8})));
+  // Slices and points at +-1e300: the query-side cell keys saturate too.
+  query_storage.push_back(Trajectory(all[kBase].Slice(Subrange{0, 4})));
+  query_storage.push_back(Trajectory{{1e300, 1e300}, {1e300, 1e300}});
+  query_storage.push_back(Trajectory{{-1e300, -1e300}});
+  std::vector<TrajectoryView> queries;
+  for (const Trajectory& q : query_storage) queries.push_back(q.View());
+
+  for (const DistanceSpec& spec : testing::PaperGpsSpecs()) {
+    const std::string context(ToString(spec.kind));
+    ServiceOptions options;
+    options.engine.spec = spec;
+    options.engine.mu = 0.1;
+    options.engine.cell_size = cell;
+    options.engine.sample_rate = 1.0;
+    options.engine.top_k = 3;
+    options.shards = 2;
+    options.cache_capacity = 0;
+    options.compact_delta_trajectories = 0;
+
+    Dataset base("huge-live");
+    for (int i = 0; i < kBase; ++i) base.Add(all[static_cast<size_t>(i)]);
+    QueryService live(std::move(base), options);
+    for (size_t i = static_cast<size_t>(kBase); i < all.size(); ++i) {
+      live.Append(all[i]);
+    }
+    Dataset flat("huge-fresh");
+    for (const Trajectory& t : all) flat.Add(t);
+    QueryService fresh(std::move(flat), options);
+
+    const auto expected = fresh.SubmitBatch(queries);
+    const auto before = live.SubmitBatch(queries);
+    ASSERT_TRUE(live.Compact()) << context;
+    const auto after = live.SubmitBatch(queries);
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const std::string where = context + " query " + std::to_string(qi);
+      const std::vector<EngineHit> want = OrdinaryHits(expected[qi]);
+      EXPECT_FALSE(want.empty()) << where;
+      ExpectSameHits(want, OrdinaryHits(before[qi]), where + " pre-compaction");
+      ExpectSameHits(want, OrdinaryHits(after[qi]), where + " post-compaction");
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot v3 replay reproduces the generation
 // ---------------------------------------------------------------------------
@@ -366,10 +572,26 @@ TEST(LiveCorpusSnapshotTest, SaveAndReplayReproducesResultsAndIds) {
 // Concurrent ingest / read / compact (TSan coverage)
 // ---------------------------------------------------------------------------
 
-/// Readers keep querying while a writer appends and compactions churn (a
-/// tiny threshold forces many background swaps). Every result must be
-/// internally consistent — best-first order, ids inside the corpus the
-/// reader could have pinned, finite distances — and the final corpus must
+bool SameHits(const std::vector<EngineHit>& a,
+              const std::vector<EngineHit>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].trajectory_id != b[i].trajectory_id ||
+        a[i].result.distance != b[i].result.distance ||
+        !(a[i].result.range == b[i].result.range)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Readers keep querying while a writer appends in small batches and
+/// compactions churn (a tiny threshold forces many background swaps). Every
+/// result must be *exact*: equal to a fresh build of the corpus prefix some
+/// generation between corpus_size() just before the Submit and just after it
+/// held. Small batches make generations of one base overlap, so readers of
+/// an older pinned generation read a delta grid a newer one already
+/// extended — the capped read must hide the newer ids. The final corpus must
 /// answer exactly like a fresh build of the same trajectories.
 TEST(LiveCorpusStressTest, ConcurrentReadersDuringIngestAndCompaction) {
   Rng rng(717);
@@ -395,33 +617,55 @@ TEST(LiveCorpusStressTest, ConcurrentReadersDuringIngestAndCompaction) {
   options.compact_delta_trajectories = 8;  // churn: many background swaps
   QueryService service(std::move(base), options);
 
+  constexpr int kQueries = 4;
   std::vector<Trajectory> query_storage;
-  for (int i = 0; i < 4; ++i) query_storage.push_back(RandomWalk(&rng, 6));
+  for (int i = 0; i < kQueries; ++i) {
+    query_storage.push_back(RandomWalk(&rng, 6));
+  }
+
+  // Fresh-build answers for every corpus size a reader can pin.
+  const int first_size = static_cast<int>(initial.size());
+  const int last_size = static_cast<int>(initial.size() + feed.size());
+  std::vector<std::vector<std::vector<EngineHit>>> expected;  // [size][q]
+  expected.resize(static_cast<size_t>(last_size) + 1);
+  {
+    ServiceOptions fresh_options = options;
+    fresh_options.cache_capacity = 0;
+    fresh_options.compact_delta_trajectories = 0;
+    std::vector<TrajectoryView> query_views;
+    for (const Trajectory& q : query_storage) query_views.push_back(q.View());
+    for (int size = first_size; size <= last_size; ++size) {
+      Dataset prefix("stress-prefix");
+      for (int id = 0; id < size; ++id) {
+        prefix.Add(id < first_size
+                       ? initial[static_cast<size_t>(id)]
+                       : feed[static_cast<size_t>(id - first_size)]);
+      }
+      QueryService fresh(std::move(prefix), fresh_options);
+      expected[static_cast<size_t>(size)] = fresh.SubmitBatch(query_views);
+    }
+  }
 
   std::atomic<int> failures{0};
+  std::atomic<int> checked{0};
   std::atomic<bool> writer_done{false};
   auto reader = [&](int seed) {
     for (int round = 0; !writer_done.load(std::memory_order_acquire) ||
                         round < 10;
          ++round) {
-      const Trajectory& q =
-          query_storage[static_cast<size_t>((seed + round) % 4)];
+      const int qi = (seed + round) % kQueries;
       const int corpus_before = service.corpus_size();
-      const std::vector<EngineHit> hits = service.Submit(q);
+      const std::vector<EngineHit> hits =
+          service.Submit(query_storage[static_cast<size_t>(qi)]);
       const int corpus_after = service.corpus_size();
-      for (size_t i = 0; i < hits.size(); ++i) {
-        if (hits[i].trajectory_id < 0 ||
-            hits[i].trajectory_id >= corpus_after ||
-            !std::isfinite(hits[i].result.distance) ||
-            (i > 0 && BetterHit(hits[i], hits[i - 1]))) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-        }
+      bool matched = false;
+      for (int size = corpus_before; size <= corpus_after && !matched;
+           ++size) {
+        matched = SameHits(
+            hits, expected[static_cast<size_t>(size)][static_cast<size_t>(qi)]);
       }
-      if (static_cast<int>(hits.size()) >
-          std::min(options.engine.top_k, corpus_after)) {
-        failures.fetch_add(1, std::memory_order_relaxed);
-      }
-      (void)corpus_before;
+      if (!matched) failures.fetch_add(1, std::memory_order_relaxed);
+      checked.fetch_add(1, std::memory_order_relaxed);
       if (round > 200) break;  // safety net
     }
   };
@@ -429,37 +673,100 @@ TEST(LiveCorpusStressTest, ConcurrentReadersDuringIngestAndCompaction) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) readers.emplace_back(reader, r);
   std::thread writer([&]() {
-    for (size_t i = 0; i < feed.size(); ++i) {
-      if (i % 3 == 0 && i + 2 < feed.size()) {
-        service.AppendBatch({feed[i].View(), feed[i + 1].View(),
-                             feed[i + 2].View()});
-        i += 2;
-      } else {
-        service.Append(feed[i]);
-      }
+    for (size_t i = 0; i < feed.size();) {
+      const size_t batch = std::min<size_t>(1 + i % 3, feed.size() - i);
+      std::vector<TrajectoryView> views;
+      for (size_t j = i; j < i + batch; ++j) views.push_back(feed[j].View());
+      service.AppendBatch(views);
+      i += batch;
+      std::this_thread::yield();
     }
     writer_done.store(true, std::memory_order_release);
   });
   writer.join();
   for (std::thread& t : readers) t.join();
-  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(failures.load(), 0) << "of " << checked.load() << " results";
 
   // Quiesce: force a final compaction (racing background ones are fine;
   // Compact() serializes) and gate the end state against a fresh build.
   service.Compact();
-  EXPECT_EQ(service.corpus_size(),
-            static_cast<int>(initial.size() + feed.size()));
+  EXPECT_EQ(service.corpus_size(), last_size);
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.appends, feed.size());
   EXPECT_GE(stats.compactions, 1u);
 
-  Dataset flat("stress-fresh");
-  for (const Trajectory& t : initial) flat.Add(t);
-  for (const Trajectory& t : feed) flat.Add(t);
-  QueryService fresh(std::move(flat), options);
-  for (const Trajectory& q : query_storage) {
-    ExpectSameHits(fresh.Submit(q), service.Submit(q), "post-stress");
+  for (int qi = 0; qi < kQueries; ++qi) {
+    ExpectSameHits(
+        expected[static_cast<size_t>(last_size)][static_cast<size_t>(qi)],
+        service.Submit(query_storage[static_cast<size_t>(qi)]),
+        "post-stress");
   }
+}
+
+/// Grid work is proportional to what was appended, not to the delta: N
+/// appends in batches of 8 interleaved with queries index exactly N
+/// trajectories, however many generations and queries read the grid. A
+/// compaction starts a fresh grid for the new base, which then indexes only
+/// the delta appended after it. The counter is part of the statsz export.
+TEST(LiveCorpusStatsTest, DeltaGridIndexesEachAppendOnce) {
+  Rng rng(919);
+  Dataset base("grid-work");
+  for (int i = 0; i < 12; ++i) base.Add(RandomWalk(&rng, 10));
+  ServiceOptions options;
+  options.engine.spec = DistanceSpec::Dtw();
+  options.engine.sample_rate = 1.0;
+  options.engine.top_k = 3;
+  options.shards = 2;
+  options.cache_capacity = 16;
+  options.compact_delta_trajectories = 0;
+  QueryService service(std::move(base), options);
+  const obs::Counter* indexed =
+      service.metrics().counter("service.delta_grid.indexed_trajectories");
+  const Trajectory query = RandomWalk(&rng, 6);
+
+  EXPECT_EQ(indexed->Value(), 0u);
+  constexpr int kRounds = 6;
+  std::vector<Trajectory> appended;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<TrajectoryView> batch;
+    for (int i = 0; i < 8; ++i) {
+      appended.push_back(RandomWalk(&rng, 9));
+    }
+    for (size_t i = appended.size() - 8; i < appended.size(); ++i) {
+      batch.push_back(appended[i].View());
+    }
+    service.AppendBatch(batch);
+    service.Submit(query);
+    service.Submit(RandomWalk(&rng, 5));
+    EXPECT_EQ(indexed->Value(), static_cast<uint64_t>(8 * (round + 1)));
+  }
+  // Pure ingest builds nothing: the next query pays for both batches.
+  std::vector<TrajectoryView> more;
+  for (int i = 0; i < 16; ++i) {
+    appended.push_back(RandomWalk(&rng, 9));
+  }
+  for (size_t i = appended.size() - 16; i < appended.size(); ++i) {
+    more.push_back(appended[i].View());
+  }
+  service.AppendBatch({more.begin(), more.begin() + 8});
+  service.AppendBatch({more.begin() + 8, more.end()});
+  EXPECT_EQ(indexed->Value(), static_cast<uint64_t>(8 * kRounds));
+  service.Submit(query);
+  EXPECT_EQ(indexed->Value(), static_cast<uint64_t>(8 * kRounds + 16));
+
+  ASSERT_TRUE(service.Compact());
+  service.Submit(query);  // empty delta: no grid work
+  const uint64_t before_new_base = indexed->Value();
+  EXPECT_EQ(before_new_base, static_cast<uint64_t>(8 * kRounds + 16));
+  const Trajectory late = RandomWalk(&rng, 9);
+  service.AppendBatch({late.View(), late.View(), late.View()});
+  service.Submit(query);
+  service.Submit(query);
+  EXPECT_EQ(indexed->Value(), before_new_base + 3);
+
+  const std::string statsz = obs::StatszTable(service.metrics().Snapshot());
+  EXPECT_NE(statsz.find("service.delta_grid.indexed_trajectories"),
+            std::string::npos);
 }
 
 /// Ingest counters and generation stamps surface through Stats()/Shape().

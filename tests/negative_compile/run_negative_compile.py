@@ -39,6 +39,7 @@ TSA_CASES = [
     "TRAJ_NC_CASE_SEQLOCK_STORE_OUTSIDE_WRITE",
     "TRAJ_NC_CASE_EXCLUDES_VIOLATED",
     "TRAJ_NC_CASE_LOCK_LEAK",
+    "TRAJ_NC_CASE_WRITE_UNDER_READER_LOCK",
 ]
 
 # sample file -> (repo-relative path to check it as, expected rule id)

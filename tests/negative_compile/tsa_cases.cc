@@ -25,6 +25,16 @@ class Guarded {
 
   void RequiresHeld() TRAJ_REQUIRES(mu_) { ++value_; }
 
+  int SharedRead() TRAJ_EXCLUDES(rw_) {
+    ReaderLock lock(rw_);
+    return shared_value_;
+  }
+
+  void SharedWrite() TRAJ_EXCLUDES(rw_) {
+    WriterLock lock(rw_);
+    ++shared_value_;
+  }
+
   void SeqWrite() TRAJ_REQUIRES(mu_) {
     seq_.BeginWrite();
     StorePayload();
@@ -65,6 +75,15 @@ class Guarded {
   }
 #endif
 
+#if defined(TRAJ_NC_CASE_WRITE_UNDER_READER_LOCK)
+  // Violation: writing a SharedMutex-guarded field under the shared hold
+  // (the SharedDeltaGrid catch-up must take the WriterLock).
+  void Broken() {
+    ReaderLock lock(rw_);
+    ++shared_value_;
+  }
+#endif
+
 #if defined(TRAJ_NC_CASE_LOCK_LEAK)
   // Violation: acquiring the raw Mutex on a path that returns without
   // releasing it.
@@ -82,12 +101,16 @@ class Guarded {
   int value_ TRAJ_GUARDED_BY(mu_) = 0;
   SeqLock seq_;
   int payload_ = 0;  // seqlock payload; stores gated by StorePayload
+  SharedMutex rw_;
+  int shared_value_ TRAJ_GUARDED_BY(rw_) = 0;
 };
 
 // The control build must still need the class to be semantically checked.
 void NegativeCompileControl() {
   Guarded g;
   g.Locked();
+  g.SharedWrite();
+  (void)g.SharedRead();
 }
 
 }  // namespace trajsearch

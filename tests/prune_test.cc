@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "gen/taxi.h"
 #include "prune/grid_index.h"
 #include "prune/key_point_filter.h"
@@ -62,6 +65,65 @@ TEST(GridIndexTest, CloseCountsMatchDirectComputation) {
               direct[static_cast<size_t>(id)])
         << "trajectory " << id;
   }
+}
+
+TEST(CellKeyTest, InRangeKeysMatchTheUnclampedFormula) {
+  Rng rng(41);
+  for (int i = 0; i < 1000; ++i) {
+    const double cell = 0.001 + rng.Uniform() * 10.0;
+    const double x = (rng.Uniform() - 0.5) * 1e6;
+    const double y = (rng.Uniform() - 0.5) * 1e6;
+    const auto ix = static_cast<int64_t>(std::floor(x / cell));
+    const auto iy = static_cast<int64_t>(std::floor(y / cell));
+    EXPECT_EQ(CellKey(x, y, cell), (ix << 32) ^ (iy & 0xffffffffLL));
+  }
+  EXPECT_EQ(CellIndex(-0.5, 1.0), -1);
+  EXPECT_EQ(CellIndex(kMaxCellIndex + 0.5, 1.0), kMaxCellIndex);
+}
+
+TEST(CellKeyTest, OutOfRangeAndNaNSaturateToFixedCells) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(CellIndex(nan, 1.0), kMaxCellIndex);
+  EXPECT_EQ(CellIndex(-nan, 0.25), kMaxCellIndex);
+  EXPECT_EQ(CellIndex(1e300, 1.0), kMaxCellIndex);
+  EXPECT_EQ(CellIndex(inf, 1.0), kMaxCellIndex);
+  EXPECT_EQ(CellIndex(-1e300, 1.0), -kMaxCellIndex);
+  EXPECT_EQ(CellIndex(-inf, 1.0), -kMaxCellIndex);
+  EXPECT_EQ(CellIndex(3e9, 1.0), kMaxCellIndex);  // just past 2^31
+  // NaN in either coordinate lands in one fixed cell.
+  EXPECT_EQ(CellKey(nan, 0.5, 1.0), PackCellKey(kMaxCellIndex, 0));
+  EXPECT_EQ(CellKey(nan, nan, 1.0), CellKey(1e300, 1e300, 1.0));
+  // The neighbourhood of a saturated cell stays inside the key's halves:
+  // every key unpacks back to the index it was packed from.
+  for (const double v : {nan, 1e300, -1e300}) {
+    const std::array<int64_t, 9> keys = CloseCellKeys(v, -v, 1.0);
+    const int64_t ix = CellIndex(v, 1.0);
+    const int64_t iy = CellIndex(-v, 1.0);
+    size_t k = 0;
+    for (int64_t dx = -1; dx <= 1; ++dx) {
+      for (int64_t dy = -1; dy <= 1; ++dy) {
+        const int64_t key = keys[k++];
+        EXPECT_EQ(key >> 32, ix + dx);
+        EXPECT_EQ(static_cast<int32_t>(key & 0xffffffffLL), iy + dy);
+      }
+    }
+  }
+}
+
+TEST(CellKeyTest, GridIndexCountsNonFinitePointsInTheirFixedCell) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Dataset dataset("hostile");
+  dataset.Add(Trajectory{{0.0, 0.0}, {1.0, 1.0}});
+  dataset.Add(Trajectory{{nan, 0.5}, {1e300, -1e300}});
+  const GridIndex grid(dataset, 1.0);
+  // A NaN query point is close to the NaN-bearing trajectory only.
+  EXPECT_EQ(grid.CloseCounts(Trajectory{{nan, 0.0}}.View()),
+            (std::vector<std::pair<int, int>>{{1, 1}}));
+  EXPECT_EQ(grid.CloseCounts(Trajectory{{1e300, -1e300}}.View()),
+            (std::vector<std::pair<int, int>>{{1, 1}}));
+  EXPECT_EQ(grid.CloseCounts(Trajectory{{0.5, 0.5}}.View()),
+            (std::vector<std::pair<int, int>>{{0, 1}}));
 }
 
 TEST(GridIndexTest, CandidatesRespectMuThreshold) {

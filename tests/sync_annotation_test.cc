@@ -10,6 +10,7 @@
 #include "util/sync.h"
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -45,6 +46,52 @@ TEST(MutexTest, TryLockReportsHeldState) {
   mu.Unlock();
   ASSERT_TRUE(mu.TryLock());
   mu.Unlock();
+}
+
+TEST(SharedMutexTest, WritersExcludeReaders) {
+  SharedMutex mu;
+  int a = 0;  // deliberately non-atomic: the lock is the protection
+  int b = 0;
+  std::atomic<int> torn{0};
+  constexpr int kIters = 5000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&]() {
+      for (int i = 0; i < kIters; ++i) {
+        WriterLock lock(mu);
+        ++a;
+        ++b;
+      }
+    });
+    threads.emplace_back([&]() {
+      for (int i = 0; i < kIters; ++i) {
+        ReaderLock lock(mu);
+        if (a != b) torn.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(a, 2 * kIters);
+}
+
+TEST(SharedMutexTest, ReadersShareTheLock) {
+  SharedMutex mu;
+  std::atomic<bool> second_in{false};
+  mu.LockShared();
+  std::thread other([&]() {
+    ReaderLock second(mu);
+    second_in.store(true);
+  });
+  // Bounded wait: were the hold exclusive, `other` would stay blocked until
+  // UnlockShared below, so the flag could not rise in time.
+  for (int spin = 0; spin < 5000 && !second_in.load(); ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool overlapped = second_in.load();
+  mu.UnlockShared();
+  other.join();
+  EXPECT_TRUE(overlapped);
 }
 
 TEST(MutexLockTest, RelockRoundTrip) {
