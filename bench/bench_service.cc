@@ -582,16 +582,15 @@ void Main(int argc, char** argv) {
   // (cache off, so every pass really searches). Two sound sub-workloads,
   // so every row is hit-for-hit identical to the unsharded serial engine:
   //
-  //   abandon-only (no bound filter): the top-K threshold's only lever is
-  //     DP early abandoning inside QueryRun::Run — the cleanest measure of
-  //     local per-worker/per-shard heaps (PR-3) vs one global SharedTopK.
+  //   abandon-only (no bound filter): the global SharedTopK's only lever is
+  //     DP early abandoning inside QueryRun::Run — the baseline row.
   //   OSF bound (KPF at r=1.0): adds the sound bound filter; the ordered
   //     row additionally evaluates candidates by ascending cached bound,
   //     so the global threshold tightens at the front of the list.
   // -------------------------------------------------------------------
   {
-    PrintHeader("[PR4] Threshold sharing: local heaps vs shared top-K "
-                "vs shared + ordered candidates");
+    PrintHeader("[PR4] Shared top-K threshold: abandon-only vs OSF bound "
+                "vs OSF + ordered candidates");
     const int shards = 4;
     const int engine_threads = 2;
     EngineOptions dense = engine_options;
@@ -600,7 +599,7 @@ void Main(int argc, char** argv) {
     dense.threads = engine_threads;
 
     // Reference: unsharded serial engine over the same dense pipeline (all
-    // five rows below must match it exactly).
+    // three rows below must match it exactly).
     std::vector<std::vector<EngineHit>> dense_reference(queries.size());
     {
       EngineOptions serial = dense;
@@ -615,17 +614,14 @@ void Main(int argc, char** argv) {
     struct Pr4Mode {
       const char* name;
       bool osf_bound;  // KPF at r=1.0 (sound) vs no bound filter
-      bool share;
       bool order;
     };
     const Pr4Mode modes[] = {
-        {"abandon-only, local heaps (PR3)", false, false, false},
-        {"abandon-only, shared threshold", false, true, false},
-        {"OSF bound, local heaps (PR3)", true, false, false},
-        {"OSF bound, shared threshold", true, true, false},
-        {"OSF bound, shared + ordered", true, true, true},
+        {"abandon-only, shared threshold", false, false},
+        {"OSF bound, shared threshold", true, false},
+        {"OSF bound, shared + ordered", true, true},
     };
-    constexpr int kModes = 5;
+    constexpr int kModes = 3;
     double seconds[kModes];
     bool identical[kModes];
     for (int m = 0; m < kModes; ++m) {
@@ -633,7 +629,6 @@ void Main(int argc, char** argv) {
       options.engine = dense;
       options.engine.use_kpf = modes[m].osf_bound;
       options.engine.sample_rate = 1.0;  // sound: shared == serial results
-      options.engine.share_threshold = modes[m].share;
       options.engine.order_candidates = modes[m].order;
       options.shards = shards;
       options.cache_capacity = 0;
@@ -650,12 +645,11 @@ void Main(int argc, char** argv) {
       seconds[m] = best;
     }
 
-    TablePrinter pr4_table({"Search stage", "Batch (s)", "Speedup"});
-    for (int m = 0; m < kModes; ++m) {
-      const int baseline = modes[m].osf_bound ? 2 : 0;  // vs its local row
+    TablePrinter pr4_table({"Search stage", "Batch (s)", "vs abandon-only"});
+    for (int m = 0; m < kModes; ++m) {  // vs the abandon-only row
       pr4_table.AddRow(
           {modes[m].name, TablePrinter::Num(seconds[m], 4),
-           TablePrinter::Num(seconds[baseline] / seconds[m], 2) + "x"});
+           TablePrinter::Num(seconds[0] / seconds[m], 2) + "x"});
     }
     pr4_table.Print();
     bool all_identical = true;
@@ -666,11 +660,11 @@ void Main(int argc, char** argv) {
                 shards, engine_threads, dense.top_k, w.corpus.size(),
                 all_identical ? "yes" : "NO");
     if (!all_identical) {
-      // CI correctness gate: threshold sharing must not change results
-      // under a sound bound.
+      // CI correctness gate: sharding, worker threads, the bound filter and
+      // ordering must not change results under a sound bound.
       std::fprintf(stderr,
-                   "FATAL: threshold sharing diverges from the serial "
-                   "engine\n");
+                   "FATAL: the shared-threshold service diverges from the "
+                   "serial engine\n");
       std::exit(1);
     }
 
@@ -688,18 +682,16 @@ void Main(int argc, char** argv) {
             "  \"queries\": %zu,\n"
             "  \"shards\": %d,\n"
             "  \"engine_threads\": %d,\n"
-            "  \"abandon_local_heaps_seconds\": %.6f,\n"
             "  \"abandon_shared_seconds\": %.6f,\n"
-            "  \"osf_local_heaps_seconds\": %.6f,\n"
             "  \"osf_shared_seconds\": %.6f,\n"
             "  \"osf_shared_ordered_seconds\": %.6f,\n"
-            "  \"speedup_shared_vs_local\": %.3f,\n"
-            "  \"speedup_ordered_vs_local\": %.3f,\n"
+            "  \"speedup_osf_vs_abandon\": %.3f,\n"
+            "  \"speedup_ordered_vs_abandon\": %.3f,\n"
             "  \"identical_results\": true\n"
             "}\n",
             w.corpus.size(), queries.size(), shards, engine_threads,
-            seconds[0], seconds[1], seconds[2], seconds[3], seconds[4],
-            seconds[0] / seconds[1], seconds[2] / seconds[4]);
+            seconds[0], seconds[1], seconds[2], seconds[0] / seconds[1],
+            seconds[0] / seconds[2]);
         std::fclose(f);
         std::printf("wrote %s\n", json_pr4.c_str());
       }
@@ -1759,10 +1751,10 @@ void Main(int argc, char** argv) {
       "passes 2-3 (hit rate -> 2/3 of lookups). The\n[PR2] grid query and "
       "snapshot load rows must be at least 1x vs legacy. The\n[PR3] "
       "bind-once + cutoff row must be at least 1.2x vs the stateless "
-      "stage.\nThe [PR4] shared-threshold rows must beat their local-heap "
-      "baselines (the\nabandon-only pair isolates the threshold effect and "
-      "shows it even on one core,\nsince a tighter cutoff removes DP work "
-      "rather than just overlapping it). The\n[PR5] delta-free live row "
+      "stage.\nThe [PR4] rows price the OSF bound filter and bound "
+      "ordering against\nabandoning alone under one shared threshold; all "
+      "three must equal the\nunsharded serial engine (gated). The\n"
+      "[PR5] delta-free live row "
       "must stay within 5%% of the static baseline, the\n20%%-delta row "
       "within the delta's share of the corpus, and the post-compaction\n"
       "row back at the delta-free level. The [PR6] metrics-enabled row must "

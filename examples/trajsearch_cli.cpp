@@ -322,7 +322,6 @@ int CmdSearch(const Flags& flags) {
   options.use_kpf = flags.GetBool("kpf", true);
   options.threads = static_cast<int>(flags.GetInt("threads", 1));
   options.order_candidates = flags.GetBool("order", true);
-  options.share_threshold = flags.GetBool("share-threshold", true);
   options.prebuilt_grid =
       source.mapped.has_value() ? source.mapped->grid() : nullptr;
 
@@ -353,15 +352,11 @@ int CmdSearch(const Flags& flags) {
               stats.candidates_after_gbp, stats.skipped,
               stats.pruned_by_bound, stats.searched, stats.abandoned,
               stats.searched - stats.abandoned);
-  // Ordering only applies to the shared-threshold pipeline (the local-heap
-  // ablation always runs in id order) — report what actually happened.
-  std::printf("execution: %d worker thread%s, %s top-K threshold, "
+  std::printf("execution: %d worker thread%s, shared top-K threshold, "
               "candidates %s\n",
               options.threads, options.threads == 1 ? "" : "s",
-              options.share_threshold ? "shared" : "per-worker",
-              options.order_candidates && options.share_threshold
-                  ? "ordered most-promising-first"
-                  : "in id order");
+              options.order_candidates ? "ordered most-promising-first"
+                                       : "in id order");
   return 0;
 }
 
@@ -434,7 +429,6 @@ int CmdBatch(const Flags& flags) {
   options.engine.use_kpf = flags.GetBool("kpf", true);
   options.engine.threads = static_cast<int>(flags.GetInt("threads", 1));
   options.engine.order_candidates = flags.GetBool("order", true);
-  options.engine.share_threshold = flags.GetBool("share-threshold", true);
   options.shards = static_cast<int>(flags.GetInt("shards", 4));
   options.worker_threads = static_cast<int>(flags.GetInt("workers", 0));
   options.cache_capacity =
@@ -452,12 +446,10 @@ int CmdBatch(const Flags& flags) {
               service.shard_count(), service.options().worker_threads,
               options.cache_capacity);
   std::printf("execution: one scheduler pool for shard fan-out and engine "
-              "workers (%d tasks/query);\n           %s top-K threshold "
-              "across shards and workers, candidates %s\n",
+              "workers (%d tasks/query);\n           one shared top-K "
+              "threshold across shards and workers, candidates %s\n",
               service.shard_count() * std::max(1, options.engine.threads),
-              options.engine.share_threshold ? "one shared" : "per-heap",
-              options.engine.order_candidates &&
-                      options.engine.share_threshold
+              options.engine.order_candidates
                   ? "ordered most-promising-first"
                   : "in id order");
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <utility>
 
 #include "util/check.h"
 
@@ -126,28 +125,6 @@ double KpfBoundPlan::LowerBound(TrajectoryView data) const {
   }
   if (use_max_) return total;  // a max never needs rescaling
   return total / effective_rate_;
-}
-
-void KpfBoundPlan::OrderByBound(DatasetView data, std::vector<int>* ids,
-                                std::vector<double>* bounds) const {
-  bounds->resize(ids->size());
-  for (size_t c = 0; c < ids->size(); ++c) {
-    const TrajectoryRef candidate = data[(*ids)[c]];
-    (*bounds)[c] = candidate.empty() ? 0.0 : LowerBound(candidate);
-  }
-  // Sort an index permutation, then apply it to both arrays; `ids` arrives
-  // ascending, so (bound, id) ordering equals (bound, position) ordering.
-  thread_local std::vector<std::pair<double, int>> order;
-  order.clear();
-  order.reserve(ids->size());
-  for (size_t c = 0; c < ids->size(); ++c) {
-    order.emplace_back((*bounds)[c], (*ids)[c]);
-  }
-  std::sort(order.begin(), order.end());
-  for (size_t c = 0; c < order.size(); ++c) {
-    (*bounds)[c] = order[c].first;
-    (*ids)[c] = order[c].second;
-  }
 }
 
 }  // namespace trajsearch

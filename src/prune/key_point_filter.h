@@ -56,18 +56,6 @@ class KpfBoundPlan {
   /// The KPF estimate (Theorem B.1 / Equation 28) against one candidate.
   double LowerBound(TrajectoryView data) const;
 
-  /// Bound-for-ordering hook for the engine's shared-threshold search when
-  /// no grid index is available: computes LowerBound for every candidate in
-  /// `ids` (resolved through `data`, view-local ids) into `bounds` (parallel
-  /// to `ids`), then stably reorders both by ascending bound, ascending id
-  /// on ties. Candidates with the smallest lower bounds — the only ones that
-  /// can beat a tight threshold — run first and tighten the global top-K
-  /// early; the computed bounds are returned so the caller's bound filter
-  /// can reuse them instead of recomputing. Empty candidates get bound 0
-  /// (never pruned, matching the engine's empty-trajectory skip).
-  void OrderByBound(DatasetView data, std::vector<int>* ids,
-                    std::vector<double>* bounds) const;
-
  private:
   DistanceSpec spec_;
   TrajectoryView query_;

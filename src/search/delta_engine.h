@@ -12,24 +12,26 @@ namespace trajsearch {
 /// \brief Search stage over a live corpus's delta.
 ///
 /// The base corpus is served by the sharded SearchEngines; the trajectories
-/// appended since the last compaction run through this engine instead. It is
-/// the same three-stage pipeline — candidate generation (DeltaGridIndex
-/// postings, or every delta trajectory when GBP is off), KPF/OSF bound
-/// filtering, and pooled bind-once QueryRun plans with early abandoning —
-/// offering hits into the caller's SharedTopK with corpus ids, so the base
-/// shards and the delta prune against one corpus-wide K-th-best threshold
-/// and the merged result is hit-for-hit what one engine over the flattened
-/// corpus would return (under a sound bound).
+/// appended since the last compaction run through this engine instead. Only
+/// candidate generation is its own — DeltaGridIndex postings capped at the
+/// pinned delta's size, or every delta trajectory when GBP is off.
+/// Everything after it is the same SearchPipeline the base engines run
+/// (bound ordering, KPF/OSF bound filter, batch window, pooled bind-once
+/// QueryRun plans with early abandoning), offering hits into the caller's
+/// SharedTopK with corpus ids. So the base shards and the delta prune
+/// against one corpus-wide K-th-best threshold, and the merged result is
+/// hit-for-hit what one engine over the flattened corpus would return
+/// (under a sound bound).
 ///
-/// The delta is compaction-bounded and small, so the stage runs serially
-/// inside its (query, delta) task; parallelism comes from the service
-/// fanning it out alongside the per-shard tasks. QueryInto is safe to call
-/// concurrently; plans are pooled per engine exactly like SearchEngine's.
+/// The delta is compaction-bounded and small, so the pipeline runs with one
+/// worker inside its (query, delta) task; parallelism comes from the
+/// service fanning it out alongside the per-shard tasks. QueryInto is safe
+/// to call concurrently.
 class DeltaEngine {
  public:
   /// Uses the same options as the shard engines (algorithm, distance, GBP
-  /// mu, KPF/OSF and their rates, early-abandon and threshold-sharing
-  /// toggles). `threads` and `scheduler` are ignored — see above.
+  /// mu, KPF/OSF and their rates, ordering and early-abandon toggles).
+  /// `threads` and `scheduler` are ignored — see above.
   explicit DeltaEngine(EngineOptions options);
 
   /// Evaluates the delta trajectories of one pinned generation. `grid`
@@ -37,8 +39,8 @@ class DeltaEngine {
   /// generation extended; candidates are read capped at delta.size()); null
   /// runs every delta trajectory, the GBP-off pipeline. Hits are offered as
   /// corpus ids: delta id + `id_offset` (the generation's base size).
-  /// `excluded_id` is delta-local (-1 for none). Timing/pruning counters
-  /// accumulate into `stats`.
+  /// `excluded_id` is delta-local (-1 for none). The query's
+  /// timing/pruning breakdown is written to `stats`.
   void QueryInto(TrajectoryView query, const DeltaView& delta,
                  const DeltaGridIndex* grid, SharedTopK* topk, int id_offset,
                  QueryStats* stats = nullptr, int excluded_id = -1) const;
@@ -50,27 +52,15 @@ class DeltaEngine {
                  SharedDeltaGrid* grid, SharedTopK* topk, int id_offset,
                  QueryStats* stats = nullptr, int excluded_id = -1) const;
 
-  const EngineOptions& options() const { return options_; }
+  const EngineOptions& options() const { return pipeline_.options(); }
 
  private:
-  /// Candidate ids for `query` among delta's trajectories: the grid's
-  /// postings capped at delta.size(), or every id when `grid` is null.
-  void CollectCandidates(TrajectoryView query, const DeltaView& delta,
-                         const DeltaGridIndex* grid,
-                         std::vector<int>* out) const;
-  /// The bound filter + DP stages over `candidates`; `gbp_seconds` is the
-  /// candidate-generation time the caller measured.
-  void Evaluate(TrajectoryView query, const DeltaView& delta,
-                const std::vector<int>& candidates, double gbp_seconds,
-                SharedTopK* topk, int id_offset, QueryStats* stats,
-                int excluded_id) const;
+  /// Delta ids < delta.size() from `grid`'s postings, close-count ranked
+  /// when ordering is on.
+  void GridCandidates(TrajectoryView query, const DeltaView& delta,
+                      const DeltaGridIndex& grid, std::vector<int>* out) const;
 
-  EngineOptions options_;
-  std::unique_ptr<Searcher> searcher_;
-  mutable PlanPool plans_;  // same pooling discipline as SearchEngine
-  /// Folds into the same `engine.<Algorithm>.funnel.*` counters as the base
-  /// shard engines (delta hits flow through the same pipeline stages).
-  FunnelCounters funnel_;
+  SearchPipeline pipeline_;
 };
 
 }  // namespace trajsearch

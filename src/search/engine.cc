@@ -1,33 +1,12 @@
 #include "search/engine.h"
 
-#include <algorithm>
-#include <array>
-#include <atomic>
-#include <span>
 #include <string>
 #include <utility>
 
-#include "search/topk.h"
+#include "search/pipeline.h"
 #include "util/check.h"
-#include "util/scheduler.h"
-#include "util/stopwatch.h"
 
 namespace trajsearch {
-
-namespace {
-
-/// Candidate-chunk size for the pool-scheduled search stage: small enough
-/// that workers load-balance and the most promising candidates (front of the
-/// ordered list) finish early and tighten the shared threshold, large enough
-/// that the atomic chunk counter is not contended.
-size_t ChunkSize(size_t candidates, int workers) {
-  const size_t target_chunks = static_cast<size_t>(workers) * 4;
-  return std::max<size_t>(
-      1, std::min<size_t>(64, (candidates + target_chunks - 1) /
-                                  target_chunks));
-}
-
-}  // namespace
 
 FunnelCounters::FunnelCounters(obs::Registry* registry, Algorithm algorithm) {
   if (registry == nullptr) return;
@@ -75,15 +54,22 @@ std::unique_ptr<Searcher> MakeEngineSearcher(const EngineOptions& options) {
   return made.MoveValue();
 }
 
-SearchEngine::SearchEngine(DatasetView data, EngineOptions options)
-    : data_(data), options_(options) {
+SearchPipeline::SearchPipeline(EngineOptions options)
+    : options_(std::move(options)),
+      searcher_(MakeEngineSearcher(options_)),
+      funnel_(options_.metrics, options_.algorithm) {
   TRAJ_CHECK(options_.top_k >= 1);
-  if (options_.use_gbp && !data_.empty()) {
-    // Derive the default cell size locally; options_ stays exactly what the
-    // caller passed (the derived value is observable via grid()->stats()).
-    double cell = options_.cell_size;
+}
+
+SearchEngine::SearchEngine(DatasetView data, EngineOptions options)
+    : data_(data), pipeline_(std::move(options)) {
+  const EngineOptions& opts = pipeline_.options();
+  if (opts.use_gbp && !data_.empty()) {
+    // Derive the default cell size locally; the options stay exactly what
+    // the caller passed (the derived value is observable via grid()->stats()).
+    double cell = opts.cell_size;
     if (cell <= 0) cell = DefaultCellSize(data_.Bounds());
-    const GridIndex* prebuilt = options_.prebuilt_grid;
+    const GridIndex* prebuilt = opts.prebuilt_grid;
     if (prebuilt != nullptr && data_.begin_id() == 0 &&
         data_.size() == prebuilt->dataset_size() &&
         cell == prebuilt->cell_size()) {
@@ -95,14 +81,12 @@ SearchEngine::SearchEngine(DatasetView data, EngineOptions options)
       grid_view_ = grid_.get();
     }
   }
-  searcher_ = MakeEngineSearcher(options_);
-  funnel_ = FunnelCounters(options_.metrics, options_.algorithm);
 }
 
 std::vector<EngineHit> SearchEngine::Query(TrajectoryView query,
                                            QueryStats* stats,
                                            int excluded_id) const {
-  SharedTopK topk(options_.top_k);
+  SharedTopK topk(options().top_k);
   QueryInto(query, &topk, /*id_offset=*/0, stats, excluded_id);
   return topk.Sorted();
 }
@@ -110,342 +94,22 @@ std::vector<EngineHit> SearchEngine::Query(TrajectoryView query,
 void SearchEngine::QueryInto(TrajectoryView query, SharedTopK* topk,
                              int id_offset, QueryStats* stats,
                              int excluded_id) const {
-  QueryStats local;
-  IntervalTimer gbp_timer;
-
-  // Stage 1: GBP candidate generation, most-promising-first when ordering is
-  // on (descending close count — close counts are already computed for the
-  // mu filter, so the order is nearly free). The candidate buffer is
-  // per-thread scratch so steady-state queries reuse its capacity instead of
-  // reallocating (the parallel search stage below only reads it).
-  gbp_timer.Start();
-  thread_local std::vector<int> candidate_scratch;
-  thread_local std::vector<double> bound_cache_scratch;
-  bound_cache_scratch.clear();
-  // The local-heap ablation (share_threshold off) reproduces PR-3, whose
-  // distance-only thresholds are only sound on id-ascending worker streams
-  // — so ordering applies to the shared-threshold pipeline only.
-  const bool ordering =
-      options_.order_candidates && options_.share_threshold;
-  if (grid_view_ != nullptr) {
-    if (ordering) {
-      grid_view_->OrderedCandidates(query, options_.mu, &candidate_scratch);
-    } else {
-      grid_view_->Candidates(query, options_.mu, &candidate_scratch);
-    }
-  } else {
-    candidate_scratch.resize(static_cast<size_t>(data_.size()));
-    for (int id = 0; id < data_.size(); ++id) {
-      candidate_scratch[static_cast<size_t>(id)] = id;
-    }
-  }
-  gbp_timer.Stop();
-  local.candidates_after_gbp = static_cast<int>(candidate_scratch.size());
-
-  // Stage 2 setup: one query-bound KPF/OSF plan, shared read-only by every
-  // worker (key points and deletion costs are per-query state).
-  const bool bound_enabled = options_.use_kpf || options_.use_osf;
-  std::unique_ptr<KpfBoundPlan> bound;
-  if (bound_enabled && !query.empty()) {
-    bound = plans_.AcquireBound();
-    bound->Bind(options_.spec, query,
-                options_.use_osf ? 1.0 : options_.sample_rate);
-  }
-
-  // Batched plans defer their Offers to flush time, which is
-  // result-identical under a *sound* bound (a pruned candidate provably
-  // cannot enter the final top-K no matter when the cutoff tightened) but
-  // not under the sampled KPF estimate, whose prune decisions depend on how
-  // tight the heap was at check time. Batching stays off there so the
-  // sampled ablation keeps its exact sequential semantics (same contract as
-  // the `threads`/`order_candidates` caveats above).
-  const bool sound_bound =
-      bound == nullptr || options_.use_osf || options_.sample_rate >= 1.0;
-
-  // Without a grid there are no close counts to order by; order by the
-  // KPF/OSF lower bound instead (ascending — the candidates most likely to
-  // beat a tight threshold run first). The bounds are computed once here and
-  // cached for the workers' bound filter, so ordering shifts the bound work
-  // up front rather than adding any.
-  IntervalTimer order_timer;
-  if (ordering && grid_view_ == nullptr && bound != nullptr) {
-    order_timer.Start();
-    bound->OrderByBound(data_, &candidate_scratch, &bound_cache_scratch);
-    order_timer.Stop();
-  }
-
-  // Bind the scratch on this thread: thread_local names are not captured by
-  // lambdas, so the parallel workers below must go through these spans.
-  const std::span<const int> candidates(candidate_scratch);
-  const std::span<const double> cached_bounds(bound_cache_scratch);
-
-  // Batched plans accumulate kBatchGroups batches' worth of survivors
-  // before flushing: one RunBatch sweeps every lane to its *longest*
-  // member, so random-length lanes (Porto trajectory lengths vary by
-  // several x) would waste most of the lane speedup on ragged tails. The
-  // window is sorted longest-first at flush time and emitted in
-  // width-sized groups of near-equal length.
-  constexpr int kBatchGroups = 4;
-  constexpr int kBatchWindow = kBatchGroups * simd::kLanes;
-
-  struct WorkerState {
-    IntervalTimer bound_timer;
-    IntervalTimer pair_timer;
-    int pruned = 0;
-    int searched = 0;
-    int skipped = 0;
-    int abandoned = 0;
-    simd::CellCounts cells;  // drained from the worker's plan once per query
-    // Pending window for plans with a cross-candidate kernel (batch_width()
-    // > 1): pruning survivors accumulate here and are evaluated by RunBatch
-    // groups once the window fills (or at the end of the worker's candidate
-    // stream).
-    std::array<QueryRun::RunBatchItem, kBatchWindow> batch_items;
-    std::array<int, kBatchWindow> batch_ids;
-    int batch_pending = 0;
-  };
-
-  // Evaluates a worker's pending window, longest candidates first. The
-  // cutoff is re-captured per group — at most as tight as the
-  // per-candidate captures the sequential path would have made, and
-  // RunBatch is exact below any cutoff, so the surviving hits (and
-  // therefore the final top-K) are identical; only the
-  // abandoned/completed split can shift.
-  auto flush = [&](TopKHeap* heap, QueryRun* run, int width,
-                   WorkerState* state) {
-    const int count = state->batch_pending;
-    if (count == 0) return;
-    state->batch_pending = 0;
-    std::array<int, kBatchWindow> order;
-    for (int i = 0; i < count; ++i) order[static_cast<size_t>(i)] = i;
-    std::stable_sort(
-        order.begin(), order.begin() + count, [state](int a, int b) {
-          return state->batch_items[static_cast<size_t>(a)].data.size() >
-                 state->batch_items[static_cast<size_t>(b)].data.size();
-        });
-    std::array<QueryRun::RunBatchItem, simd::kLanes> group_items;
-    std::array<SearchResult, simd::kLanes> group_results;
-    for (int begin = 0; begin < count; begin += width) {
-      const int group = std::min(width, count - begin);
-      for (int i = 0; i < group; ++i) {
-        group_items[static_cast<size_t>(i)] =
-            state->batch_items[static_cast<size_t>(
-                order[static_cast<size_t>(begin + i)])];
-      }
-      double cutoff = kNoCutoff;
-      if (options_.use_early_abandon) {
-        cutoff = heap != nullptr
-                     ? (heap->Full() ? heap->Worst() : kNoCutoff)
-                     : topk->Cutoff();
-      }
-      state->pair_timer.Start();
-      run->RunBatch(group_items.data(), group, cutoff, group_results.data());
-      state->pair_timer.Stop();
-      state->searched += group;
-      for (int i = 0; i < group; ++i) {
-        const SearchResult& result = group_results[static_cast<size_t>(i)];
-        if (cutoff != kNoCutoff && result.distance >= cutoff) {
-          ++state->abandoned;
-        }
-        const int id = state->batch_ids[static_cast<size_t>(
-            order[static_cast<size_t>(begin + i)])];
-        if (heap != nullptr) {
-          heap->Offer(EngineHit{id, result});
+  const EngineOptions& opts = options();
+  // GBP candidates, most-promising-first when ordering is on (descending
+  // close count — the counts are already computed for the mu filter, so the
+  // order is nearly free); without a grid the pipeline scans every id.
+  pipeline_.Run(
+      data_, query,
+      [&](std::vector<int>* out) {
+        if (grid_view_ == nullptr) return false;
+        if (opts.order_candidates) {
+          grid_view_->OrderedCandidates(query, opts.mu, out);
         } else {
-          topk->Offer(EngineHit{id + id_offset, result});
+          grid_view_->Candidates(query, opts.mu, out);
         }
-      }
-    }
-  };
-
-  // Stages 2+3 for one candidate (by position in the ordered candidate
-  // list), pruning against `heap` when given (PR-3-style local top-K,
-  // thresholds only as tight as this worker's own hits) or against the
-  // query-global SharedTopK otherwise. Returns true if the candidate was
-  // searched, false if it was pruned or skipped. Threshold semantics: the
-  // local heap uses the legacy distance-only `lower >= Worst()` prune
-  // (sound because the worker's id-ascending stream makes the tied
-  // incumbent the smaller id, and streams are merged canonically at the
-  // end); the SharedTopK prune is tie-aware — it compares (lower, global
-  // id) against the published (K-th best, its id) in canonical order — so
-  // it makes the same decisions as the legacy rule on a single id-ascending
-  // stream while staying order-independent across workers and shards.
-  auto process = [&](size_t c, TopKHeap* heap, QueryRun* run, int width,
-                     WorkerState* state) {
-    const int id = candidates[c];
-    if (id == excluded_id) {
-      ++state->skipped;
-      return;
-    }
-    const TrajectoryRef data = data_[id];
-    if (data.empty()) {
-      ++state->skipped;
-      return;
-    }
-    if (bound != nullptr &&
-        (heap != nullptr ? heap->Full()
-                         : topk->Cutoff() != kNoCutoff)) {
-      double lower;
-      if (!cached_bounds.empty()) {
-        lower = cached_bounds[c];  // paid once in the ordering pre-pass
-      } else {
-        state->bound_timer.Start();
-        lower = bound->LowerBound(data);
-        state->bound_timer.Stop();
-      }
-      const bool pruned = heap != nullptr
-                              ? lower >= heap->Worst()
-                              : topk->ShouldPrune(lower, id + id_offset);
-      if (pruned) {
-        ++state->pruned;
-        return;
-      }
-    }
-    if (width > 1) {
-      // Batched plans: park the survivor; a full window flushes through
-      // length-sorted RunBatch groups.
-      state->batch_items[static_cast<size_t>(state->batch_pending)] =
-          QueryRun::RunBatchItem{data, data_.cols(id)};
-      state->batch_ids[static_cast<size_t>(state->batch_pending)] = id;
-      if (++state->batch_pending == width * kBatchGroups) {
-        flush(heap, run, width, state);
-      }
-      return;
-    }
-    // Early abandoning: a result at or above the cutoff can never enter the
-    // top-K (SharedTopK's cutoff is strictly above the K-th best, so
-    // distance ties — which may still win on the canonical id tie-break —
-    // stay below it and are computed exactly), so the plan may stop as soon
-    // as it can prove the cutoff unbeatable.
-    double cutoff = kNoCutoff;
-    if (options_.use_early_abandon) {
-      cutoff = heap != nullptr
-                   ? (heap->Full() ? heap->Worst() : kNoCutoff)
-                   : topk->Cutoff();
-    }
-    state->pair_timer.Start();
-    const SearchResult result = run->RunCols(data, data_.cols(id), cutoff);
-    state->pair_timer.Stop();
-    // Funnel accounting: a run whose result lands at or above the cutoff it
-    // started with did (possibly early-abandoned) DP work that the top-K
-    // merge will discard.
-    if (cutoff != kNoCutoff && result.distance >= cutoff) ++state->abandoned;
-    if (heap != nullptr) {
-      heap->Offer(EngineHit{id, result});
-    } else {
-      topk->Offer(EngineHit{id + id_offset, result});
-    }
-    ++state->searched;
-  };
-
-  local.gbp_seconds = gbp_timer.TotalSeconds();
-  if (candidates.empty()) {
-    local.prune_seconds = gbp_timer.TotalSeconds();
-    local.bound_seconds = order_timer.TotalSeconds();
-  } else if (options_.threads <= 1) {
-    WorkerState state;
-    std::unique_ptr<QueryRun> run = plans_.AcquireRun(*searcher_);
-    run->Bind(query);
-    const int width = sound_bound ? run->batch_width() : 1;
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      process(c, nullptr, run.get(), width, &state);
-    }
-    flush(nullptr, run.get(), width, &state);
-    state.cells = run->TakeSimdStats();
-    plans_.ReleaseRun(std::move(run));
-    local.searched = state.searched;
-    local.pruned_by_bound = state.pruned;
-    local.skipped = state.skipped;
-    local.abandoned = state.abandoned;
-    local.simd_vector_cells = state.cells.vector_cells;
-    local.simd_scalar_cells = state.cells.scalar_cells;
-    local.simd_lane_abandons = state.cells.lane_abandons;
-    local.bound_seconds =
-        order_timer.TotalSeconds() + state.bound_timer.TotalSeconds();
-    local.pair_search_seconds = state.pair_timer.TotalSeconds();
-    local.prune_seconds = gbp_timer.TotalSeconds() + local.bound_seconds;
-    local.search_seconds = local.pair_search_seconds;
-  } else {
-    // Parallel search stage: up to `threads` worker tasks on the shared
-    // scheduler pool pull candidate chunks from an atomic counter (dynamic
-    // load balancing; the ordered front of the list runs first). Each
-    // worker binds one pooled plan to the query. search_seconds reports
-    // wall-clock for the whole stage; bound/pair seconds are summed across
-    // workers.
-    const int workers = static_cast<int>(std::min<size_t>(
-        static_cast<size_t>(options_.threads), candidates.size()));
-    const size_t chunk = ChunkSize(candidates.size(), workers);
-    std::vector<WorkerState> states(static_cast<size_t>(workers));
-    std::atomic<size_t> next{0};
-    Stopwatch stage;
-
-    auto worker = [&](int w) {
-      WorkerState& state = states[static_cast<size_t>(w)];
-      std::unique_ptr<QueryRun> run = plans_.AcquireRun(*searcher_);
-      run->Bind(query);
-      const int width = sound_bound ? run->batch_width() : 1;
-      // PR-3-style local heap, only consulted when threshold sharing is off
-      // (ablation/benchmark baseline).
-      TopKHeap local_heap(options_.top_k);
-      TopKHeap* heap = options_.share_threshold ? nullptr : &local_heap;
-      for (;;) {
-        // relaxed: the chunk counter only hands out disjoint ranges — each
-        // worker reads the candidate array, which was published before the
-        // tasks were submitted; no payload rides on the counter itself.
-        const size_t begin =
-            next.fetch_add(chunk, std::memory_order_relaxed);
-        if (begin >= candidates.size()) break;
-        const size_t end = std::min(candidates.size(), begin + chunk);
-        for (size_t c = begin; c < end; ++c) {
-          process(c, heap, run.get(), width, &state);
-        }
-      }
-      // A worker's pending window may span chunk boundaries; it drains once
-      // the worker's whole candidate stream is exhausted (and before the
-      // local-heap merge, which must see every hit).
-      flush(heap, run.get(), width, &state);
-      if (heap != nullptr) {
-        for (const EngineHit& hit : heap->Sorted()) {
-          topk->Offer(EngineHit{hit.trajectory_id + id_offset, hit.result});
-        }
-      }
-      state.cells = run->TakeSimdStats();
-      plans_.ReleaseRun(std::move(run));
-    };
-
-    ThreadPool& pool = options_.scheduler != nullptr ? *options_.scheduler
-                                                     : DefaultScheduler();
-    TaskGroup group;
-    for (int w = 1; w < workers; ++w) {
-      pool.Submit(&group, [&worker, w]() { worker(w); });
-    }
-    worker(0);  // the caller is worker 0, so progress never depends on the
-                // pool having an idle thread
-    group.Wait();
-
-    local.search_seconds = stage.Seconds();
-    local.prune_seconds = gbp_timer.TotalSeconds();
-    local.bound_seconds = order_timer.TotalSeconds();
-    for (const WorkerState& state : states) {
-      local.pruned_by_bound += state.pruned;
-      local.searched += state.searched;
-      local.skipped += state.skipped;
-      local.abandoned += state.abandoned;
-      local.bound_seconds += state.bound_timer.TotalSeconds();
-      local.pair_search_seconds += state.pair_timer.TotalSeconds();
-      local.simd_vector_cells += state.cells.vector_cells;
-      local.simd_scalar_cells += state.cells.scalar_cells;
-      local.simd_lane_abandons += state.cells.lane_abandons;
-    }
-  }
-  if (bound != nullptr) plans_.ReleaseBound(std::move(bound));
-
-  // One registry fold per query: a handful of relaxed counter adds, so the
-  // per-candidate hot path above carries no instrumentation at all.
-  if (options_.metrics != nullptr && options_.metrics->enabled()) {
-    funnel_.Fold(local);
-  }
-  if (stats != nullptr) *stats = local;
+        return true;
+      },
+      topk, id_offset, excluded_id, opts.threads, stats);
 }
 
 }  // namespace trajsearch

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/dataset.h"
@@ -15,6 +14,7 @@ namespace trajsearch {
 
 class SharedTopK;
 class ThreadPool;
+struct PipelineScratch;
 
 /// \brief Configuration of the database-level search pipeline (Algorithm 3):
 /// GBP candidate filter -> KPF lower-bound filter -> per-trajectory search.
@@ -53,26 +53,16 @@ struct EngineOptions {
   /// way — the plans only abandon work that provably cannot beat the
   /// threshold — so this exists for benchmarking/ablation, like `threads`.
   bool use_early_abandon = true;
-  /// All workers of one query (and, under the service, all shards) prune
-  /// against one global SharedTopK threshold. When false, each worker keeps
-  /// a PR-3-style local top-K (merged canonically at the end) and the
-  /// service merges per-shard heaps — a strictly weaker abandon threshold,
-  /// kept as a benchmarking/ablation baseline; candidates then always run
-  /// in ascending id order (`order_candidates` is ignored), because the
-  /// local-heap thresholds are only tie-safe on id-ascending worker
-  /// streams. Results are identical either way under a sound bound; under
-  /// a *sampled* estimate the shared threshold's tightening time depends on
-  /// thread interleaving, so threaded/sharded results can additionally vary
-  /// run to run (the PR-3 local heaps varied only with the worker count) —
-  /// use sample_rate = 1.0 or OSF where determinism matters.
-  bool share_threshold = true;
   /// Evaluate candidates most-promising-first (descending GBP close count;
   /// with GBP off, ascending KPF/OSF lower bound) instead of ascending id,
-  /// so the top-K threshold tightens early and prunes the tail. Applies to
-  /// the shared-threshold pipeline only (see share_threshold). The
-  /// candidate *set* and, under a sound bound, the results are unchanged;
-  /// with a *sampled* KPF estimate the evaluation order can change which
-  /// candidates the estimate prunes (same caveat as `threads`).
+  /// so the top-K threshold tightens early and prunes the tail. The base
+  /// shards and the live delta apply the same rule. The candidate *set*
+  /// and, under a sound bound, the results are unchanged; with a *sampled*
+  /// KPF estimate the evaluation order can change which candidates the
+  /// estimate prunes (same caveat as `threads`), and the shared threshold's
+  /// tightening time then also depends on thread interleaving, so threaded
+  /// or sharded results can vary run to run — use sample_rate = 1.0 or OSF
+  /// where determinism matters.
   bool order_candidates = true;
   /// Scheduler pool for the multi-threaded search stage; null uses the
   /// process-wide DefaultScheduler(). The QueryService injects its own pool
@@ -102,6 +92,9 @@ struct EngineHit {
 };
 
 /// \brief Timing/pruning breakdown of one query (feeds Figures 9-11).
+///
+/// Serial mode is threads <= 1 — always the case for DeltaEngine, which
+/// runs the same stages with one worker.
 struct QueryStats {
   /// Candidate generation + bound filtering (GBP + KPF/OSF) in serial mode;
   /// GBP only when threads > 1 (bound checks then run inside the workers —
@@ -143,10 +136,10 @@ struct QueryStats {
   uint64_t simd_lane_abandons = 0;
 };
 
-/// \brief Resolved `engine.<Algorithm>.funnel.*` counters, shared by
-/// SearchEngine and DeltaEngine (both fold into the same per-algorithm
-/// funnel). All-null when constructed without a registry, making Fold a
-/// no-op.
+/// \brief Resolved `engine.<Algorithm>.funnel.*` counters. SearchEngine and
+/// DeltaEngine fold into the same per-algorithm funnel through their
+/// SearchPipeline. All-null when constructed without a registry, making
+/// Fold a no-op.
 struct FunnelCounters {
   FunnelCounters() = default;
   FunnelCounters(obs::Registry* registry, Algorithm algorithm);
@@ -166,6 +159,51 @@ struct FunnelCounters {
   obs::Counter* simd_vector_cells = nullptr;
   obs::Counter* simd_scalar_cells = nullptr;
   obs::Counter* simd_lane_abandons = nullptr;
+};
+
+/// \brief Algorithm 3 after candidate generation — bound ordering, KPF/OSF
+/// bound filter, length-sorted batch window, QueryRun::RunBatch, offer into
+/// a SharedTopK — implemented once for SearchEngine (base shards, over a
+/// DatasetView) and DeltaEngine (the live delta, over a DeltaView).
+///
+/// Owns what both engines need per query: the options, the searcher they
+/// describe, the pooled plans and the resolved funnel counters. Run() is
+/// defined in search/pipeline.h, which only the engines include. Safe to
+/// call concurrently.
+class SearchPipeline {
+ public:
+  explicit SearchPipeline(EngineOptions options);
+
+  const EngineOptions& options() const { return options_; }
+
+  /// Runs one query over `data` (a DatasetView or DeltaView, addressed by
+  /// view-local id). `collect(std::vector<int>* out)` is the candidate
+  /// source: it fills `out` with the grid's survivors (close-count ranked
+  /// when options().order_candidates) and returns true, or returns false
+  /// to have every id scanned; its time is the query's gbp_seconds. Hits
+  /// are offered as view id + `id_offset`; `excluded_id` is view-local (-1
+  /// for none). Up to `threads` workers evaluate the candidates: worker 0
+  /// is the caller, the rest are scheduler tasks — so one worker never
+  /// touches the scheduler, and the serial engine is this path with one
+  /// worker. Folds the funnel and writes `stats` (if non-null).
+  template <class View, class Collect>
+  void Run(const View& data, TrajectoryView query, Collect&& collect,
+           SharedTopK* topk, int id_offset, int excluded_id, int threads,
+           QueryStats* stats) const;
+
+ private:
+  /// Stages 2+3 over the candidates in `scratch`, accumulating into `stats`.
+  template <class View>
+  void Evaluate(const View& data, TrajectoryView query, bool from_grid,
+                PipelineScratch* scratch, SharedTopK* topk, int id_offset,
+                int excluded_id, int threads, QueryStats* stats) const;
+
+  EngineOptions options_;
+  std::unique_ptr<Searcher> searcher_;
+  FunnelCounters funnel_;
+  /// Plans/bounds are grow-only pooled; steady state reuses the same plans
+  /// and their scratch across queries.
+  mutable PlanPool plans_;
 };
 
 /// \brief Database-level similar subtrajectory search engine.
@@ -189,11 +227,11 @@ struct FunnelCounters {
 /// lower bound when GBP is off) and every worker prunes against one global
 /// SharedTopK, whose lock-free cutoff is the true K-th-best distance across
 /// *all* workers — and, through QueryInto, across all shards of a service
-/// query — instead of a per-worker local heap. The multi-threaded stage
-/// runs as chunked tasks on a shared ThreadPool scheduler (no per-query
-/// std::thread spawning): up to `threads` worker tasks pull fixed-size
-/// candidate chunks from an atomic counter, each binding one pooled plan
-/// per query.
+/// query. The search stage runs as chunked tasks on a shared ThreadPool
+/// scheduler (no per-query std::thread spawning): up to `threads` workers
+/// pull fixed-size candidate chunks from an atomic counter, each binding
+/// one pooled plan per query. Everything after candidate generation is the
+/// SearchPipeline that DeltaEngine runs too.
 ///
 /// The engine searches a DatasetView — the whole dataset in the common case,
 /// or one shard's contiguous range of the shared corpus pool under the
@@ -224,7 +262,7 @@ class SearchEngine {
                  QueryStats* stats = nullptr, int excluded_id = -1) const;
 
   /// Exactly what the caller passed (derived values are never written back).
-  const EngineOptions& options() const { return options_; }
+  const EngineOptions& options() const { return pipeline_.options(); }
   const DatasetView& data() const { return data_; }
   /// The pruning index served from (null when GBP is disabled): the
   /// caller's prebuilt_grid when it was adopted, else the engine-built one.
@@ -234,24 +272,17 @@ class SearchEngine {
 
  private:
   DatasetView data_;
-  EngineOptions options_;
+  SearchPipeline pipeline_;
   std::unique_ptr<GridIndex> grid_;
-  /// What the query path probes: options_.prebuilt_grid when adopted, else
+  /// What the query path probes: options().prebuilt_grid when adopted, else
   /// grid_.get(); null with GBP off.
   const GridIndex* grid_view_ = nullptr;
-  std::unique_ptr<Searcher> searcher_;
-  /// Funnel counter pointers, resolved once at construction (all-null
-  /// without a registry).
-  FunnelCounters funnel_;
-  /// Plans/bounds are grow-only pooled; steady state reuses the same plans
-  /// and their scratch across queries.
-  mutable PlanPool plans_;
 };
 
 /// Builds the per-trajectory searcher an engine's options describe: trained
 /// RLS policies route through MakeRlsSearcher, everything else through
 /// MakeSearcher (invalid algorithm/distance combinations are a programming
-/// error here and CHECK). Shared by SearchEngine and DeltaEngine.
+/// error here and CHECK). SearchPipeline builds its searcher with it.
 std::unique_ptr<Searcher> MakeEngineSearcher(const EngineOptions& options);
 
 }  // namespace trajsearch

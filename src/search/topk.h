@@ -30,8 +30,8 @@ inline bool BetterHit(const EngineHit& a, const EngineHit& b) {
 
 /// \brief Bounded worst-first heap of engine hits (Appendix E).
 ///
-/// Shared by the engine's serial and multi-threaded search stages and by the
-/// service layer, which merges per-shard top-K heaps into a global top-K.
+/// The locked heap behind SharedTopK, into which every engine worker, shard
+/// and delta part of one query offers its hits.
 class TopKHeap {
  public:
   explicit TopKHeap(int k) : k_(k) { TRAJ_CHECK(k >= 1); }
@@ -113,9 +113,8 @@ class TopKHeap {
 ///
 /// With a sound bound, the result is therefore bit-identical to the serial
 /// engine no matter how workers interleave. (As with `threads`, a *sampled*
-/// estimate compared against the shared threshold may prune differently
-/// than against a local one; results are identical whenever the bound is
-/// sound.)
+/// estimate may prune differently depending on when the threshold
+/// tightened; results are identical whenever the bound is sound.)
 class SharedTopK {
  public:
   explicit SharedTopK(int k) : heap_(k) {}
@@ -230,16 +229,5 @@ class SharedTopK {
   std::atomic<uint64_t> worst_bits_{DoubleBits(kNoCutoff)};
   std::atomic<int> worst_id_{-1};
 };
-
-/// Merges several already-searched hit lists (e.g. one per shard) into a
-/// global best-first top-K.
-inline std::vector<EngineHit> MergeTopK(
-    const std::vector<std::vector<EngineHit>>& parts, int k) {
-  TopKHeap merged(k);
-  for (const std::vector<EngineHit>& part : parts) {
-    for (const EngineHit& hit : part) merged.Offer(hit);
-  }
-  return merged.Sorted();
-}
 
 }  // namespace trajsearch

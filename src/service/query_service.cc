@@ -72,10 +72,9 @@ uint64_t CombineRlsContent(uint64_t hash, const RlsPolicy* policy) {
 
 uint64_t EngineOptionsFingerprint(const EngineOptions& options) {
   // Scheduling-only fields (`threads`, `use_early_abandon`,
-  // `share_threshold`, `order_candidates`, `scheduler`) are deliberately
-  // excluded: they change scheduling and the amount of DP work, not results
-  // (under a sound bound; see EngineOptions for the sampled-KPF caveat they
-  // all share).
+  // `order_candidates`, `scheduler`) are deliberately excluded: they change
+  // scheduling and the amount of DP work, not results (under a sound bound;
+  // see EngineOptions for the sampled-KPF caveat they all share).
   uint64_t hash = 0x51a7e5e5u;
   hash = CombineHash(hash, static_cast<uint64_t>(options.spec.kind));
   hash = CombineDoubleBits(hash, options.spec.edr_epsilon);
@@ -506,12 +505,8 @@ std::vector<std::vector<EngineHit>> QueryService::SubmitBatch(
   // All parts of one query share one SharedTopK (hits offered with corpus
   // ids: base ids through the shard offsets, delta ids at base_size +
   // delta id), so every part's bound filter and early abandoning prune
-  // against the corpus-wide K-th best as it tightens. With share_threshold
-  // off the PR-3 baseline is reproduced instead: one independent top-K per
-  // (query, part), merged canonically afterwards.
-  const bool share = options_.engine.share_threshold;
-  std::vector<std::unique_ptr<SharedTopK>> topks(
-      share ? misses.size() : misses.size() * static_cast<size_t>(parts));
+  // against the corpus-wide K-th best as it tightens.
+  std::vector<std::unique_ptr<SharedTopK>> topks(misses.size());
   for (std::unique_ptr<SharedTopK>& topk : topks) {
     topk = std::make_unique<SharedTopK>(options_.engine.top_k);
   }
@@ -522,10 +517,10 @@ std::vector<std::vector<EngineHit>> QueryService::SubmitBatch(
     const size_t qi = misses[mi];
     const TrajectoryView query = queries[qi];
     const int excluded = excluded_ids.empty() ? -1 : excluded_ids[qi];
+    SharedTopK* const topk = topks[mi].get();
     for (int s = 0; s < n; ++s) {
       const size_t part = mi * static_cast<size_t>(parts) +
                           static_cast<size_t>(s);
-      SharedTopK* topk = share ? topks[mi].get() : topks[part].get();
       pool_->Submit(&group, [state, s, query, excluded, topk,
                              stats = &part_stats[part]]() {
         const Shard& shard = state->base->shards[static_cast<size_t>(s)];
@@ -540,7 +535,6 @@ std::vector<std::vector<EngineHit>> QueryService::SubmitBatch(
     if (has_delta) {
       const size_t part = mi * static_cast<size_t>(parts) +
                           static_cast<size_t>(n);
-      SharedTopK* topk = share ? topks[mi].get() : topks[part].get();
       pool_->Submit(&group, [this, state, query, excluded, topk, base_size,
                              stats = &part_stats[part]]() {
         const int local_excluded =
@@ -604,18 +598,7 @@ std::vector<std::vector<EngineHit>> QueryService::SubmitBatch(
   for (size_t mi = 0; mi < misses.size(); ++mi) {
     const size_t qi = misses[mi];
     const int64_t merge_start = timed ? obs::NowNanos() : 0;
-    if (share) {
-      results[qi] = topks[mi]->Sorted();
-    } else {
-      std::vector<std::vector<EngineHit>> shard_parts;
-      shard_parts.reserve(static_cast<size_t>(parts));
-      for (int s = 0; s < parts; ++s) {
-        shard_parts.push_back(
-            topks[mi * static_cast<size_t>(parts) + static_cast<size_t>(s)]
-                ->Sorted());
-      }
-      results[qi] = MergeTopK(shard_parts, options_.engine.top_k);
-    }
+    results[qi] = topks[mi]->Sorted();
     if (timed) {
       const int64_t merge_nanos = obs::NowNanos() - merge_start;
       metrics_.merge_nanos->Add(

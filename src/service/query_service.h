@@ -111,7 +111,7 @@ struct CorpusShape {
 /// never by address, so fingerprints are stable across runs (no ASLR
 /// dependence) and two content-equal specs at different addresses agree.
 /// Scheduling-only fields (`threads`, `use_early_abandon`,
-/// `share_threshold`, `order_candidates`, `scheduler`) are excluded.
+/// `order_candidates`, `scheduler`) are excluded.
 uint64_t EngineOptionsFingerprint(const EngineOptions& options);
 
 /// \brief Sharded, cached serving layer for similar-subtrajectory search

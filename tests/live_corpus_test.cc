@@ -327,6 +327,86 @@ TEST(DeltaEngineTest, PrefixViewsMatchPrefixGridAcrossMatrix) {
   EXPECT_EQ(indexed.Value(), trajs.size());
 }
 
+/// The base engine at threads = 1 and the delta engine run one evaluate
+/// stage, so over the same trajectories — once as a base Dataset, once as a
+/// delta — they must agree on the hits *and* on the whole funnel: the same
+/// candidates in the same order, skipped, pruned, searched and abandoned
+/// alike. GBP on compares the CSR grid with the delta grid at one cell side;
+/// GBP off compares the identity scans, which both order by the bound.
+TEST(DeltaEngineTest, MatchesBaseEngineHitsAndFunnel) {
+  Rng rng(61);
+  Dataset base("parity-base");
+  LiveDataset live(Dataset("parity-live"));
+  std::vector<Trajectory> trajs;
+  for (int i = 0; i < 60; ++i) {
+    trajs.push_back(RandomWalk(&rng, 8 + i % 13));
+    base.Add(trajs.back());
+    live.Append(trajs.back());
+  }
+  const CorpusView view = live.View();
+  const DeltaView& delta = view.delta();
+  ASSERT_EQ(delta.size(), base.size());
+  const double cell = 1.0;
+  DeltaGridIndex delta_grid(cell);
+  for (const Trajectory& t : trajs) delta_grid.Add(t);
+
+  std::vector<Trajectory> queries;
+  for (int i = 0; i < 3; ++i) queries.push_back(RandomWalk(&rng, 6 + 2 * i));
+  queries.push_back(Trajectory(trajs[17].Slice(Subrange{2, 9})));
+
+  const Algorithm algorithms[] = {
+      Algorithm::kCma,  Algorithm::kExactS, Algorithm::kSpring,
+      Algorithm::kGreedyBacktracking, Algorithm::kPos,
+      Algorithm::kPss,  Algorithm::kRls,    Algorithm::kRlsSkip};
+  for (const Algorithm algorithm : algorithms) {
+    for (const DistanceSpec& spec : testing::PaperGpsSpecs()) {
+      if (!Supports(algorithm, spec.kind)) continue;
+      for (const bool gbp : {true, false}) {
+        for (const bool osf : {false, true}) {
+          EngineOptions options;
+          options.spec = spec;
+          options.algorithm = algorithm;
+          options.use_gbp = gbp;
+          options.cell_size = cell;
+          options.mu = 0.05;
+          options.use_kpf = true;
+          options.use_osf = osf;
+          options.sample_rate = 1.0;  // sound: KPF at r = 1.0, or OSF
+          options.top_k = 3;
+          options.threads = 1;
+          const SearchEngine engine(&base, options);
+          const DeltaEngine delta_engine(options);
+          for (size_t qi = 0; qi < queries.size(); ++qi) {
+            for (const int excluded : {-1, 17}) {
+              const std::string context =
+                  std::string(ToString(algorithm)) + "/" +
+                  std::string(ToString(spec.kind)) +
+                  (gbp ? " gbp" : " no-gbp") + (osf ? " osf" : " kpf") +
+                  " query " + std::to_string(qi) + " excluded " +
+                  std::to_string(excluded);
+              QueryStats want, got;
+              const std::vector<EngineHit> hits =
+                  engine.Query(queries[qi], &want, excluded);
+              SharedTopK topk(options.top_k);
+              delta_engine.QueryInto(queries[qi], delta,
+                                     gbp ? &delta_grid : nullptr, &topk,
+                                     /*id_offset=*/0, &got, excluded);
+              ExpectSameHits(hits, topk.Sorted(), context);
+              EXPECT_EQ(want.candidates_after_gbp, got.candidates_after_gbp)
+                  << context;
+              EXPECT_EQ(want.skipped, got.skipped) << context;
+              EXPECT_EQ(want.pruned_by_bound, got.pruned_by_bound)
+                  << context;
+              EXPECT_EQ(want.searched, got.searched) << context;
+              EXPECT_EQ(want.abandoned, got.abandoned) << context;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Equivalence gate: live == fresh-built, full matrix
 // ---------------------------------------------------------------------------

@@ -171,8 +171,7 @@ TEST_P(SharedThresholdMatrixTest, ThreadedAndShardedMatchLegacy) {
       options.sample_rate = 1.0;  // sound bound: order/threads cannot matter
       options.top_k = 4;
       options.threads = 3;
-      ASSERT_TRUE(options.share_threshold);   // the defaults under test
-      ASSERT_TRUE(options.order_candidates);
+      ASSERT_TRUE(options.order_candidates);  // the default under test
       const LegacySearchEngine legacy(&dataset, options);
       const std::string label =
           std::string(ToString(algorithm)) + "/" +

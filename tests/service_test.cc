@@ -8,7 +8,6 @@
 #include "core/fingerprint.h"
 #include "gen/taxi.h"
 #include "gen/workload.h"
-#include "search/topk.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 
@@ -473,32 +472,10 @@ TEST(EngineOptionsFingerprintTest, SchedulingFieldsDoNotChangeFingerprint) {
   EngineOptions b = a;
   b.threads = 8;
   b.use_early_abandon = false;
-  b.share_threshold = false;
   b.order_candidates = false;
   EXPECT_EQ(EngineOptionsFingerprint(a), EngineOptionsFingerprint(b));
   b.top_k = a.top_k + 1;  // a result-changing field still separates
   EXPECT_NE(EngineOptionsFingerprint(a), EngineOptionsFingerprint(b));
-}
-
-TEST(MergeTopKTest, MergesPartsIntoGlobalBestFirst) {
-  auto hit = [](int id, double dist) {
-    EngineHit h;
-    h.trajectory_id = id;
-    h.result.range = Subrange{0, 0};
-    h.result.distance = dist;
-    return h;
-  };
-  const std::vector<std::vector<EngineHit>> parts = {
-      {hit(1, 0.5), hit(2, 2.0)},
-      {hit(3, 1.0)},
-      {},
-      {hit(4, 0.1), hit(5, 3.0)},
-  };
-  const std::vector<EngineHit> merged = MergeTopK(parts, 3);
-  ASSERT_EQ(merged.size(), 3u);
-  EXPECT_EQ(merged[0].trajectory_id, 4);
-  EXPECT_EQ(merged[1].trajectory_id, 1);
-  EXPECT_EQ(merged[2].trajectory_id, 3);
 }
 
 }  // namespace
