@@ -116,11 +116,13 @@ BENCHMARK(BM_GreedyBacktrackingFrechet)
 //
 // Each benchmark streams kSweepN Extend() calls through one column stepper —
 // the inner loop of every DP-based search — at query length m = range(0),
-// the dimension the vector kernels batch over. The *Scalar variants build
-// the cost object without query columns (the identity-oracle path); the
-// *Simd variants bind columns and force dispatch on (a no-op fallback to
-// scalar on hardware without vector lanes). items_processed = DP cells, so
-// benchmark output reports cells/second directly comparable across pairs.
+// the dimension the column kernel batches over. The *Scalar variants build
+// the cost object without query columns (the identity-oracle path); the WED
+// *Simd variant binds columns and turns dispatch on (a no-op fallback to
+// scalar on hardware without vector lanes). DTW and Fréchet have only the
+// scalar column stepper; their vector path is the batch grid below.
+// items_processed = DP cells, so benchmark output reports cells/second
+// directly comparable across pairs.
 // ---------------------------------------------------------------------------
 
 constexpr int kSweepN = 256;
@@ -169,18 +171,6 @@ void BM_DtwColumnSweepScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_DtwColumnSweepScalar)->RangeMultiplier(4)->Range(8, 512);
 
-void BM_DtwColumnSweepSimd(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  const Trajectory q = MakeWalk(m, 13);
-  const Trajectory d = MakeWalk(kSweepN, 14);
-  simd::SetEnabled(true);
-  DpArena arena;
-  const EuclideanSub sub{q, d, FillCols(q, &arena)};
-  DtwColumnDp<EuclideanSub> dp(m, sub);
-  SweepLoop(state, dp, m);
-}
-BENCHMARK(BM_DtwColumnSweepSimd)->RangeMultiplier(4)->Range(8, 512);
-
 void BM_FrechetColumnSweepScalar(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   const Trajectory q = MakeWalk(m, 15);
@@ -191,24 +181,12 @@ void BM_FrechetColumnSweepScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_FrechetColumnSweepScalar)->RangeMultiplier(4)->Range(8, 512);
 
-void BM_FrechetColumnSweepSimd(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  const Trajectory q = MakeWalk(m, 15);
-  const Trajectory d = MakeWalk(kSweepN, 16);
-  simd::SetEnabled(true);
-  DpArena arena;
-  const EuclideanSub sub{q, d, FillCols(q, &arena)};
-  FrechetColumnDp<EuclideanSub> dp(m, sub);
-  SweepLoop(state, dp, m);
-}
-BENCHMARK(BM_FrechetColumnSweepSimd)->RangeMultiplier(4)->Range(8, 512);
-
 // ---------------------------------------------------------------------------
 // PR 8: batch-kernel grid — batched vs column vs scalar dispatch.
 //
 // The batch kernels vectorize across *sweeps* (multi-sweep ExactS: kLanes
 // start positions per vector; CMA: kLanes candidates per vector) instead of
-// across the query dimension like the column kernels above. The grid
+// across the query dimension like the WED column kernel above. The grid
 // A/Bs the three dispatch modes over query length m and, for ExactS, the
 // lane clamp (2 = NEON shape, kLanes = full width). items_processed = DP
 // cells, comparable across all variants of one shape.

@@ -389,14 +389,11 @@ int CmdSnapshot(const Flags& flags) {
     st = WriteSnapshotV4(loaded.value(), out, v4);
     written_as = compress ? "snapshot v4, compressed columns"
                           : "snapshot v4, zero-copy servable";
-  } else if (format == "v1") {
-    st = WriteSnapshotV1(loaded.value(), out);
-    written_as = "snapshot v1";
   } else if (format == "v2") {
     st = WriteSnapshot(loaded.value(), out);
     written_as = "snapshot v2";
   } else {
-    return Fail("unknown --format (v1|v2|v4)");
+    return Fail("unknown --format (v2|v4)");
   }
   if (!st.ok()) return Fail(st.ToString());
   std::printf("converted %d trajectories: read %s in %.3f s, wrote %s (%s) "

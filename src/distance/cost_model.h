@@ -18,20 +18,22 @@ namespace trajsearch {
 /// This keeps the algorithms agnostic to the point representation: GPS points
 /// here, road-network nodes/edges in distance/road_costs.h.
 ///
-/// The built-in GPS cost models additionally expose a vector substitution
-/// kernel for the SIMD column sweeps in distance/dp.h:
+/// The built-in WED-family GPS cost models (EDR, ERP) additionally expose a
+/// vector substitution kernel for the SIMD column sweep of WedColumnDp in
+/// distance/dp.h:
 ///
 ///   simd::VecD SubLane(int x, int j) const;  // Sub(x..x+lanes-1, j)
 ///   bool cols_ready() const;                 // query columns bound?
 ///
 /// SubLane evaluates one lane group of *query* indices against a single data
-/// point — exactly the access pattern of a column stepper, which walks the
-/// query dimension per Extend(j). It reads the query's coordinate columns
-/// (`qc`, deinterleaved once per plan Bind); cost models without columns (or
-/// with opaque user callbacks, e.g. CustomWedCosts) simply lack SubLane and
-/// the steppers fall back to the scalar loop via the simd::VectorizedCosts
-/// concept. Every SubLane performs, per lane, the same correctly rounded
-/// IEEE operations as the scalar Sub, so results are bit-identical.
+/// point — exactly the access pattern of the WED column stepper, which walks
+/// the query dimension per Extend(j). It reads the query's coordinate
+/// columns (`qc`, deinterleaved once per plan Bind); cost models without
+/// columns (or with opaque user callbacks, e.g. CustomWedCosts) simply lack
+/// SubLane and the stepper falls back to the scalar loop via the
+/// simd::VectorizedCosts concept. Every SubLane performs, per lane, the same
+/// correctly rounded IEEE operations as the scalar Sub, so results are
+/// bit-identical.
 ///
 /// The batch kernels (multi-sweep ExactS, lane-parallel CMA in
 /// distance/dp.h / search/cma.h) walk the transpose: one query index against
@@ -178,22 +180,12 @@ struct CustomWedCosts {
 struct EuclideanSub {
   TrajectoryView q;
   TrajectoryView d;
-  PointCols qc;  // query coordinate columns (set at plan Bind; may be empty)
 
   double operator()(int i, int j) const {
     return EuclideanDistance(q[static_cast<size_t>(i)],
                              d[static_cast<size_t>(j)]);
   }
 
-  bool cols_ready() const { return !qc.empty(); }
-  simd::VecD SubLane(int x, int j) const {
-    const Point p = d[static_cast<size_t>(j)];
-    const simd::VecD dx =
-        simd::VecD::Load(qc.x + x) - simd::VecD::Broadcast(p.x);
-    const simd::VecD dy =
-        simd::VecD::Load(qc.y + x) - simd::VecD::Broadcast(p.y);
-    return simd::VecD::Sqrt(dx * dx + dy * dy);
-  }
   simd::VecD SubData(int i, simd::VecD dx, simd::VecD dy) const {
     const Point p = q[static_cast<size_t>(i)];
     const simd::VecD ddx = simd::VecD::Broadcast(p.x) - dx;
@@ -206,7 +198,7 @@ struct EuclideanSub {
 /// steppers copy their functor by value; a query plan instead hands them a
 /// SubRef to a plan-owned functor so rebinding the underlying trajectory
 /// views (new query at Bind, new data trajectory per Run) is visible to an
-/// already-constructed stepper. Forwards the vector kernel when the
+/// already-constructed stepper. Forwards the batch kernel when the
 /// underlying functor has one.
 template <typename F>
 struct SubRef {
@@ -214,16 +206,6 @@ struct SubRef {
 
   double operator()(int i, int j) const { return (*fn)(i, j); }
 
-  bool cols_ready() const
-    requires simd::VectorizedCosts<F>
-  {
-    return fn->cols_ready();
-  }
-  simd::VecD SubLane(int x, int j) const
-    requires simd::VectorizedCosts<F>
-  {
-    return fn->SubLane(x, j);
-  }
   simd::VecD SubData(int i, simd::VecD dx, simd::VecD dy) const
     requires simd::BatchCosts<F>
   {

@@ -95,18 +95,20 @@ inline PointCols FillCols(TrajectoryView points, DpArena* arena) {
 /// comes from the arena instead of a fresh heap allocation, so plans that
 /// rebuild their steppers at Bind time reuse the same memory.
 ///
-/// SIMD dispatch: when the cost object models simd::VectorizedCosts (it has
-/// query coordinate columns bound) and simd::Enabled() is true at
-/// construction — i.e. at plan Bind — Extend runs a vectorized column sweep.
-/// The sweep splits the recurrence into a vector pass over the previous
-/// column (the diag/up terms and the substitution kernel have no
-/// intra-column dependency) and a scalar pass for the left-to-left chain,
-/// whose candidates commute exactly with the vector pass's min/max — see the
-/// per-stepper notes. Every floating-point operation is the same correctly
+/// SIMD dispatch (WED stepper only): when the cost object models
+/// simd::VectorizedCosts (it has query coordinate columns bound) and
+/// simd::Enabled() is true at construction — i.e. at plan Bind — Extend runs
+/// a vectorized column sweep. The sweep splits the recurrence into a vector
+/// pass over the previous column (the diag/up terms and the substitution
+/// kernel have no intra-column dependency) and a scalar pass for the
+/// left-to-left chain, whose candidates commute exactly with the vector
+/// pass's min/max. Every floating-point operation is the same correctly
 /// rounded IEEE operation the scalar loop performs, so the two dispatch
 /// paths return bit-identical distances and SweepLowerBound values, and
 /// early abandoning fires on exactly the same Extend. The scalar loop is
-/// kept verbatim as the identity oracle.
+/// kept verbatim as the identity oracle. DTW and Fréchet cells are a single
+/// min-chain, so that split does not pay for them; their column steppers are
+/// scalar, and their vector path is the batch steppers further down.
 
 /// \brief Column stepper for WED-family distances (Equation 2).
 template <typename Costs>
@@ -284,26 +286,18 @@ class WedColumnDp {
 
 /// \brief Column stepper for DTW (Equation 3: boundary rows accumulate
 /// substitution costs; interior cells take the min of the three
-/// predecessors plus sub).
+/// predecessors plus sub). Scalar only: this is the identity oracle, and the
+/// vector path for DTW is the batch stepper (DtwBatchDp), whose lanes hold
+/// independent sweeps instead of splitting one column's serial chain.
 template <typename SubFn>
 class DtwColumnDp {
  public:
   DtwColumnDp(int m, SubFn sub, DpArena* arena = nullptr)
       : m_(m),
         sub_(sub),
-        col_store_(arena != nullptr ? arena->Doubles() : &owned_col_),
-        t_store_(arena != nullptr ? arena->Doubles() : &owned_t_),
-        s_store_(arena != nullptr ? arena->Doubles() : &owned_s_) {
+        col_store_(arena != nullptr ? arena->Doubles() : &owned_col_) {
     TRAJ_CHECK(m >= 1);
-    col_store_->resize(static_cast<size_t>(m) + 1);  // +1: diag pad slot
-    t_store_->resize(static_cast<size_t>(m));
-    s_store_->resize(static_cast<size_t>(m));
-    if constexpr (simd::VectorizedCosts<SubFn>) {
-      // Forced, not Enabled: DTW cells are a single min-chain plus sub, so
-      // pass B re-walks the whole column serially and the split only breaks
-      // even — the vector kernel stays a tested, opt-in identity twin.
-      vec_ = simd::Forced() && sub_.cols_ready();
-    }
+    col_store_->resize(static_cast<size_t>(m));
   }
 
   // Owned storage is self-referenced via col_store_; construct in place.
@@ -319,31 +313,7 @@ class DtwColumnDp {
 
   /// Appends data point j; returns dtw(query, data[start..j]).
   double Extend(int j) {
-    if constexpr (simd::VectorizedCosts<SubFn>) {
-      if (vec_) return ExtendVector(j);
-    }
-    return ExtendScalar(j);
-  }
-
-  /// A value no future cell of this sweep can beat (before the first Extend
-  /// the virtual corner is still reachable, so the bound is 0).
-  double SweepLowerBound() const { return first_ ? 0.0 : col_min_; }
-
-  double Cell(int x) const {
-    return (*col_store_)[static_cast<size_t>(x) + 1];
-  }
-  int query_size() const { return m_; }
-
-  bool vectorized() const { return vec_; }
-  simd::CellCounts TakeCellCounts() {
-    const simd::CellCounts taken = cells_;
-    cells_ = simd::CellCounts{};
-    return taken;
-  }
-
- private:
-  double ExtendScalar(int j) {
-    double* col = col_store_->data() + 1;
+    double* col = col_store_->data();
     double diag = first_ ? 0.0 : kDpInfinity;  // virtual (empty, empty) corner
     double new_left = kDpInfinity;             // freshly written col_[x-1]
     double col_min = kDpInfinity;
@@ -364,88 +334,41 @@ class DtwColumnDp {
     return col[m_ - 1];
   }
 
-  // Vector sweep. Pass A computes t[x] = min(diag, up) + s[x] a lane group
-  // at a time and stashes the substitution costs; pass B folds in the left
-  // chain as col[x] = min(t[x], col[x-1] + s[x]). Because rounding is
-  // monotone, fl(min(a,b) + s) == min(fl(a + s), fl(b + s)), so the split
-  // reproduces the scalar min(diag, up, left) + s cell bit for bit.
-  double ExtendVector(int j)
-    requires simd::VectorizedCosts<SubFn>
-  {
-    constexpr int kW = simd::kLanes;
-    double* col = col_store_->data() + 1;
-    double* t = t_store_->data();
-    double* s = s_store_->data();
-    col[-1] = first_ ? 0.0 : kDpInfinity;  // diag for x = 0
-    const int vec_end = m_ - m_ % kW;
-    for (int x = 0; x < vec_end; x += kW) {
-      const simd::VecD diag = simd::VecD::Load(col + x - 1);
-      const simd::VecD up = simd::VecD::Load(col + x);
-      const simd::VecD sub = sub_.SubLane(x, j);
-      sub.Store(s + x);
-      (simd::VecD::Min(diag, up) + sub).Store(t + x);
-    }
-    for (int x = vec_end; x < m_; ++x) {
-      const double diag = col[x - 1];
-      const double up = col[x];
-      const double sub = sub_(x, j);
-      s[x] = sub;
-      t[x] = (up < diag ? up : diag) + sub;
-    }
-    // Column minimum tracked in pass B, matching the scalar loop's running
-    // minimum bit for bit (min is exact and order-independent).
-    double new_left = kDpInfinity;
-    double col_min = kDpInfinity;
-    for (int x = 0; x < m_; ++x) {
-      double value = t[x];
-      const double via_left = new_left + s[x];
-      if (via_left < value) value = via_left;
-      col[x] = value;
-      new_left = value;
-      if (value < col_min) col_min = value;
-    }
-    first_ = false;
-    col_min_ = col_min;
-    cells_.vector_cells += static_cast<uint64_t>(vec_end);
-    cells_.scalar_cells += static_cast<uint64_t>(m_ - vec_end);
-    return col[m_ - 1];
+  /// A value no future cell of this sweep can beat (before the first Extend
+  /// the virtual corner is still reachable, so the bound is 0).
+  double SweepLowerBound() const { return first_ ? 0.0 : col_min_; }
+
+  double Cell(int x) const { return (*col_store_)[static_cast<size_t>(x)]; }
+  int query_size() const { return m_; }
+
+  simd::CellCounts TakeCellCounts() {
+    const simd::CellCounts taken = cells_;
+    cells_ = simd::CellCounts{};
+    return taken;
   }
 
+ private:
   int m_;
   SubFn sub_;
   std::vector<double> owned_col_;
-  std::vector<double> owned_t_;
-  std::vector<double> owned_s_;
   std::vector<double>* col_store_;
-  std::vector<double>* t_store_;
-  std::vector<double>* s_store_;
   double col_min_ = kDpInfinity;
   bool first_ = true;
-  bool vec_ = false;
   simd::CellCounts cells_;
 };
 
 /// \brief Column stepper for the discrete Fréchet distance (max-of-mins
-/// recurrence).
+/// recurrence). Scalar only, like DtwColumnDp; FrechetBatchDp is the vector
+/// path.
 template <typename SubFn>
 class FrechetColumnDp {
  public:
   FrechetColumnDp(int m, SubFn sub, DpArena* arena = nullptr)
       : m_(m),
         sub_(sub),
-        col_store_(arena != nullptr ? arena->Doubles() : &owned_col_),
-        t_store_(arena != nullptr ? arena->Doubles() : &owned_t_),
-        s_store_(arena != nullptr ? arena->Doubles() : &owned_s_) {
+        col_store_(arena != nullptr ? arena->Doubles() : &owned_col_) {
     TRAJ_CHECK(m >= 1);
-    col_store_->resize(static_cast<size_t>(m) + 1);  // +1: diag pad slot
-    t_store_->resize(static_cast<size_t>(m));
-    s_store_->resize(static_cast<size_t>(m));
-    if constexpr (simd::VectorizedCosts<SubFn>) {
-      // Forced, not Enabled: like DTW, the max-of-mins cell leaves pass B a
-      // serial re-walk of the column, so auto dispatch keeps the scalar
-      // loop and the vector kernel remains a tested, opt-in identity twin.
-      vec_ = simd::Forced() && sub_.cols_ready();
-    }
+    col_store_->resize(static_cast<size_t>(m));
   }
 
   // Owned storage is self-referenced via col_store_; construct in place.
@@ -461,31 +384,7 @@ class FrechetColumnDp {
 
   /// Appends data point j; returns frechet(query, data[start..j]).
   double Extend(int j) {
-    if constexpr (simd::VectorizedCosts<SubFn>) {
-      if (vec_) return ExtendVector(j);
-    }
-    return ExtendScalar(j);
-  }
-
-  /// A value no future cell of this sweep can beat (max-recurrence cells
-  /// also never drop below the minimum reachable predecessor).
-  double SweepLowerBound() const { return first_ ? 0.0 : col_min_; }
-
-  double Cell(int x) const {
-    return (*col_store_)[static_cast<size_t>(x) + 1];
-  }
-  int query_size() const { return m_; }
-
-  bool vectorized() const { return vec_; }
-  simd::CellCounts TakeCellCounts() {
-    const simd::CellCounts taken = cells_;
-    cells_ = simd::CellCounts{};
-    return taken;
-  }
-
- private:
-  double ExtendScalar(int j) {
-    double* col = col_store_->data() + 1;
+    double* col = col_store_->data();
     double diag_prev = first_ ? 0.0 : kDpInfinity;
     double new_left = kDpInfinity;
     double col_min = kDpInfinity;
@@ -507,69 +406,31 @@ class FrechetColumnDp {
     return col[m_ - 1];
   }
 
-  // Vector sweep. Pass A computes t[x] = max(min(diag, up), s[x]) a lane
-  // group at a time; pass B folds in the left chain as
-  // col[x] = min(t[x], max(col[x-1], s[x])). This is the lattice identity
-  // max(min(A, left), s) == min(max(A, s), max(left, s)) — min/max involve
-  // no rounding at all, so the split is exact.
-  double ExtendVector(int j)
-    requires simd::VectorizedCosts<SubFn>
-  {
-    constexpr int kW = simd::kLanes;
-    double* col = col_store_->data() + 1;
-    double* t = t_store_->data();
-    double* s = s_store_->data();
-    col[-1] = first_ ? 0.0 : kDpInfinity;  // diag for x = 0
-    const int vec_end = m_ - m_ % kW;
-    for (int x = 0; x < vec_end; x += kW) {
-      const simd::VecD diag = simd::VecD::Load(col + x - 1);
-      const simd::VecD up = simd::VecD::Load(col + x);
-      const simd::VecD sub = sub_.SubLane(x, j);
-      sub.Store(s + x);
-      simd::VecD::Max(simd::VecD::Min(diag, up), sub).Store(t + x);
-    }
-    for (int x = vec_end; x < m_; ++x) {
-      const double diag = col[x - 1];
-      const double up = col[x];
-      const double reach = up < diag ? up : diag;
-      const double sub = sub_(x, j);
-      s[x] = sub;
-      t[x] = reach > sub ? reach : sub;
-    }
-    // Column minimum tracked in pass B, matching the scalar loop's running
-    // minimum bit for bit (min is exact and order-independent).
-    double new_left = kDpInfinity;
-    double col_min = kDpInfinity;
-    for (int x = 0; x < m_; ++x) {
-      const double via_left = new_left > s[x] ? new_left : s[x];
-      const double value = via_left < t[x] ? via_left : t[x];
-      col[x] = value;
-      new_left = value;
-      if (value < col_min) col_min = value;
-    }
-    first_ = false;
-    col_min_ = col_min;
-    cells_.vector_cells += static_cast<uint64_t>(vec_end);
-    cells_.scalar_cells += static_cast<uint64_t>(m_ - vec_end);
-    return col[m_ - 1];
+  /// A value no future cell of this sweep can beat (max-recurrence cells
+  /// also never drop below the minimum reachable predecessor).
+  double SweepLowerBound() const { return first_ ? 0.0 : col_min_; }
+
+  double Cell(int x) const { return (*col_store_)[static_cast<size_t>(x)]; }
+  int query_size() const { return m_; }
+
+  simd::CellCounts TakeCellCounts() {
+    const simd::CellCounts taken = cells_;
+    cells_ = simd::CellCounts{};
+    return taken;
   }
 
+ private:
   int m_;
   SubFn sub_;
   std::vector<double> owned_col_;
-  std::vector<double> owned_t_;
-  std::vector<double> owned_s_;
   std::vector<double>* col_store_;
-  std::vector<double>* t_store_;
-  std::vector<double>* s_store_;
   double col_min_ = kDpInfinity;
   bool first_ = true;
-  bool vec_ = false;
   simd::CellCounts cells_;
 };
 
 /// The batch steppers below are the second SIMD axis: instead of putting a
-/// lane group of query indices in a vector (the column steppers above), they
+/// lane group of query indices in a vector (the WED column stepper above), they
 /// put simd::kLanes *independent sweeps* in the lanes — each lane owns its
 /// own DP column in lane-interleaved scratch (cell x of lane l at
 /// x*kLanes + l) and its own boundary state, and one Extend advances every

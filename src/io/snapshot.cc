@@ -16,7 +16,6 @@ namespace trajsearch {
 namespace {
 
 constexpr char kMagic[8] = {'T', 'R', 'A', 'J', 'S', 'N', 'A', 'P'};
-constexpr uint32_t kVersionV1 = 1;
 
 /// Seed of the journal checksum (combined with the entry count, then each
 /// entry's fingerprint in order — the same shape as the Dataset
@@ -100,23 +99,26 @@ Status ReadHeader(std::ifstream& in, const std::string& path,
       !GetScalar(in, &header->fingerprint)) {
     return Status::IoError("truncated snapshot header: " + path);
   }
-  if (header->version != kSnapshotVersion &&
-      header->version != kSnapshotVersionLive &&
-      header->version != kSnapshotVersionMapped &&
-      header->version != kVersionV1) {
+  if (header->version < kSnapshotVersion) {
+    // v1 (length table) is retired; older headers are not valid snapshots.
+    return Status::InvalidArgument(
+        "snapshot version " + std::to_string(header->version) +
+        " is no longer readable (expected " +
+        std::to_string(kSnapshotVersion) + ".." +
+        std::to_string(kSnapshotVersionMapped) + "): " + path);
+  }
+  if (header->version > kSnapshotVersionMapped) {
     return Status::Unsupported(
         "snapshot version " + std::to_string(header->version) +
-        " (expected " + std::to_string(kVersionV1) + ".." +
+        " (expected " + std::to_string(kSnapshotVersion) + ".." +
         std::to_string(kSnapshotVersionMapped) + "): " + path);
   }
   return Status::OK();
 }
 
-/// Bytes the index table occupies for a header's version.
+/// Bytes the offset table occupies.
 uint64_t IndexBytes(const SnapshotHeader& header) {
-  return header.version == kVersionV1
-             ? header.trajectory_count * sizeof(uint32_t)
-             : (header.trajectory_count + 1) * sizeof(uint64_t);
+  return (header.trajectory_count + 1) * sizeof(uint64_t);
 }
 
 /// Sanity bounds before any allocation or seek sized from the file: the
@@ -147,21 +149,6 @@ Status WriteSnapshot(const Dataset& dataset, const std::string& path) {
   }
   PutHeaderAndName(out, dataset, kSnapshotVersion);
   PutOffsets(out, dataset);
-  PutPool(out, dataset);
-  out.flush();
-  if (!out.good()) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
-
-Status WriteSnapshotV1(const Dataset& dataset, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::IoError("cannot open for writing: " + path);
-  }
-  PutHeaderAndName(out, dataset, kVersionV1);
-  for (int id = 0; id < dataset.size(); ++id) {
-    PutScalar(out, static_cast<uint32_t>(dataset.length(id)));
-  }
   PutPool(out, dataset);
   out.flush();
   if (!out.good()) return Status::IoError("write failed: " + path);
@@ -235,30 +222,19 @@ Result<LiveSnapshot> ReadLiveSnapshot(const std::string& path) {
     return Status::IoError("truncated snapshot name: " + path);
   }
 
-  // Index table: v2/v3 store the pool offsets verbatim; v1 stores lengths,
-  // converted here. Either way the coordinate block that follows is one
-  // contiguous trajectory-major array — exactly the pool layout — so the
-  // points land in place with a single size-checked read. Both buffers are
-  // sized exactly from the header (never over-allocated); Dataset::FromPool
-  // adopts them without copying.
+  // Offset table: v2/v3 store the pool offsets verbatim, and the
+  // coordinate block that follows is one contiguous trajectory-major array —
+  // exactly the pool layout — so the points land in place with a single
+  // size-checked read. Both buffers are sized exactly from the header (never
+  // over-allocated); Dataset::FromPool adopts them without copying.
   std::vector<uint64_t> offsets(header.trajectory_count + 1, 0);
-  if (header.version == kVersionV1) {
-    std::vector<uint32_t> lengths(header.trajectory_count);
-    if (!GetBytes(in, lengths.data(), lengths.size() * sizeof(uint32_t))) {
-      return Status::IoError("truncated snapshot length table: " + path);
-    }
-    for (size_t i = 0; i < lengths.size(); ++i) {
-      offsets[i + 1] = offsets[i] + lengths[i];
-    }
-  } else {
-    if (!GetBytes(in, offsets.data(), offsets.size() * sizeof(uint64_t))) {
-      return Status::IoError("truncated snapshot offset table: " + path);
-    }
-    if (offsets.front() != 0 ||
-        !std::is_sorted(offsets.begin(), offsets.end())) {
-      return Status::InvalidArgument(
-          "snapshot offset table is not a valid pool layout: " + path);
-    }
+  if (!GetBytes(in, offsets.data(), offsets.size() * sizeof(uint64_t))) {
+    return Status::IoError("truncated snapshot offset table: " + path);
+  }
+  if (offsets.front() != 0 ||
+      !std::is_sorted(offsets.begin(), offsets.end())) {
+    return Status::InvalidArgument(
+        "snapshot offset table is not a valid pool layout: " + path);
   }
   if (offsets.back() != header.point_count) {
     return Status::InvalidArgument(

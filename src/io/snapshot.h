@@ -46,14 +46,13 @@ namespace trajsearch {
 ///                           fingerprints combined in order, plus count)
 ///   entries        journal_count x { uint32 length; length x Point }
 ///
-/// v1 (PR 1) differs from v2 only in the index table: one uint32 *length*
-/// per trajectory instead of the offset table. Its points were already
-/// written trajectory-major and back to back, so the v1 read path below
-/// still loads the coordinate block with a single contiguous read.
+/// v1 (a length table instead of the offset table) is retired: a v1 header
+/// is rejected with InvalidArgument, like any version older than v2.
 ///
-/// Load rejects bad magic/version/size invariants with InvalidArgument,
-/// truncated files with IoError, and payload corruption (fingerprint or
-/// offset-table mismatch) with InvalidArgument.
+/// Load rejects bad magic/retired versions/size invariants with
+/// InvalidArgument, versions newer than v4 with Unsupported, truncated files
+/// with IoError, and payload corruption (fingerprint or offset-table
+/// mismatch) with InvalidArgument.
 
 /// Default version for plain Dataset snapshots (a delta-free corpus is
 /// exactly a v2 file; only live corpora with a delta write v3).
@@ -64,7 +63,7 @@ inline constexpr uint32_t kSnapshotVersionLive = 3;
 inline constexpr uint32_t kSnapshotVersionMapped = 4;
 
 /// A v3 snapshot split into its two generations: the pooled base and the
-/// append journal (delta trajectories in append order). v1/v2 files load
+/// append journal (delta trajectories in append order). v2 files load
 /// with an empty journal.
 struct LiveSnapshot {
   Dataset base;
@@ -89,8 +88,8 @@ struct SnapshotInfo {
   std::string name;
   uint64_t base_trajectories = 0;
   uint64_t base_points = 0;
-  uint64_t journal_trajectories = 0;  // 0 for v1/v2/v4
-  uint64_t journal_points = 0;        // 0 for v1/v2/v4
+  uint64_t journal_trajectories = 0;  // 0 for v2/v4
+  uint64_t journal_points = 0;        // 0 for v2/v4
   /// v4 only: the section table, in file order.
   std::vector<SnapshotSectionInfo> sections;
   /// v4 only: every section starts on a kV4PageSize boundary (the probe
@@ -107,10 +106,6 @@ struct SnapshotInfo {
 /// Writes the dataset as a v2 snapshot; IoError on filesystem errors.
 Status WriteSnapshot(const Dataset& dataset, const std::string& path);
 
-/// Writes the legacy v1 format (length table instead of offsets). Kept for
-/// compatibility tooling and for testing the v1 read path.
-Status WriteSnapshotV1(const Dataset& dataset, const std::string& path);
-
 /// Writes a v3 live snapshot: `base` as the v2-style payload plus `journal`
 /// as the replayable append journal (delta trajectories in append order).
 Status WriteLiveSnapshot(const Dataset& base,
@@ -118,14 +113,14 @@ Status WriteLiveSnapshot(const Dataset& base,
                          const std::string& path);
 
 /// Reads a snapshot written by WriteSnapshot (v2), WriteLiveSnapshot (v3)
-/// or a pre-refactor build (v1), restoring the stored name. A v3 journal is
+/// or WriteSnapshotV4 (v4), restoring the stored name. A v3 journal is
 /// flattened into the returned dataset (base trajectories first, then the
 /// journal in append order — the live corpus's id assignment), with the
 /// pool and offsets reserved exactly from the header counts.
 Result<Dataset> ReadSnapshot(const std::string& path);
 
 /// Reads any snapshot version, preserving the base/journal split of a v3
-/// file (v1/v2 load with an empty journal).
+/// file (v2/v4 load with an empty journal).
 Result<LiveSnapshot> ReadLiveSnapshot(const std::string& path);
 
 /// Reads a snapshot's header + journal shape without loading the payload.

@@ -162,12 +162,11 @@ class ExactSWedPlan final : public QueryRun {
 /// stepper sees the plan-owned EuclideanSub through a SubRef, so rebinding
 /// the views reaches an already-built stepper.
 ///
-/// Auto dispatch goes to the *batch* stepper (one start position per lane):
-/// the column split of DTW/Fréchet is capped by the serial left-chain pass
-/// (the PR 7 "wash"), but independent sweeps have no cross-lane dependency,
-/// so multi-sweep batching is where these two distances finally profit. The
-/// column steppers keep their forced-only gate for the remaining
-/// single-sweep users (--probe, full-distance paths).
+/// Vector dispatch goes to the *batch* stepper (one start position per
+/// lane): independent sweeps have no cross-lane dependency, so the serial
+/// left chain that makes a column split of DTW/Fréchet a wash vectorizes
+/// here. The scalar column stepper runs when dispatch is off or the batch
+/// width is clamped to one lane.
 template <template <typename> class Dp>
 class ExactSSubPlan final : public QueryRun {
  public:
@@ -178,8 +177,6 @@ class ExactSSubPlan final : public QueryRun {
     sub_.q = query;
     sub_.d = TrajectoryView();
     arena_.Rewind();
-    // Columns before the stepper: dispatch is captured at construction.
-    sub_.qc = FillCols(query, &arena_);
     dp_.emplace(static_cast<int>(query.size()), SubRef<EuclideanSub>{&sub_},
                 &arena_);
     batch_.reset();

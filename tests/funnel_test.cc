@@ -39,6 +39,7 @@ struct FunnelFixture {
   std::vector<Trajectory> query_storage;
   std::vector<TrajectoryView> queries;
   std::vector<int> excluded;
+  std::vector<DistanceSpec> specs;
   double cell = 0;
 };
 
@@ -56,9 +57,24 @@ FunnelFixture MakeFixture() {
     f.excluded.push_back(i % 2 == 0 ? i * 7 : -1);
   }
   for (const Trajectory& q : f.query_storage) f.queries.push_back(q.View());
+  f.specs = testing::PaperGpsSpecs();
   Dataset bounds_probe("probe");
   for (const Trajectory& t : f.corpus) bounds_probe.Add(t);
   f.cell = DefaultCellSize(bounds_probe.Bounds());
+  return f;
+}
+
+/// The Porto-shaped workbench (tests/test_util.h) as a funnel fixture; every
+/// query excludes its source trajectory.
+FunnelFixture MakePortoFixture() {
+  testing::PortoWorkbench w = testing::MakePortoWorkbench(8);
+  FunnelFixture f;
+  for (const TrajectoryRef t : w.corpus) f.corpus.emplace_back(t.View());
+  f.query_storage = std::move(w.queries);
+  for (const Trajectory& q : f.query_storage) f.queries.push_back(q.View());
+  f.excluded = std::move(w.excluded);
+  f.specs = std::move(w.specs);
+  f.cell = DefaultCellSize(w.corpus.Bounds());
   return f;
 }
 
@@ -131,25 +147,26 @@ TEST(FunnelTest, UnshardedEngineMatrixTelescopesExactly) {
 }
 
 TEST(FunnelTest, ShardedServiceMatrixTelescopesExactly) {
-  const FunnelFixture f = MakeFixture();
-  Dataset dataset("funnel-sharded");
-  for (const Trajectory& t : f.corpus) dataset.Add(t);
+  for (const FunnelFixture& f : {MakeFixture(), MakePortoFixture()}) {
+    Dataset dataset("funnel-sharded");
+    for (const Trajectory& t : f.corpus) dataset.Add(t);
 
-  for (const Algorithm algorithm : kAllAlgorithms) {
-    for (const DistanceSpec& spec : testing::PaperGpsSpecs()) {
-      if (!Supports(algorithm, spec.kind)) continue;
-      const std::string context = std::string(ToString(algorithm)) + "/" +
-                                  std::string(ToString(spec.kind));
-      ServiceOptions options;
-      options.engine = MatrixEngineOptions(algorithm, spec, f.cell);
-      options.shards = 3;
-      options.cache_capacity = 0;
-      QueryService service(dataset, options);
-      service.SubmitBatch(f.queries, f.excluded);
-      service.SubmitBatch(f.queries, f.excluded);  // counters accumulate
-      ExpectConsistentFunnel(service.metrics(), algorithm,
-                             2 * f.queries.size(),
-                             "sharded service " + context);
+    for (const Algorithm algorithm : kAllAlgorithms) {
+      for (const DistanceSpec& spec : f.specs) {
+        if (!Supports(algorithm, spec.kind)) continue;
+        const std::string context = std::string(ToString(algorithm)) + "/" +
+                                    std::string(ToString(spec.kind));
+        ServiceOptions options;
+        options.engine = MatrixEngineOptions(algorithm, spec, f.cell);
+        options.shards = 3;
+        options.cache_capacity = 0;
+        QueryService service(dataset, options);
+        service.SubmitBatch(f.queries, f.excluded);
+        service.SubmitBatch(f.queries, f.excluded);  // counters accumulate
+        ExpectConsistentFunnel(service.metrics(), algorithm,
+                               2 * f.queries.size(),
+                               "sharded service " + context);
+      }
     }
   }
 }

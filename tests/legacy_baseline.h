@@ -25,11 +25,9 @@ namespace trajsearch::testing {
 /// node-based unordered_map from cell key to id bucket, with per-query
 /// allocation of the counting arrays.
 ///
-/// Shared by the pooled-storage equivalence tests (which assert the CSR
-/// GridIndex produces identical close counts) and by bench_service's
-/// storage-layout section (which measures the CSR index against this
-/// layout in the same run) — one definition, so both always exercise the
-/// same legacy algorithm.
+/// The pooled-storage equivalence tests assert the CSR GridIndex produces
+/// identical close counts, and LegacySearchEngine below builds its GBP
+/// candidates from it.
 struct LegacyGrid {
   double cell = 0;
   std::unordered_map<int64_t, std::vector<int>> cells;
@@ -117,9 +115,8 @@ inline SearchResult LegacyStatelessSearch(Algorithm algorithm,
 /// \brief A line-for-line replica of Algorithm 3 as the engine ran it before
 /// the plan refactor: GBP candidates ascending, KPF/OSF bound against the
 /// current K-th best via the stateless bound functions, then the stateless
-/// per-pair search above. Used by the plan-equivalence matrix (engine with
-/// Bind+Run+cutoff must be hit-for-hit identical) and by bench_service's
-/// execution-model section as the measured "stateless path".
+/// per-pair search above. Used by the plan-equivalence matrices (engine with
+/// Bind+Run+cutoff must be hit-for-hit identical).
 class LegacySearchEngine {
  public:
   LegacySearchEngine(DatasetView data, EngineOptions options)

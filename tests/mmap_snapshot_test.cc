@@ -663,27 +663,36 @@ TEST(MmapSnapshotTest, EngineAdoptsPrebuiltGridWithIdenticalResults) {
 /// threads > 1 and shards > 1, while a live delta sits on the mapped base
 /// and again after a forced compaction swaps it out. Both services run with
 /// the same explicit cell size (the grown corpus would otherwise derive a
-/// different grid than the base).
-TEST(MmapEquivalenceGate, FullMatrixMatchesHeapLoad) {
-  Rng rng(515);
+/// different grid than the base). Two inputs: 54 random walks with short
+/// queries, and the Porto-shaped workbench with its queries' source ids
+/// excluded.
+struct GateInput {
   std::vector<Trajectory> all;
-  for (int i = 0; i < 54; ++i) all.push_back(RandomWalk(&rng, 14 + i % 9));
-  const int kBase = 36;
+  int base = 0;  // the first `base` trajectories are snapshotted
+  std::vector<Trajectory> queries;
+  std::vector<int> excluded;  // empty: nothing excluded
+  std::vector<DistanceSpec> specs;
+};
 
+void ExpectTiersMatchHeapLoad(const GateInput& input,
+                              const std::string& name) {
   Dataset full_corpus("fresh");
-  full_corpus.Reserve(all.size());
-  for (const Trajectory& t : all) full_corpus.Add(t);
+  full_corpus.Reserve(input.all.size());
+  for (const Trajectory& t : input.all) full_corpus.Add(t);
   const double cell = DefaultCellSize(full_corpus.Bounds());
 
   Dataset base("base");
-  base.Reserve(static_cast<size_t>(kBase));
-  for (int i = 0; i < kBase; ++i) base.Add(all[static_cast<size_t>(i)]);
+  base.Reserve(static_cast<size_t>(input.base));
+  for (int i = 0; i < input.base; ++i) {
+    base.Add(input.all[static_cast<size_t>(i)]);
+  }
 
   // The two served tiers of the same base corpus. The residual tier is the
   // bit-exact one — the identity gate below is only sound there.
-  const std::string pooled_path = TempPath("v4_gate_pooled.snap");
+  const std::string pooled_path = TempPath("v4_gate_pooled_" + name + ".snap");
   ASSERT_TRUE(WriteSnapshotV4(base, pooled_path).ok());
-  const std::string residual_path = TempPath("v4_gate_residual.snap");
+  const std::string residual_path =
+      TempPath("v4_gate_residual_" + name + ".snap");
   V4WriteOptions residual;
   residual.compress = true;
   residual.codec.store_residuals = true;
@@ -697,11 +706,8 @@ TEST(MmapEquivalenceGate, FullMatrixMatchesHeapLoad) {
                                  &residual_snap.value()};
   const char* tier_names[] = {"mmap", "residual"};
 
-  std::vector<Trajectory> query_storage;
-  for (int i = 0; i < 3; ++i) query_storage.push_back(RandomWalk(&rng, 7));
-  query_storage.push_back(Trajectory(all[40].Slice(Subrange{1, 9})));
   std::vector<TrajectoryView> queries;
-  for (const Trajectory& q : query_storage) queries.push_back(q.View());
+  for (const Trajectory& q : input.queries) queries.push_back(q.View());
 
   const Algorithm algorithms[] = {
       Algorithm::kCma,  Algorithm::kExactS, Algorithm::kSpring,
@@ -709,7 +715,7 @@ TEST(MmapEquivalenceGate, FullMatrixMatchesHeapLoad) {
       Algorithm::kPss,  Algorithm::kRls,    Algorithm::kRlsSkip};
 
   for (const Algorithm algorithm : algorithms) {
-    for (const DistanceSpec& spec : testing::PaperGpsSpecs()) {
+    for (const DistanceSpec& spec : input.specs) {
       if (!Supports(algorithm, spec.kind)) continue;
       EngineOptions engine;
       engine.spec = spec;
@@ -729,30 +735,31 @@ TEST(MmapEquivalenceGate, FullMatrixMatchesHeapLoad) {
       options.compact_delta_trajectories = 0;  // compaction forced below
 
       QueryService fresh(full_corpus, options);
-      const auto expected = fresh.SubmitBatch(queries);
+      const auto expected = fresh.SubmitBatch(queries, input.excluded);
 
       for (size_t ti = 0; ti < 2; ++ti) {
         const std::string context =
-            std::string(ToString(algorithm)) + "/" +
+            name + " " + std::string(ToString(algorithm)) + "/" +
             std::string(ToString(spec.kind)) + "/" + tier_names[ti];
         ServiceOptions tier_options = options;
         tier_options.engine.prebuilt_grid = tiers[ti]->grid();
         QueryService live(tiers[ti]->dataset(), tier_options);
         std::vector<TrajectoryView> appended;
-        for (size_t i = kBase; i < all.size(); ++i) {
-          appended.push_back(all[i].View());
+        for (size_t i = static_cast<size_t>(input.base); i < input.all.size();
+             ++i) {
+          appended.push_back(input.all[i].View());
         }
         live.AppendBatch(appended);
         ASSERT_EQ(live.corpus_size(), fresh.corpus_size()) << context;
 
-        const auto before_compact = live.SubmitBatch(queries);
+        const auto before_compact = live.SubmitBatch(queries, input.excluded);
         for (size_t qi = 0; qi < queries.size(); ++qi) {
           ExpectSameHits(expected[qi], before_compact[qi],
                          context + " pre-compaction query " +
                              std::to_string(qi));
         }
         ASSERT_TRUE(live.Compact()) << context;
-        const auto after_compact = live.SubmitBatch(queries);
+        const auto after_compact = live.SubmitBatch(queries, input.excluded);
         for (size_t qi = 0; qi < queries.size(); ++qi) {
           ExpectSameHits(expected[qi], after_compact[qi],
                          context + " post-compaction query " +
@@ -763,6 +770,26 @@ TEST(MmapEquivalenceGate, FullMatrixMatchesHeapLoad) {
   }
   std::remove(pooled_path.c_str());
   std::remove(residual_path.c_str());
+}
+
+TEST(MmapEquivalenceGate, FullMatrixMatchesHeapLoad) {
+  GateInput walk;
+  Rng rng(515);
+  for (int i = 0; i < 54; ++i) walk.all.push_back(RandomWalk(&rng, 14 + i % 9));
+  walk.base = 36;
+  for (int i = 0; i < 3; ++i) walk.queries.push_back(RandomWalk(&rng, 7));
+  walk.queries.push_back(Trajectory(walk.all[40].Slice(Subrange{1, 9})));
+  walk.specs = testing::PaperGpsSpecs();
+  ExpectTiersMatchHeapLoad(walk, "walk");
+
+  testing::PortoWorkbench w = testing::MakePortoWorkbench(8);
+  GateInput porto;
+  for (const TrajectoryRef t : w.corpus) porto.all.emplace_back(t.View());
+  porto.base = w.corpus.size() * 4 / 5;
+  porto.queries = std::move(w.queries);
+  porto.excluded = std::move(w.excluded);
+  porto.specs = std::move(w.specs);
+  ExpectTiersMatchHeapLoad(porto, "porto");
 }
 
 }  // namespace

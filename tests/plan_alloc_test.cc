@@ -43,6 +43,19 @@ __attribute__((noinline)) void* operator new(std::size_t size) {
 __attribute__((noinline)) void* operator new[](std::size_t size) {
   return ::operator new(size);
 }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// left unreplaced, their memory would come from the sanitizer's allocator
+// and reach the replaced deletes below, which free() it — an ASan
+// alloc-dealloc mismatch.
+__attribute__((noinline)) void* operator new(std::size_t size,
+                                             const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+__attribute__((noinline)) void* operator new[](
+    std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
 __attribute__((noinline)) void operator delete(void* p) noexcept {
   std::free(p);
 }

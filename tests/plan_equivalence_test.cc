@@ -53,6 +53,38 @@ Dataset WalkDataset(int count, int mean_len, uint64_t seed) {
   return dataset;
 }
 
+/// One input of the identity matrices below: a corpus, its queries with the
+/// id each one excludes, and the distance specs scaled to the corpus.
+struct GateInput {
+  Dataset dataset;
+  std::vector<Trajectory> queries;
+  std::vector<int> excluded;
+  std::vector<DistanceSpec> specs;
+};
+
+/// A random-walk corpus with one random-walk query drawn from Rng(seed + 1).
+GateInput WalkInput(uint64_t seed, int count, int mean_len, int query_len,
+                    int excluded) {
+  GateInput input;
+  input.dataset = WalkDataset(count, mean_len, seed);
+  Rng rng(seed + 1);
+  input.queries.push_back(RandomWalk(&rng, query_len));
+  input.excluded.push_back(excluded);
+  input.specs = testing::PaperGpsSpecs();
+  return input;
+}
+
+/// The Porto-shaped workbench (tests/test_util.h) as a gate input.
+GateInput PortoInput(int query_count) {
+  testing::PortoWorkbench w = testing::MakePortoWorkbench(query_count);
+  return GateInput{std::move(w.corpus), std::move(w.queries),
+                   std::move(w.excluded), std::move(w.specs)};
+}
+
+/// The seeded matrices run parameters [0, kPortoParam) as random-walk seeds
+/// and kPortoParam as the Porto-shaped input.
+constexpr int kPortoParam = 2;
+
 void ExpectIdenticalHits(const std::vector<EngineHit>& plan,
                          const std::vector<EngineHit>& legacy,
                          const std::string& label) {
@@ -148,56 +180,67 @@ TEST(PlanEngineEquivalenceTest, ThreadedEngineWithCutoffMatchesLegacy) {
 // shards), candidates ordered most-promising-first, chunked worker tasks on
 // the shared scheduler pool — must stay hit-for-hit identical to the serial
 // PR-2 legacy baseline across all 8 algorithms x 4 GPS distances whenever
-// the bound is sound (KPF at sample_rate 1.0). Exercised with threads > 1
-// on the unsharded engine AND shards > 1 x threads > 1 through the
-// QueryService, against the same LegacySearchEngine reference.
+// the bound is sound (KPF at sample_rate 1.0), and with no bound filter at
+// all (early abandoning against the shared cutoff is then the only lever).
+// Exercised with threads > 1 on the unsharded engine AND shards > 1 x
+// threads > 1 through the QueryService, against the same LegacySearchEngine
+// reference.
 class SharedThresholdMatrixTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SharedThresholdMatrixTest, ThreadedAndShardedMatchLegacy) {
-  const uint64_t seed = static_cast<uint64_t>(GetParam()) * 137 + 29;
-  const Dataset dataset = WalkDataset(48, 17, seed);
-  Rng rng(seed + 1);
-  const Trajectory query = RandomWalk(&rng, 7);
+  const GateInput input =
+      GetParam() == kPortoParam
+          ? PortoInput(4)
+          : WalkInput(static_cast<uint64_t>(GetParam()) * 137 + 29, 48, 17, 7,
+                      5);
 
   for (const Algorithm algorithm : kAllAlgorithms) {
-    for (const DistanceSpec& spec : testing::PaperGpsSpecs()) {
+    for (const DistanceSpec& spec : input.specs) {
       if (!Supports(algorithm, spec.kind)) continue;
-      EngineOptions options;
-      options.spec = spec;
-      options.algorithm = algorithm;
-      options.use_gbp = true;
-      options.mu = 0.2;
-      options.use_kpf = true;
-      options.sample_rate = 1.0;  // sound bound: order/threads cannot matter
-      options.top_k = 4;
-      options.threads = 3;
-      ASSERT_TRUE(options.order_candidates);  // the default under test
-      const LegacySearchEngine legacy(&dataset, options);
-      const std::string label =
-          std::string(ToString(algorithm)) + "/" +
-          std::string(ToString(spec.kind));
+      for (const bool bound : {true, false}) {
+        EngineOptions options;
+        options.spec = spec;
+        options.algorithm = algorithm;
+        options.use_gbp = true;
+        options.mu = 0.2;
+        options.use_kpf = bound;
+        options.sample_rate = 1.0;  // sound bound: order/threads cannot matter
+        options.top_k = 4;
+        options.threads = 3;
+        ASSERT_TRUE(options.order_candidates);  // the default under test
+        const LegacySearchEngine legacy(&input.dataset, options);
+        const SearchEngine engine(&input.dataset, options);
+        ServiceOptions service_options;
+        service_options.engine = options;
+        service_options.shards = 3;
+        service_options.cache_capacity = 0;
+        QueryService service(input.dataset, service_options);
+        const std::string label = std::string(ToString(algorithm)) + "/" +
+                                  std::string(ToString(spec.kind)) +
+                                  " kpf=" + std::to_string(bound);
 
-      const SearchEngine engine(&dataset, options);
-      ExpectIdenticalHits(engine.Query(query), legacy.Query(query),
-                          label + " threaded");
-      ExpectIdenticalHits(engine.Query(query, nullptr, 5),
-                          legacy.Query(query, 5), label + " threaded excl");
-
-      ServiceOptions service_options;
-      service_options.engine = options;
-      service_options.shards = 3;
-      service_options.cache_capacity = 0;
-      QueryService service(dataset, service_options);
-      ExpectIdenticalHits(service.Submit(query), legacy.Query(query),
-                          label + " sharded");
-      ExpectIdenticalHits(service.Submit(query, 5), legacy.Query(query, 5),
-                          label + " sharded excl");
+        for (size_t qi = 0; qi < input.queries.size(); ++qi) {
+          const Trajectory& query = input.queries[qi];
+          const int excluded = input.excluded[qi];
+          const std::vector<EngineHit> expected = legacy.Query(query);
+          const std::vector<EngineHit> expected_excl =
+              legacy.Query(query, excluded);
+          ExpectIdenticalHits(engine.Query(query), expected,
+                              label + " threaded");
+          ExpectIdenticalHits(engine.Query(query, nullptr, excluded),
+                              expected_excl, label + " threaded excl");
+          ExpectIdenticalHits(service.Submit(query), expected,
+                              label + " sharded");
+          ExpectIdenticalHits(service.Submit(query, excluded), expected_excl,
+                              label + " sharded excl");
+        }
+      }
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SharedThresholdMatrixTest,
-                         ::testing::Range(0, 2));
+                         ::testing::Range(0, kPortoParam + 1));
 
 TEST(PlanCutoffTest, ExactPlansAreExactBelowTheCutoff) {
   Rng rng(501);
@@ -324,13 +367,14 @@ class SimdDispatchMatrixTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SimdDispatchMatrixTest, VectorAndScalarDispatchBitIdentical) {
   if (simd::kLanes == 1) GTEST_SKIP() << "built without SIMD lanes";
-  const uint64_t seed = static_cast<uint64_t>(GetParam()) * 211 + 17;
-  const Dataset dataset = WalkDataset(40, 18, seed);
-  Rng rng(seed + 1);
-  const Trajectory query = RandomWalk(&rng, 7);
+  const GateInput input =
+      GetParam() == kPortoParam
+          ? PortoInput(8)
+          : WalkInput(static_cast<uint64_t>(GetParam()) * 211 + 17, 40, 18, 7,
+                      -1);
 
   for (const Algorithm algorithm : kAllAlgorithms) {
-    for (const DistanceSpec& spec : testing::PaperGpsSpecs()) {
+    for (const DistanceSpec& spec : input.specs) {
       if (!Supports(algorithm, spec.kind)) continue;
       for (const bool abandon : {true, false}) {
         EngineOptions options;
@@ -343,78 +387,106 @@ TEST_P(SimdDispatchMatrixTest, VectorAndScalarDispatchBitIdentical) {
         options.top_k = 4;
         options.threads = 3;
         options.use_early_abandon = abandon;
-        const SearchEngine engine(&dataset, options);
-        std::vector<EngineHit> vec_hits, scalar_hits;
-        {
-          SimdModeGuard simd_on(true);
-          vec_hits = engine.Query(query);
+        const SearchEngine engine(&input.dataset, options);
+        for (size_t qi = 0; qi < input.queries.size(); ++qi) {
+          std::vector<EngineHit> vec_hits, scalar_hits;
+          {
+            SimdModeGuard simd_on(true);
+            vec_hits = engine.Query(input.queries[qi], nullptr,
+                                    input.excluded[qi]);
+          }
+          {
+            SimdModeGuard simd_off(false);
+            scalar_hits = engine.Query(input.queries[qi], nullptr,
+                                       input.excluded[qi]);
+          }
+          ExpectIdenticalHits(vec_hits, scalar_hits,
+                              std::string(ToString(algorithm)) + "/" +
+                                  std::string(ToString(spec.kind)) +
+                                  " abandon=" + std::to_string(abandon) +
+                                  " query " + std::to_string(qi));
         }
-        {
-          SimdModeGuard simd_off(false);
-          scalar_hits = engine.Query(query);
-        }
-        ExpectIdenticalHits(vec_hits, scalar_hits,
-                            std::string(ToString(algorithm)) + "/" +
-                                std::string(ToString(spec.kind)) +
-                                " abandon=" + std::to_string(abandon));
       }
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimdDispatchMatrixTest,
-                         ::testing::Range(0, 2));
+                         ::testing::Range(0, kPortoParam + 1));
 
 TEST(SimdDispatchLiveTest, LiveDeltaAndCompactedCorporaBitIdentical) {
   if (simd::kLanes == 1) GTEST_SKIP() << "built without SIMD lanes";
-  Rng rng(4711);
-  const Trajectory query = RandomWalk(&rng, 7);
-  std::vector<Trajectory> appended;
-  std::vector<TrajectoryView> append_views;
-  for (int i = 0; i < 10; ++i) {
-    appended.push_back(RandomWalk(&rng, 14 + i % 5));
-    append_views.push_back(appended.back().View());
+  // Each input is served as a base of its first `base` trajectories with
+  // the rest appended as the live delta.
+  struct LiveInput {
+    GateInput input;
+    int base;
+  };
+  std::vector<LiveInput> inputs;
+  {
+    // 36 random walks, then 10 appended ones and the query.
+    GateInput walk;
+    walk.dataset = WalkDataset(36, 16, 4712);
+    Rng rng(4711);
+    walk.queries.push_back(RandomWalk(&rng, 7));
+    walk.excluded.push_back(-1);
+    for (int i = 0; i < 10; ++i) walk.dataset.Add(RandomWalk(&rng, 14 + i % 5));
+    walk.specs = testing::PaperGpsSpecs();
+    inputs.push_back(LiveInput{std::move(walk), 36});
+  }
+  {
+    GateInput porto = PortoInput(8);
+    const int base = porto.dataset.size() * 4 / 5;
+    inputs.push_back(LiveInput{std::move(porto), base});
   }
 
-  for (const Algorithm algorithm : kAllAlgorithms) {
-    for (const DistanceSpec& spec : testing::PaperGpsSpecs()) {
-      if (!Supports(algorithm, spec.kind)) continue;
-      ServiceOptions service_options;
-      service_options.engine.spec = spec;
-      service_options.engine.algorithm = algorithm;
-      service_options.engine.use_kpf = true;
-      service_options.engine.sample_rate = 1.0;
-      service_options.engine.top_k = 4;
-      service_options.engine.threads = 2;
-      service_options.shards = 3;
-      service_options.cache_capacity = 0;  // every Submit really searches
-      service_options.compact_delta_trajectories = 0;
-      QueryService service(WalkDataset(36, 16, 4712), service_options);
-      service.AppendBatch(append_views);  // live delta alongside the base
-      const std::string label = std::string(ToString(algorithm)) + "/" +
-                                std::string(ToString(spec.kind));
+  for (const LiveInput& live : inputs) {
+    const GateInput& input = live.input;
+    std::vector<TrajectoryView> append_views;
+    for (int id = live.base; id < input.dataset.size(); ++id) {
+      append_views.push_back(input.dataset[id].View());
+    }
+    for (const Algorithm algorithm : kAllAlgorithms) {
+      for (const DistanceSpec& spec : input.specs) {
+        if (!Supports(algorithm, spec.kind)) continue;
+        ServiceOptions service_options;
+        service_options.engine.spec = spec;
+        service_options.engine.algorithm = algorithm;
+        service_options.engine.use_kpf = true;
+        service_options.engine.sample_rate = 1.0;
+        service_options.engine.top_k = 4;
+        service_options.engine.threads = 2;
+        service_options.shards = 3;
+        service_options.cache_capacity = 0;  // every Submit really searches
+        service_options.compact_delta_trajectories = 0;
+        Dataset base("live-base");
+        for (int id = 0; id < live.base; ++id) base.Add(input.dataset[id]);
+        QueryService service(std::move(base), service_options);
+        service.AppendBatch(append_views);  // live delta alongside the base
+        const std::string label = std::string(ToString(algorithm)) + "/" +
+                                  std::string(ToString(spec.kind));
 
-      std::vector<EngineHit> vec_hits, scalar_hits;
-      {
-        SimdModeGuard simd_on(true);
-        vec_hits = service.Submit(query);
+        auto expect_dispatch_identical = [&](const std::string& stage) {
+          for (size_t qi = 0; qi < input.queries.size(); ++qi) {
+            std::vector<EngineHit> vec_hits, scalar_hits;
+            {
+              SimdModeGuard simd_on(true);
+              vec_hits = service.Submit(input.queries[qi], input.excluded[qi]);
+            }
+            {
+              SimdModeGuard simd_off(false);
+              scalar_hits =
+                  service.Submit(input.queries[qi], input.excluded[qi]);
+            }
+            ExpectIdenticalHits(vec_hits, scalar_hits,
+                                label + " " + stage + " query " +
+                                    std::to_string(qi));
+          }
+        };
+        expect_dispatch_identical("live-delta");
+        ASSERT_TRUE(service.Compact());
+        expect_dispatch_identical("compacted");
       }
-      {
-        SimdModeGuard simd_off(false);
-        scalar_hits = service.Submit(query);
-      }
-      ExpectIdenticalHits(vec_hits, scalar_hits, label + " live-delta");
-
-      ASSERT_TRUE(service.Compact());
-      {
-        SimdModeGuard simd_on(true);
-        vec_hits = service.Submit(query);
-      }
-      {
-        SimdModeGuard simd_off(false);
-        scalar_hits = service.Submit(query);
-      }
-      ExpectIdenticalHits(vec_hits, scalar_hits, label + " compacted");
     }
   }
 }

@@ -69,20 +69,39 @@ TEST(QueryServiceTest, ShardedMatchesUnshardedEngine) {
 TEST(QueryServiceTest, ShardedMatchesUnshardedWithGbp) {
   // GBP enabled with a derived cell size: the service must pin the grid to
   // the full-corpus bbox so shard candidates agree with the global grid.
-  const Dataset dataset = WalkDataset(80, 20, 73);
+  // Two inputs: 80 random walks with one 8-point query, and the
+  // Porto-shaped workbench with its queries' source ids excluded.
+  struct Input {
+    Dataset dataset;
+    std::vector<Trajectory> queries;
+    std::vector<int> excluded;
+  };
+  std::vector<Input> inputs(2);
+  inputs[0].dataset = WalkDataset(80, 20, 73);
   Rng rng(5);
-  const Trajectory query = RandomWalk(&rng, 8);
+  inputs[0].queries.push_back(RandomWalk(&rng, 8));
+  inputs[0].excluded.push_back(-1);
+  testing::PortoWorkbench porto = testing::MakePortoWorkbench(8);
+  inputs[1].dataset = std::move(porto.corpus);
+  inputs[1].queries = std::move(porto.queries);
+  inputs[1].excluded = std::move(porto.excluded);
+
   EngineOptions engine_options = SoundOptions(DistanceSpec::Dtw(), 5);
   engine_options.use_gbp = true;
   engine_options.mu = 0.1;
-  const SearchEngine engine(&dataset, engine_options);
-  const std::vector<EngineHit> expected = engine.Query(query);
-  for (const int shards : {2, 4, 5}) {
-    ServiceOptions options;
-    options.engine = engine_options;
-    options.shards = shards;
-    QueryService service(dataset, options);
-    ExpectSameHits(expected, service.Submit(query));
+  for (const Input& input : inputs) {
+    const SearchEngine engine(&input.dataset, engine_options);
+    for (const int shards : {2, 4, 5}) {
+      ServiceOptions options;
+      options.engine = engine_options;
+      options.shards = shards;
+      QueryService service(input.dataset, options);
+      for (size_t qi = 0; qi < input.queries.size(); ++qi) {
+        ExpectSameHits(
+            engine.Query(input.queries[qi], nullptr, input.excluded[qi]),
+            service.Submit(input.queries[qi], input.excluded[qi]));
+      }
+    }
   }
 }
 

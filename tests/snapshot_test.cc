@@ -41,6 +41,15 @@ void Truncate(const std::string& path, std::streamoff size) {
   out.write(content.data(), size);
 }
 
+/// Overwrites `size` bytes at `offset` with `value`'s little-endian bytes.
+template <typename T>
+void Patch(const std::string& path, std::streamoff offset, T value) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(f.is_open());
+  f.seekp(offset);
+  f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
 TEST(SnapshotTest, RoundTripIsExact) {
   const Dataset original = GenerateTaxiDataset(PortoProfile(25));
   const std::string path = TempPath("roundtrip.snap");
@@ -111,16 +120,19 @@ TEST(SnapshotTest, EmptyTrajectoriesRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotTest, LegacyV1SnapshotStillLoads) {
-  // Files written by pre-refactor builds (v1: length table instead of the
-  // pool offset table) must keep loading byte-exactly.
+TEST(SnapshotTest, RetiredV1HeaderIsInvalidArgument) {
+  // v1 (length table instead of the pool offset table) is no longer read:
+  // a v1 header is rejected up front, by the loader and the probe alike.
   const Dataset original = GenerateTaxiDataset(PortoProfile(12));
-  const std::string path = TempPath("legacy.snap");
-  ASSERT_TRUE(WriteSnapshotV1(original, path).ok());
+  const std::string path = TempPath("retired_v1.snap");
+  ASSERT_TRUE(WriteSnapshot(original, path).ok());
+  Patch<uint32_t>(path, 8, 1u);  // version field follows the 8-byte magic
   const Result<Dataset> loaded = ReadSnapshot(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().name(), original.name());
-  EXPECT_EQ(Fingerprint(loaded.value()), Fingerprint(original));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  const Result<SnapshotInfo> probed = ProbeSnapshot(path);
+  ASSERT_FALSE(probed.ok());
+  EXPECT_EQ(probed.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 
@@ -340,15 +352,6 @@ TEST(SnapshotTest, V3CorruptJournalFailsItsChecksum) {
   std::remove(path.c_str());
 }
 
-/// Overwrites `size` bytes at `offset` with `value`'s little-endian bytes.
-template <typename T>
-void Patch(const std::string& path, std::streamoff offset, T value) {
-  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-  ASSERT_TRUE(f.is_open());
-  f.seekp(offset);
-  f.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
 TEST(SnapshotTest, V3HugeJournalPointCountIsRejectedNotAllocated) {
   // A crafted journal_points of ~2^60 must be rejected by the size sanity
   // check, not wrap the needed-bytes arithmetic and reach the per-entry
@@ -390,20 +393,16 @@ TEST(SnapshotTest, ProbeRejectsHeaderCountsLargerThanTheFile) {
 
 TEST(SnapshotTest, ProbeReportsVersionAndShapeWithoutLoading) {
   const Dataset original = GenerateTaxiDataset(PortoProfile(6));
-  const std::string v1 = TempPath("probe_v1.snap");
   const std::string v2 = TempPath("probe_v2.snap");
   const std::string v3 = TempPath("probe_v3.snap");
-  ASSERT_TRUE(WriteSnapshotV1(original, v1).ok());
   ASSERT_TRUE(WriteSnapshot(original, v2).ok());
   Dataset base;
   std::vector<Trajectory> journal;
   WriteV3Fixture(v3, &base, &journal);
 
-  const Result<SnapshotInfo> p1 = ProbeSnapshot(v1);
   const Result<SnapshotInfo> p2 = ProbeSnapshot(v2);
   const Result<SnapshotInfo> p3 = ProbeSnapshot(v3);
-  ASSERT_TRUE(p1.ok() && p2.ok() && p3.ok());
-  EXPECT_EQ(p1.value().version, 1u);
+  ASSERT_TRUE(p2.ok() && p3.ok());
   EXPECT_EQ(p2.value().version, 2u);
   EXPECT_EQ(p2.value().base_trajectories,
             static_cast<uint64_t>(original.size()));
@@ -413,7 +412,6 @@ TEST(SnapshotTest, ProbeReportsVersionAndShapeWithoutLoading) {
             static_cast<uint64_t>(base.size()));
   EXPECT_EQ(p3.value().journal_trajectories, journal.size());
   EXPECT_EQ(p3.value().name, base.name());
-  std::remove(v1.c_str());
   std::remove(v2.c_str());
   std::remove(v3.c_str());
 }

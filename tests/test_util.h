@@ -3,8 +3,11 @@
 #include <string>
 #include <vector>
 
+#include "core/dataset.h"
 #include "core/trajectory.h"
 #include "distance/distance.h"
+#include "gen/taxi.h"
+#include "gen/workload.h"
 #include "search/result.h"
 #include "util/rng.h"
 
@@ -69,6 +72,39 @@ inline SearchResult BruteForceSearch(const DistanceSpec& spec,
 inline std::vector<DistanceSpec> PaperGpsSpecs() {
   return {DistanceSpec::Dtw(), DistanceSpec::Edr(1.5),
           DistanceSpec::Erp(Point{5.0, 5.0}), DistanceSpec::Frechet()};
+}
+
+/// \brief Porto-shaped GPS input for the identity gates, next to their
+/// small random walks: 200 generated Porto taxi trajectories (mean 67
+/// points, lengths from 4 to a few hundred, coordinates in degrees) and
+/// queries of 30-50 points sampled from the corpus. Queries that long run
+/// many full lane groups plus a ragged tail in every vector kernel, at any
+/// lane width. The corpus is city-sized and sparse, so GBP at mu 0.1 keeps
+/// only a few candidates per query.
+struct PortoWorkbench {
+  Dataset corpus;
+  std::vector<Trajectory> queries;
+  /// Source trajectory of each query, to pass as the excluded id.
+  std::vector<int> excluded;
+  /// PaperGpsSpecs() in the same order, with EDR's epsilon and ERP's gap
+  /// point rescaled to the corpus (~300 m, the bounding-box centre).
+  std::vector<DistanceSpec> specs;
+};
+
+inline PortoWorkbench MakePortoWorkbench(int query_count) {
+  PortoWorkbench w;
+  w.corpus = GenerateTaxiDataset(PortoProfile(200));
+  WorkloadOptions options;
+  options.count = query_count;
+  options.min_length = 30;
+  options.max_length = 50;
+  Workload workload = SampleQueries(w.corpus, options);
+  w.queries = std::move(workload.queries);
+  w.excluded = std::move(workload.source_ids);
+  w.specs = {DistanceSpec::Dtw(), DistanceSpec::Edr(0.003),
+             DistanceSpec::Erp(w.corpus.Bounds().Center()),
+             DistanceSpec::Frechet()};
+  return w;
 }
 
 }  // namespace trajsearch::testing
