@@ -274,7 +274,8 @@ BENCHMARK(BM_ExactSMultiSweepWedBatched)
 /// CMA three-way: scalar rows (Run), data-dimension vectorized rows
 /// (RunCols), and cross-candidate lanes (RunBatch over kLanes candidates).
 /// One "iteration" evaluates kLanes candidates so the three variants do the
-/// same work.
+/// same work. The third argument picks the distance (0 = DTW, 1 = ERP);
+/// the column variant exists for the WED family only, so it runs ERP.
 struct CmaBatchFixture {
   Trajectory query;
   std::vector<Trajectory> data;
@@ -286,13 +287,18 @@ struct CmaBatchFixture {
       dataset.Add(data.back());
     }
   }
+
+  DistanceSpec Spec(int64_t distance) const {
+    return distance == 0 ? DistanceSpec::Dtw()
+                         : DistanceSpec::Erp(dataset.Bounds().Center());
+  }
 };
 
 void BM_CmaRowsScalar(benchmark::State& state) {
   const CmaBatchFixture f(static_cast<int>(state.range(0)),
                           static_cast<int>(state.range(1)));
   simd::SetEnabled(false);
-  auto searcher = MakeSearcher(Algorithm::kCma, DistanceSpec::Dtw());
+  auto searcher = MakeSearcher(Algorithm::kCma, f.Spec(state.range(2)));
   std::unique_ptr<QueryRun> plan = searcher.value()->Bind(f.query);
   for (auto _ : state) {
     double sum = 0;
@@ -304,13 +310,13 @@ void BM_CmaRowsScalar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0) *
                           state.range(1) * simd::kLanes);
 }
-BENCHMARK(BM_CmaRowsScalar)->ArgsProduct({{16, 64}, {256, 1024}});
+BENCHMARK(BM_CmaRowsScalar)->ArgsProduct({{16, 64}, {256, 1024}, {0, 1}});
 
 void BM_CmaRowsColumn(benchmark::State& state) {
   const CmaBatchFixture f(static_cast<int>(state.range(0)),
                           static_cast<int>(state.range(1)));
   simd::SetEnabled(true);
-  auto searcher = MakeSearcher(Algorithm::kCma, DistanceSpec::Dtw());
+  auto searcher = MakeSearcher(Algorithm::kCma, f.Spec(1));
   std::unique_ptr<QueryRun> plan = searcher.value()->Bind(f.query);
   for (auto _ : state) {
     double sum = 0;
@@ -329,7 +335,7 @@ void BM_CmaRowsBatched(benchmark::State& state) {
   const CmaBatchFixture f(static_cast<int>(state.range(0)),
                           static_cast<int>(state.range(1)));
   simd::SetEnabled(true);
-  auto searcher = MakeSearcher(Algorithm::kCma, DistanceSpec::Dtw());
+  auto searcher = MakeSearcher(Algorithm::kCma, f.Spec(state.range(2)));
   std::unique_ptr<QueryRun> plan = searcher.value()->Bind(f.query);
   std::vector<QueryRun::RunBatchItem> items;
   for (int id = 0; id < f.dataset.size(); ++id) {
@@ -352,7 +358,7 @@ void BM_CmaRowsBatched(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0) *
                           state.range(1) * simd::kLanes);
 }
-BENCHMARK(BM_CmaRowsBatched)->ArgsProduct({{16, 64}, {256, 1024}});
+BENCHMARK(BM_CmaRowsBatched)->ArgsProduct({{16, 64}, {256, 1024}, {0, 1}});
 
 }  // namespace
 }  // namespace trajsearch

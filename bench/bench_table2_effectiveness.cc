@@ -58,8 +58,9 @@ void RunDataset(const std::string& name, const BenchDataset& bench,
       const auto searcher = MakeBenchSearcher(algo, spec, &rls, &rls_skip);
       RunningStats ar, mr, rr;
       for (size_t qi = 0; qi < workload.queries.size(); ++qi) {
-        const SearchResult found = searcher->Search(
-            workload.queries[qi], bench.data[partners[qi]]);
+        const SearchResult found =
+            searcher->Bind(workload.queries[qi])
+                ->Run(bench.data[partners[qi]], kNoCutoff);
         const EffectivenessSample s = Evaluate(oracles[qi], found.distance);
         ar.Add(s.approximate_ratio);
         mr.Add(s.mean_rank);

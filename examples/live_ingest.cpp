@@ -1,12 +1,11 @@
 // live_ingest — walkthrough of the live-corpus lifecycle: serve queries
 // while trajectories stream in, watch the base/delta generations evolve,
-// compact, and snapshot the live corpus with its append journal.
+// compact, and snapshot the live corpus.
 //
 // The flow mirrors a fleet feed: a service starts from yesterday's corpus,
 // today's trips append while queries run, a background (here: forced)
-// compaction folds the delta into a fresh base, and the corpus is saved —
-// as a v3 snapshot (base + replayable journal) while a delta exists, or a
-// plain v2 snapshot once compacted.
+// compaction folds the delta into a fresh base, and the corpus is saved as
+// one flattened snapshot that keeps every corpus id.
 
 #include <cstdio>
 
@@ -96,9 +95,9 @@ int main() {
               static_cast<unsigned long long>(stats.compactions),
               stats.compaction_seconds);
 
-  // Persist: after compaction the corpus is one generation again, so this
-  // is a plain v2 snapshot; with a live delta it would be v3 (base + append
-  // journal, replayable through AppendBatch to the same corpus ids).
+  // Persist: the snapshot holds the flattened corpus — base ids first, then
+  // any delta in append order — so the same ids come back whether or not a
+  // delta was still live, and MmapSnapshot::Open serves the file zero-copy.
   const Status saved = service.SaveSnapshot("porto_live.snap");
   if (!saved.ok()) {
     std::fprintf(stderr, "save failed: %s\n", saved.ToString().c_str());
@@ -106,7 +105,8 @@ int main() {
   }
   const Result<SnapshotInfo> info = ProbeSnapshot("porto_live.snap");
   if (info.ok()) {
-    std::printf("  saved porto_live.snap (v%u, %llu trajectories)\n",
+    std::printf("  saved porto_live.snap (v%u, %llu trajectories, "
+                "mmap-servable)\n",
                 info.value().version,
                 static_cast<unsigned long long>(
                     info.value().base_trajectories));

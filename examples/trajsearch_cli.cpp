@@ -15,28 +15,26 @@
 //
 //   # convert between CSV and the binary snapshot format (fast startup);
 //   # the output format follows the --out extension (.snap = snapshot).
-//   # --format picks the snapshot version: v2 (default, heap-loaded) or v4
-//   # (page-aligned sections, zero-copy mmap serving + prebuilt grid index);
-//   # --compress writes the v4 compressed column tier (--resolution sets
-//   # the quantization step, --residuals makes it bit-exact), --grid=false
-//   # omits the prebuilt grid section
+//   # A snapshot has page-aligned sections for zero-copy mmap serving and a
+//   # prebuilt grid index (--grid=false omits it); --compress writes the
+//   # compressed column tier (--resolution sets the quantization step,
+//   # --residuals makes it bit-exact)
 //   trajsearch_cli snapshot --in=corpus.csv --out=corpus.snap
-//   trajsearch_cli snapshot --in=corpus.csv --out=corpus.snap --format=v4
-//   trajsearch_cli snapshot --in=corpus.csv --out=corpus.snap --format=v4
+//   trajsearch_cli snapshot --in=corpus.csv --out=small.snap
 //       --compress --resolution=1e-7 --residuals
 //   trajsearch_cli snapshot --in=corpus.snap --out=corpus.csv
 //
 //   # serve a whole query file through the sharded QueryService: every
 //   # trajectory of --queries is one query; repeats exercise the cache.
-//   # a v4 --data snapshot is served zero-copy via mmap (--willneed
+//   # a --data snapshot is served zero-copy via mmap (--willneed
 //   # prefetches it; single-shard serving borrows the prebuilt grid)
 //   trajsearch_cli batch --data=corpus.snap --queries=queries.csv
 //       --dist=dtw --k=5 --shards=4 --workers=4 --cache=256 --repeat=2
 //
 //   # append a CSV/snapshot into a running live service (base + delta
 //   # generations), print ingest + compaction stats, optionally force a
-//   # compaction and/or save the result (v3 = base + append journal when a
-//   # delta remains, plain v2 after compaction)
+//   # compaction and/or save the result (one flattened snapshot with the
+//   # same corpus ids, delta or not)
 //   trajsearch_cli ingest --data=corpus.snap --add=new_day.csv
 //       --batch=64 --threshold=1024 --compact --out=corpus_live.snap
 //
@@ -138,28 +136,24 @@ struct ServingSource {
   const char* tier = "heap";
 };
 
-/// Loads --data for serving: v4 snapshots via zero-copy mmap (honouring
-/// --willneed prefetch), everything else through LoadDataset. Returns 0 on
-/// success, else the process exit code (already reported).
+/// Loads --data for serving: snapshots via zero-copy mmap (honouring
+/// --willneed prefetch), CSV through LoadDataset. Returns 0 on success, else
+/// the process exit code (already reported).
 int LoadServingCorpus(const Flags& flags, const std::string& path,
                       ServingSource* out) {
   Stopwatch watch;
   if (IsSnapshotFile(path)) {
-    const Result<SnapshotInfo> probe = ProbeSnapshot(path);
-    if (!probe.ok()) return Fail(probe.status().ToString());
-    if (probe.value().version == kSnapshotVersionMapped) {
-      MmapOptions mmap_options;
-      mmap_options.willneed = flags.GetBool("willneed", false);
-      Result<MmapSnapshot> opened = MmapSnapshot::Open(path, mmap_options);
-      if (!opened.ok()) return Fail(opened.status().ToString());
-      out->mapped.emplace(opened.MoveValue());
-      out->dataset = out->mapped->dataset();
-      out->load_seconds = watch.Seconds();
-      out->tier = out->mapped->compressed()
-                      ? "v4 compressed columns (decoded at open)"
-                      : "v4 mmap (zero-copy)";
-      return 0;
-    }
+    MmapOptions mmap_options;
+    mmap_options.willneed = flags.GetBool("willneed", false);
+    Result<MmapSnapshot> opened = MmapSnapshot::Open(path, mmap_options);
+    if (!opened.ok()) return Fail(opened.status().ToString());
+    out->mapped.emplace(opened.MoveValue());
+    out->dataset = out->mapped->dataset();
+    out->load_seconds = watch.Seconds();
+    out->tier = out->mapped->compressed()
+                    ? "v4 compressed columns (decoded at open)"
+                    : "v4 mmap (zero-copy)";
+    return 0;
   }
   Result<Dataset> loaded = LoadDataset(path, path);
   if (!loaded.ok()) return Fail(loaded.status().ToString());
@@ -206,49 +200,34 @@ int CmdGenerate(const Flags& flags) {
 int CmdStats(const Flags& flags) {
   const std::string path = flags.GetString("data", "");
   if (path.empty()) return Fail("--data=<csv|snap> required");
-  // Snapshot files first report their on-disk shape: format version and,
-  // for live (v3) snapshots, the base/delta generation split.
+  // Snapshot files first report their on-disk shape. All of it comes from
+  // the probe's prelude read — no payload page is faulted to print it.
   if (IsSnapshotFile(path)) {
     const Result<SnapshotInfo> probe = ProbeSnapshot(path);
     if (!probe.ok()) return Fail(probe.status().ToString());
     const SnapshotInfo& info = probe.value();
-    std::printf("snapshot:     v%u (%s)\n", info.version,
-                info.version == kSnapshotVersionLive
-                    ? "live: base + append journal"
-                : info.version == kSnapshotVersionMapped
-                    ? "page-aligned sections, mmap-servable"
-                    : "single generation");
-    std::printf("base:         %llu trajectories, %llu points\n",
+    std::printf("snapshot:     v%u (page-aligned sections, mmap-servable)\n",
+                info.version);
+    std::printf("corpus:       %llu trajectories, %llu points\n",
                 static_cast<unsigned long long>(info.base_trajectories),
                 static_cast<unsigned long long>(info.base_points));
-    if (info.version == kSnapshotVersionLive) {
-      std::printf("journal:      %llu trajectories, %llu points (replayed "
-                  "on load)\n",
-                  static_cast<unsigned long long>(info.journal_trajectories),
-                  static_cast<unsigned long long>(info.journal_points));
+    if (info.compressed) {
+      std::printf("tier:         compressed columns, resolution %g%s\n",
+                  info.compressed_resolution,
+                  info.compressed_residuals ? ", residuals (bit-exact)"
+                                            : " (quantized)");
+    } else {
+      std::printf("tier:         pooled (zero-copy servable)\n");
     }
-    if (info.version == kSnapshotVersionMapped) {
-      // All of this comes from the probe's prelude read — no payload page
-      // is ever faulted to print it.
-      if (info.compressed) {
-        std::printf("tier:         compressed columns, resolution %g%s\n",
-                    info.compressed_resolution,
-                    info.compressed_residuals
-                        ? ", residuals (bit-exact)"
-                        : " (quantized)");
-      } else {
-        std::printf("tier:         pooled (zero-copy servable)\n");
-      }
-      std::printf("layout:       %zu sections, %s, %.1f bytes/trajectory\n",
-                  info.sections.size(),
-                  info.page_aligned ? "page-aligned" : "UNALIGNED",
-                  info.bytes_per_trajectory);
-      for (const SnapshotSectionInfo& section : info.sections) {
-        std::printf("  section %-10s offset %10llu  length %10llu\n",
-                    SectionTypeName(section.type),
-                    static_cast<unsigned long long>(section.offset),
-                    static_cast<unsigned long long>(section.length));
-      }
+    std::printf("layout:       %zu sections, %s, %.1f bytes/trajectory\n",
+                info.sections.size(),
+                info.page_aligned ? "page-aligned" : "UNALIGNED",
+                info.bytes_per_trajectory);
+    for (const SnapshotSectionInfo& section : info.sections) {
+      std::printf("  section %-10s offset %10llu  length %10llu\n",
+                  SectionTypeName(section.type),
+                  static_cast<unsigned long long>(section.offset),
+                  static_cast<unsigned long long>(section.length));
     }
   }
   Stopwatch load_watch;
@@ -373,14 +352,13 @@ int CmdSnapshot(const Flags& flags) {
 
   const bool to_snapshot =
       out.size() >= 5 && out.compare(out.size() - 5, 5, ".snap") == 0;
-  const std::string format = flags.GetString("format", "v2");
   const bool compress = flags.GetBool("compress", false);
   const char* written_as = "csv";
   Stopwatch write_watch;
   Status st;
   if (!to_snapshot) {
     st = WriteTrajectoryCsv(loaded.value(), out);
-  } else if (format == "v4" || compress) {
+  } else {
     V4WriteOptions v4;
     v4.compress = compress;
     v4.codec.resolution = flags.GetDouble("resolution", 1e-7);
@@ -389,11 +367,6 @@ int CmdSnapshot(const Flags& flags) {
     st = WriteSnapshotV4(loaded.value(), out, v4);
     written_as = compress ? "snapshot v4, compressed columns"
                           : "snapshot v4, zero-copy servable";
-  } else if (format == "v2") {
-    st = WriteSnapshot(loaded.value(), out);
-    written_as = "snapshot v2";
-  } else {
-    return Fail("unknown --format (v2|v4)");
   }
   if (!st.ok()) return Fail(st.ToString());
   std::printf("converted %d trajectories: read %s in %.3f s, wrote %s (%s) "
@@ -604,10 +577,8 @@ int CmdIngest(const Flags& flags) {
   if (!out.empty()) {
     const Status st = service.SaveSnapshot(out);
     if (!st.ok()) return Fail(st.ToString());
-    std::printf("wrote %s (%s)\n", out.c_str(),
-                service.Shape().delta_trajectories > 0
-                    ? "v3: base + append journal"
-                    : "v2: single generation");
+    std::printf("wrote %s (snapshot v4, %d trajectories, flattened)\n",
+                out.c_str(), service.corpus_size());
   }
   return 0;
 }

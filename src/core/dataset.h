@@ -43,8 +43,8 @@ struct DatasetStats {
 /// range [offsets[i], offsets[i+1]). Trajectory ids are assigned densely
 /// (their index in the collection) so pruning indexes can use plain arrays,
 /// and operator[] hands out zero-copy TrajectoryRef handles into the pool.
-/// The layout is also the snapshot-v2 on-disk layout, so loading a snapshot
-/// is a header check plus one contiguous read.
+/// The offsets table and pool are also sections of the snapshot format, so a
+/// mapped snapshot serves them in place (FromMapped).
 ///
 /// Storage is either *owned* (heap vectors, mutable via Add/AddAll — the
 /// default) or *borrowed* (FromMapped: read-only spans over storage someone
@@ -92,8 +92,8 @@ class Dataset {
 
   /// Adopts an already-assembled pool. `offsets` must have one entry per
   /// trajectory plus a trailing entry equal to pool.size(), start at 0, and
-  /// be non-decreasing (checked). Used by the snapshot loader so a corpus is
-  /// read straight into place.
+  /// be non-decreasing (checked). Used by compaction (LiveDataset::Merge) so
+  /// a merged corpus is assembled straight into place.
   static Dataset FromPool(std::string name, std::vector<Point> pool,
                           std::vector<uint64_t> offsets);
 

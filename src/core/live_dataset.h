@@ -138,8 +138,8 @@ class CorpusView {
 
 /// \brief A trajectory corpus that accepts appends while being read.
 ///
-/// Generational storage: an immutable base Dataset (the pooled, snapshot-v2
-/// layout every index and shard view is built over) plus an append-only
+/// Generational storage: an immutable base Dataset (the pooled layout every
+/// index and shard view is built over) plus an append-only
 /// delta. Writers serialize on one mutex; readers never take it — View()
 /// pins the most recently published CorpusView through an RCU-style
 /// publication slot (util/published_ptr.h), so a reader picks up a

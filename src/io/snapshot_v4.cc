@@ -1,11 +1,13 @@
 #include "io/snapshot_v4.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <fstream>
 #include <vector>
 
 #include "core/fingerprint.h"
+#include "io/traj_csv.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 
@@ -113,8 +115,8 @@ struct CompressedSectionShape {
 };
 
 /// The parsed prelude of a v4 file: header fields, name and section table,
-/// all bounds- and alignment-checked against the mapping size. Shared by
-/// MmapSnapshot::Open and the probe.
+/// all bounds- and alignment-checked against the mapping size (the header
+/// counts included). Shared by MmapSnapshot::Open and the probe.
 struct V4Prelude {
   std::string name;
   uint64_t trajectory_count = 0;
@@ -147,9 +149,27 @@ Status ParsePrelude(const std::byte* base, size_t size,
   LoadScalar(base, size, &cursor, &out->trajectory_count);
   LoadScalar(base, size, &cursor, &out->point_count);
   LoadScalar(base, size, &cursor, &out->fingerprint);
-  if (version != kSnapshotVersionMapped) {
-    return Status::Unsupported("not a v4 snapshot (version " +
-                               std::to_string(version) + "): " + path);
+  if (version < kSnapshotVersionMapped) {
+    // v1-v3 (length table, pool dump, pool dump + append journal) are
+    // retired; their headers are not valid snapshots any more.
+    return Status::InvalidArgument(
+        "snapshot version " + std::to_string(version) +
+        " is no longer readable (expected " +
+        std::to_string(kSnapshotVersionMapped) + "): " + path);
+  }
+  if (version > kSnapshotVersionMapped) {
+    return Status::Unsupported("snapshot version " + std::to_string(version) +
+                               " (expected " +
+                               std::to_string(kSnapshotVersionMapped) +
+                               "): " + path);
+  }
+  if (out->trajectory_count > size || out->point_count > size) {
+    // Counts must be plausible against the file before they size anything:
+    // even the compressed tier stores several bytes per trajectory and per
+    // point, so either count exceeding the byte size is corruption (and
+    // unchecked would wrap the section-length arithmetic of the readers).
+    return Status::IoError("snapshot shorter than its header declares: " +
+                           path);
   }
   if (name_length > size - cursor) {
     return Status::IoError("truncated snapshot name: " + path);
@@ -389,14 +409,6 @@ Result<MmapSnapshot> MmapSnapshot::Open(const std::string& path,
   TRAJ_RETURN_NOT_OK(ParsePrelude(base, size, path, &prelude));
   const uint64_t traj_count = prelude.trajectory_count;
   const uint64_t point_count = prelude.point_count;
-  if (traj_count > size || point_count > size) {
-    // Counts must be plausible against the file before they size anything:
-    // even the compressed tier stores several bytes per trajectory and per
-    // point, so either count exceeding the byte size is corruption (and
-    // unchecked would wrap the section-length arithmetic below).
-    return Status::IoError("snapshot shorter than its header declares: " +
-                           path);
-  }
 
   MmapSnapshot snapshot;
   snapshot.file_ = file;
@@ -564,6 +576,20 @@ Status MmapSnapshot::Verify() const {
   if (Fingerprint(dataset_) != fingerprint_) {
     return Status::InvalidArgument("snapshot checksum mismatch");
   }
+  // The checksum covers the pool; the shadow columns must mirror it bit for
+  // bit, or the vector kernels would read other coordinates than the scalar
+  // ones (and an owned copy would trip FromPool's mirror check).
+  const std::span<const Point> pool = dataset_.pool();
+  const PointCols cols = dataset_.pool_cols();
+  for (size_t i = 0; i < pool.size(); ++i) {
+    if (std::bit_cast<uint64_t>(cols.x[i]) !=
+            std::bit_cast<uint64_t>(pool[i].x) ||
+        std::bit_cast<uint64_t>(cols.y[i]) !=
+            std::bit_cast<uint64_t>(pool[i].y)) {
+      return Status::InvalidArgument(
+          "snapshot coordinate columns disagree with the pool");
+    }
+  }
   if (grid_.has_value()) {
     // Open validates everything memory-safety-relevant (CSR bounds, slot
     // targets); the deep pass adds the pure integrity invariant that the
@@ -576,7 +602,7 @@ Status MmapSnapshot::Verify() const {
   return Status::OK();
 }
 
-Result<Dataset> ReadSnapshotV4(const std::string& path) {
+Result<Dataset> ReadSnapshot(const std::string& path) {
   Result<MmapSnapshot> opened = MmapSnapshot::Open(path);
   if (!opened.ok()) return opened.status();
   MmapSnapshot snapshot = opened.MoveValue();
@@ -598,7 +624,7 @@ Result<Dataset> ReadSnapshotV4(const std::string& path) {
                            std::move(ys), std::move(offsets));
 }
 
-Result<SnapshotInfo> ProbeSnapshotV4(const std::string& path) {
+Result<SnapshotInfo> ProbeSnapshot(const std::string& path) {
   // The probe maps the file like Open does (mapping is cheaper than seeking
   // a stream around the section table) but touches only the prelude and, if
   // present, the compressed section's header fields — never a payload.
@@ -638,6 +664,20 @@ Result<SnapshotInfo> ProbeSnapshotV4(const std::string& path) {
     info.compressed_resolution = resolution;
   }
   return info;
+}
+
+bool IsSnapshotFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  char magic[sizeof(kMagic)] = {};
+  in.read(magic, sizeof(magic));
+  return in.gcount() == static_cast<std::streamsize>(sizeof(magic)) &&
+         std::memcmp(magic, kMagic, sizeof(kMagic)) == 0;
+}
+
+Result<Dataset> LoadDataset(const std::string& path,
+                            const std::string& dataset_name) {
+  if (IsSnapshotFile(path)) return ReadSnapshot(path);
+  return ReadTrajectoryCsv(path, dataset_name);
 }
 
 }  // namespace trajsearch

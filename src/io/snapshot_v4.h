@@ -17,9 +17,9 @@ namespace trajsearch {
 
 /// Snapshot v4: the page-aligned, zero-copy serving format.
 ///
-/// A v4 file starts with the same 32-byte header + name as v2 (version 4;
-/// counts and fingerprint describe the corpus), followed by a section table
-/// and page-aligned sections:
+/// A v4 file starts with the 32-byte header + name described in
+/// io/snapshot.h (version 4; counts and fingerprint describe the corpus),
+/// followed by a section table and page-aligned sections:
 ///
 ///   section_count  uint32
 ///   flags          uint32   bit 0: compressed column tier
@@ -74,13 +74,6 @@ struct V4WriteOptions {
 /// tier.
 Status WriteSnapshotV4(const Dataset& dataset, const std::string& path,
                        const V4WriteOptions& options = {});
-
-/// Heap-loading read path (what ReadSnapshot delegates to for version 4):
-/// maps the file, verifies the checksum, and returns an owned Dataset.
-Result<Dataset> ReadSnapshotV4(const std::string& path);
-
-/// Header + section-table probe; never faults a payload section.
-Result<SnapshotInfo> ProbeSnapshotV4(const std::string& path);
 
 struct MmapOptions {
   /// madvise(WILLNEED) the whole mapping at open — prefetch warmup for
@@ -141,7 +134,8 @@ class MmapSnapshot {
   void UpdateGauges(obs::Registry* registry = nullptr) const;
 
   /// Full-payload checksum verification: recomputes the corpus fingerprint
-  /// (faulting every page it needs) against the header's.
+  /// (faulting every page it needs) against the header's, and checks that
+  /// the x/y shadow columns mirror the pool.
   Status Verify() const;
 
  private:

@@ -33,9 +33,11 @@ namespace {
 ///
 ///  - RunCols (one candidate): the row scan is serial in j — the rolling
 ///    G-minimum and the start pointers chain left to right — but the
-///    substitution kernel is not, so it is precomputed per row over the
-///    candidate's SoA columns (CmaWedRowsVec / CmaDtwRowsVec /
-///    CmaFrechetRowsVec).
+///    substitution kernel is not, so for the WED family it is precomputed
+///    per row over the candidate's SoA columns (CmaWedRowsVec). For DTW
+///    and Fréchet that precompute measured no faster than the scalar rows
+///    (bench_micro), so their single candidates run CmaDtwRows /
+///    CmaFrechetRows.
 ///  - RunBatch (up to batch_width() candidates): one candidate per SIMD
 ///    lane. Every per-cell operation of the scalar recurrence — including
 ///    the serial-in-j parts — runs lanewise over lane-interleaved rows
@@ -76,8 +78,8 @@ class CmaPlan final : public QueryRun {
     bc_cur_ = arena_.Doubles();
     bs_prev_ = arena_.Doubles();
     bs_cur_ = arena_.Doubles();
-    // Dispatch is sampled here, like the steppers': DTW/Fréchet rows always
-    // vectorize; WED rows only under the kExact variant (the Vec/batch
+    // Dispatch is sampled here, like the steppers': DTW/Fréchet batches
+    // always vectorize; WED rows only under the kExact variant (the Vec/batch
     // kernels implement its rolling G-minimum) and only for cost models
     // with a SubData kernel (custom WED callbacks stay scalar).
     const bool kind_ok =
@@ -126,39 +128,25 @@ class CmaPlan final : public QueryRun {
 
   SearchResult RunCols(TrajectoryView data, PointCols cols,
                        double cutoff) override {
-    if (!vec_ || cols.empty()) return Run(data, cutoff);
+    if (!vec_ || cols.empty() || spec_.kind == DistanceKind::kDtw ||
+        spec_.kind == DistanceKind::kFrechet) {
+      return Run(data, cutoff);
+    }
     const int m = static_cast<int>(query_.size());
     const int n = static_cast<int>(data.size());
     TRAJ_CHECK(m >= 1 && n >= 1);
-    bool complete = true;
     int rows = 0;
-    switch (spec_.kind) {
-      case DistanceKind::kDtw:
-        complete =
-            CmaDtwRowsVec(m, n, EuclideanSub{query_, data}, cols, cutoff,
-                          &c_prev_, &c_cur_, &s_prev_, &s_cur_, sub_row_,
-                          &rows);
-        break;
-      case DistanceKind::kFrechet:
-        complete =
-            CmaFrechetRowsVec(m, n, EuclideanSub{query_, data}, cols, cutoff,
-                              &c_prev_, &c_cur_, &s_prev_, &s_cur_, sub_row_,
-                              &rows);
-        break;
-      default:
-        complete = VisitWedCosts(
-            spec_, query_, data, [&](const auto& costs) {
-              using C = std::decay_t<decltype(costs)>;
-              if constexpr (simd::BatchCosts<C>) {
-                return CmaWedRowsVec(m, n, costs, cols, cutoff, &c_prev_,
-                                     &c_cur_, &s_prev_, &s_cur_, sub_row_,
-                                     ins_row_, &rows);
-              } else {
-                TRAJ_CHECK(false && "vec dispatch on scalar-only costs");
-                return true;
-              }
-            });
-    }
+    const bool complete = VisitWedCosts(
+        spec_, query_, data, [&](const auto& costs) {
+          using C = std::decay_t<decltype(costs)>;
+          if constexpr (simd::BatchCosts<C>) {
+            return CmaWedRowsVec(m, n, costs, cols, cutoff, &c_prev_, &c_cur_,
+                                 &s_prev_, &s_cur_, sub_row_, ins_row_, &rows);
+          } else {
+            TRAJ_CHECK(false && "vec dispatch on scalar-only costs");
+            return true;
+          }
+        });
     // Substitutions ran one data lane group at a time; the n % kLanes tail
     // of each row stays scalar, so the split sums to the scalar row size.
     const int vec_end = n - n % simd::kLanes;

@@ -383,75 +383,6 @@ bool CmaDtwRows(int m, int n, SubFn sub, double cutoff,
   return true;
 }
 
-/// \brief CmaDtwRows with per-row substitution costs precomputed over the
-/// candidate's SoA columns (see CmaWedRowsVec — same contract: bit-identical
-/// cells, start pointers and abandon row).
-template <typename SubFn>
-  requires simd::BatchCosts<SubFn>
-bool CmaDtwRowsVec(int m, int n, SubFn sub, PointCols cols, double cutoff,
-                   std::vector<double>* c_prev, std::vector<double>* c_cur,
-                   std::vector<int>* s_prev, std::vector<int>* s_cur,
-                   std::vector<double>* sub_row, int* rows_out = nullptr) {
-  TRAJ_CHECK(m >= 1 && n >= 1);
-  TRAJ_CHECK(!cols.empty());
-  c_prev->resize(static_cast<size_t>(n));
-  c_cur->assign(static_cast<size_t>(n), 0);
-  s_prev->resize(static_cast<size_t>(n));
-  s_cur->assign(static_cast<size_t>(n), 0);
-  sub_row->resize(static_cast<size_t>(n));
-
-  const int vec_end = n - n % simd::kLanes;
-  const auto fill_sub = [&](int i, double* out) {
-    for (int j = 0; j < vec_end; j += simd::kLanes) {
-      sub.SubData(i, simd::VecD::Load(cols.x + j),
-                  simd::VecD::Load(cols.y + j))
-          .Store(out + j);
-    }
-    for (int j = vec_end; j < n; ++j) out[j] = sub(i, j);
-  };
-
-  double* sr = sub_row->data();
-  fill_sub(0, sr);
-  double row_min = kDpInfinity;
-  for (int j = 0; j < n; ++j) {
-    const double v = sr[j];
-    (*c_cur)[static_cast<size_t>(j)] = v;
-    (*s_cur)[static_cast<size_t>(j)] = j;
-    if (v < row_min) row_min = v;
-  }
-  for (int i = 1; i < m; ++i) {
-    if (row_min >= cutoff) {
-      if (rows_out != nullptr) *rows_out = i;
-      return false;
-    }
-    std::swap(*c_prev, *c_cur);
-    std::swap(*s_prev, *s_cur);
-    fill_sub(i, sr);
-    double v0 = (*c_prev)[0] + sr[0];
-    (*c_cur)[0] = v0;
-    (*s_cur)[0] = 0;
-    row_min = v0;
-    for (int j = 1; j < n; ++j) {
-      double best = (*c_prev)[static_cast<size_t>(j - 1)];
-      int s = (*s_prev)[static_cast<size_t>(j - 1)];
-      if ((*c_prev)[static_cast<size_t>(j)] < best) {
-        best = (*c_prev)[static_cast<size_t>(j)];
-        s = (*s_prev)[static_cast<size_t>(j)];
-      }
-      if ((*c_cur)[static_cast<size_t>(j - 1)] < best) {
-        best = (*c_cur)[static_cast<size_t>(j - 1)];
-        s = (*s_cur)[static_cast<size_t>(j - 1)];
-      }
-      const double v = best + sr[j];
-      (*c_cur)[static_cast<size_t>(j)] = v;
-      (*s_cur)[static_cast<size_t>(j)] = s;
-      if (v < row_min) row_min = v;
-    }
-  }
-  if (rows_out != nullptr) *rows_out = m;
-  return true;
-}
-
 /// \brief CMA final row for DTW (Equation 8 / §5.2).
 template <typename SubFn>
 void CmaDtwFinalRow(int m, int n, SubFn sub, std::vector<double>* c_out,
@@ -516,76 +447,6 @@ bool CmaFrechetRows(int m, int n, SubFn sub, double cutoff,
         s = (*s_cur)[static_cast<size_t>(j - 1)];
       }
       const double sij = sub(i, j);
-      const double v = reach > sij ? reach : sij;
-      (*c_cur)[static_cast<size_t>(j)] = v;
-      (*s_cur)[static_cast<size_t>(j)] = s;
-      if (v < row_min) row_min = v;
-    }
-  }
-  if (rows_out != nullptr) *rows_out = m;
-  return true;
-}
-
-/// \brief CmaFrechetRows with per-row substitution costs precomputed over
-/// the candidate's SoA columns (see CmaWedRowsVec — same contract).
-template <typename SubFn>
-  requires simd::BatchCosts<SubFn>
-bool CmaFrechetRowsVec(int m, int n, SubFn sub, PointCols cols, double cutoff,
-                       std::vector<double>* c_prev, std::vector<double>* c_cur,
-                       std::vector<int>* s_prev, std::vector<int>* s_cur,
-                       std::vector<double>* sub_row, int* rows_out = nullptr) {
-  TRAJ_CHECK(m >= 1 && n >= 1);
-  TRAJ_CHECK(!cols.empty());
-  c_prev->resize(static_cast<size_t>(n));
-  c_cur->assign(static_cast<size_t>(n), 0);
-  s_prev->resize(static_cast<size_t>(n));
-  s_cur->assign(static_cast<size_t>(n), 0);
-  sub_row->resize(static_cast<size_t>(n));
-
-  const int vec_end = n - n % simd::kLanes;
-  const auto fill_sub = [&](int i, double* out) {
-    for (int j = 0; j < vec_end; j += simd::kLanes) {
-      sub.SubData(i, simd::VecD::Load(cols.x + j),
-                  simd::VecD::Load(cols.y + j))
-          .Store(out + j);
-    }
-    for (int j = vec_end; j < n; ++j) out[j] = sub(i, j);
-  };
-
-  double* sr = sub_row->data();
-  fill_sub(0, sr);
-  double row_min = kDpInfinity;
-  for (int j = 0; j < n; ++j) {
-    const double v = sr[j];
-    (*c_cur)[static_cast<size_t>(j)] = v;
-    (*s_cur)[static_cast<size_t>(j)] = j;
-    if (v < row_min) row_min = v;
-  }
-  for (int i = 1; i < m; ++i) {
-    if (row_min >= cutoff) {
-      if (rows_out != nullptr) *rows_out = i;
-      return false;
-    }
-    std::swap(*c_prev, *c_cur);
-    std::swap(*s_prev, *s_cur);
-    fill_sub(i, sr);
-    const double s0 = sr[0];
-    const double v0 = (*c_prev)[0] > s0 ? (*c_prev)[0] : s0;
-    (*c_cur)[0] = v0;
-    (*s_cur)[0] = 0;
-    row_min = v0;
-    for (int j = 1; j < n; ++j) {
-      double reach = (*c_prev)[static_cast<size_t>(j - 1)];
-      int s = (*s_prev)[static_cast<size_t>(j - 1)];
-      if ((*c_prev)[static_cast<size_t>(j)] < reach) {
-        reach = (*c_prev)[static_cast<size_t>(j)];
-        s = (*s_prev)[static_cast<size_t>(j)];
-      }
-      if ((*c_cur)[static_cast<size_t>(j - 1)] < reach) {
-        reach = (*c_cur)[static_cast<size_t>(j - 1)];
-        s = (*s_cur)[static_cast<size_t>(j - 1)];
-      }
-      const double sij = sr[j];
       const double v = reach > sij ? reach : sij;
       (*c_cur)[static_cast<size_t>(j)] = v;
       (*s_cur)[static_cast<size_t>(j)] = s;

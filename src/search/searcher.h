@@ -39,7 +39,7 @@ bool Supports(Algorithm algorithm, DistanceKind kind);
 /// reusable QueryRun, QueryRun::Bind(query) compiles the query-side state
 /// once, and QueryRun::Run(data, cutoff) evaluates one candidate with
 /// early-abandon support (see search/query_run.h for the cutoff contract).
-/// Search() remains as a stateless one-shot convenience over Bind + Run.
+/// A one-shot search is Bind(query)->Run(data, kNoCutoff).
 class Searcher {
  public:
   virtual ~Searcher() = default;
@@ -54,12 +54,6 @@ class Searcher {
     std::unique_ptr<QueryRun> run = NewRun();
     run->Bind(query);
     return run;
-  }
-
-  /// One-shot compatibility shim: finds a similar subtrajectory of `data`
-  /// for `query` by binding a fresh plan and running it without a cutoff.
-  SearchResult Search(TrajectoryView query, TrajectoryView data) const {
-    return Bind(query)->Run(data, kNoCutoff);
   }
 
   /// Algorithm name for reports.

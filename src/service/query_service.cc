@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "core/fingerprint.h"
-#include "io/snapshot.h"
+#include "io/snapshot_v4.h"
 #include "search/topk.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
@@ -346,13 +346,14 @@ bool QueryService::CompactInternal() {
 Status QueryService::SaveSnapshot(const std::string& path) const {
   const std::shared_ptr<const ServingState> state = State();
   const CorpusView& view = state->view;
-  if (view.delta_size() == 0) return WriteSnapshot(view.base(), path);
-  std::vector<TrajectoryView> journal;
-  journal.reserve(static_cast<size_t>(view.delta_size()));
-  for (int i = 0; i < view.delta_size(); ++i) {
-    journal.push_back(view.delta()[i]);
+  // The flattened generation keeps every corpus id: base ids first, then
+  // the delta in append order. Saving builds no grid; serving builds one.
+  V4WriteOptions options;
+  options.include_grid = false;
+  if (view.delta_size() == 0) {
+    return WriteSnapshotV4(view.base(), path, options);
   }
-  return WriteLiveSnapshot(view.base(), journal, path);
+  return WriteSnapshotV4(LiveDataset::Merge(view), path, options);
 }
 
 int QueryService::shard_count() const {

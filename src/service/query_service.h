@@ -187,8 +187,8 @@ class QueryService {
   /// compaction, so calling it concurrently is safe (one of them wins).
   bool Compact() TRAJ_EXCLUDES(compact_mu_, ingest_mu_);
 
-  /// Writes the served corpus as a snapshot: plain v2 when the delta is
-  /// empty, v3 (base payload + append journal) otherwise.
+  /// Writes the served generation, flattened (base ids, then the delta in
+  /// append order), as a v4 snapshot without a grid section.
   Status SaveSnapshot(const std::string& path) const;
 
   /// Wait-free: sums sharded registry counters, never takes a lock, so

@@ -239,7 +239,7 @@ TEST(SearcherFactoryTest, AllSearchersAgreeOnExactness) {
       if (!Supports(algo, spec.kind)) continue;
       auto searcher = MakeSearcher(algo, spec);
       ASSERT_TRUE(searcher.ok());
-      const SearchResult r = searcher.value()->Search(q, d);
+      const SearchResult r = searcher.value()->Bind(q)->Run(d, kNoCutoff);
       if (IsExact(algo, spec.kind)) {
         EXPECT_NEAR(r.distance, optimal, 1e-9)
             << ToString(algo) << "/" << ToString(spec.kind);

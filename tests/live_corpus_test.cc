@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "core/fingerprint.h"
-#include "io/snapshot.h"
+#include "io/snapshot_v4.h"
 #include "obs/export.h"
 #include "prune/delta_grid.h"
 #include "prune/grid_index.h"
@@ -593,10 +593,10 @@ TEST(LiveCorpusEquivalenceGate, HugeCoordinatesMatchFreshBuild) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot v3 replay reproduces the generation
+// A saved live corpus reloads as the same generation
 // ---------------------------------------------------------------------------
 
-TEST(LiveCorpusSnapshotTest, SaveAndReplayReproducesResultsAndIds) {
+TEST(LiveCorpusSnapshotTest, SaveAndReloadReproducesResultsAndIds) {
   Rng rng(616);
   Dataset base("snap-live");
   for (int i = 0; i < 20; ++i) base.Add(RandomWalk(&rng, 12));
@@ -613,37 +613,40 @@ TEST(LiveCorpusSnapshotTest, SaveAndReplayReproducesResultsAndIds) {
   std::vector<TrajectoryView> extra_views;
   for (const Trajectory& t : extra) extra_views.push_back(t.View());
   live.AppendBatch(extra_views);
+  ASSERT_EQ(live.Shape().delta_trajectories, 6);
 
   const std::string path =
-      ::testing::TempDir() + "/live_replay.snap";
+      ::testing::TempDir() + "/live_reload.snap";
   ASSERT_TRUE(live.SaveSnapshot(path).ok());
 
-  // The saved file is a v3 delta snapshot whose journal is the delta.
+  // The saved file is one flattened v4 corpus: base, then the delta.
   const Result<SnapshotInfo> info = ProbeSnapshot(path);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info.value().version, kSnapshotVersionLive);
-  EXPECT_EQ(info.value().base_trajectories, 20u);
-  EXPECT_EQ(info.value().journal_trajectories, 6u);
+  EXPECT_EQ(info.value().version, kSnapshotVersionMapped);
+  EXPECT_EQ(info.value().name, "snap-live");
+  EXPECT_EQ(info.value().base_trajectories, 26u);
 
-  // Replaying the journal through AppendBatch reproduces the generation:
-  // same ids, same answers.
-  Result<LiveSnapshot> loaded = ReadLiveSnapshot(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  LiveSnapshot snapshot = loaded.MoveValue();
-  QueryService replayed(std::move(snapshot.base), options);
-  std::vector<TrajectoryView> journal_views;
-  for (const Trajectory& t : snapshot.journal) {
-    journal_views.push_back(t.View());
-  }
-  const std::vector<int> ids = replayed.AppendBatch(journal_views);
-  ASSERT_EQ(ids.size(), 6u);
-  EXPECT_EQ(ids.front(), 20);
-
-  const Trajectory query = RandomWalk(&rng, 6);
-  ExpectSameHits(live.Submit(query), replayed.Submit(query), "replayed");
-  for (int id = 0; id < live.corpus_size(); ++id) {
-    ExpectSamePoints(live.trajectory(id).View(),
-                     replayed.trajectory(id).View());
+  // Both readers reproduce the generation: same ids, points and answers.
+  Result<Dataset> heap = ReadSnapshot(path);
+  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+  Result<MmapSnapshot> mapped = MmapSnapshot::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(mapped.value().grid(), nullptr);  // saving builds no index
+  // A delta trajectory as the query, so the delta ids must come back.
+  const TrajectoryView query = extra[3].View();
+  const std::vector<EngineHit> want = live.Submit(query);
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(want.front().trajectory_id, 23);
+  const std::pair<const char*, Dataset> loads[] = {
+      {"ReadSnapshot", heap.MoveValue()},
+      {"MmapSnapshot::Open", mapped.value().dataset()}};
+  for (const auto& [reader, corpus] : loads) {
+    ASSERT_EQ(corpus.size(), live.corpus_size()) << reader;
+    for (int id = 0; id < live.corpus_size(); ++id) {
+      ExpectSamePoints(live.trajectory(id).View(), corpus[id].View());
+    }
+    QueryService reloaded(corpus, options);
+    ExpectSameHits(want, reloaded.Submit(query), reader);
   }
   std::remove(path.c_str());
 }

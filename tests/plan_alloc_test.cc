@@ -19,6 +19,7 @@
 #include "search/engine.h"
 #include "search/searcher.h"
 #include "search/topk.h"
+#include "service/query_service.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 #include "util/scheduler.h"
@@ -273,10 +274,10 @@ TEST(PlanAllocTest, PoolScheduledQueriesAllocatePerQueryNotPerCandidate) {
 
 TEST(SnapshotLoadAllocTest, SnapshotLoadReservesExactlyFromHeader) {
   // The snapshot loader must size every buffer exactly from the header: a
-  // constant number of allocations regardless of corpus size (header-sized
-  // vectors + the stream, never per-trajectory or growth reallocations),
-  // and zero over-allocation (capacity == size for the offsets table and
-  // the point pool).
+  // constant number of allocations regardless of corpus size (the mapping
+  // plus header-sized vectors, never per-trajectory or growth
+  // reallocations), and zero over-allocation (capacity == size for the
+  // offsets table and the point pool).
   Rng rng(31337);
   auto make_corpus = [&](int count) {
     Dataset dataset("allocsnap");  // same name → same string allocations
@@ -293,14 +294,14 @@ TEST(SnapshotLoadAllocTest, SnapshotLoadReservesExactlyFromHeader) {
 
   const std::string small_path = ::testing::TempDir() + "/alloc_a.snap";
   const std::string large_path = ::testing::TempDir() + "/alloc_b.snap";
-  ASSERT_TRUE(WriteSnapshot(make_corpus(16), small_path).ok());
-  ASSERT_TRUE(WriteSnapshot(make_corpus(256), large_path).ok());
+  ASSERT_TRUE(WriteSnapshotV4(make_corpus(16), small_path).ok());
+  ASSERT_TRUE(WriteSnapshotV4(make_corpus(256), large_path).ok());
 
   long long small_allocs = 0, large_allocs = 0;
   const Dataset small = audited_load(small_path, &small_allocs);
   const Dataset large = audited_load(large_path, &large_allocs);
   EXPECT_EQ(small_allocs, large_allocs)
-      << "v2 load allocation count must not scale with the corpus";
+      << "load allocation count must not scale with the corpus";
 
   for (const Dataset* dataset : {&small, &large}) {
     const DatasetStats stats = dataset->Stats();
@@ -311,23 +312,29 @@ TEST(SnapshotLoadAllocTest, SnapshotLoadReservesExactlyFromHeader) {
   std::remove(large_path.c_str());
 }
 
-TEST(SnapshotLoadAllocTest, V3FlattenLoadDoesNotOverAllocate) {
-  // The v3 flatten path appends the journal onto the base pool; the
-  // journal-sized reserves from the header must keep that exact too.
+TEST(SnapshotLoadAllocTest, LiveSaveLoadDoesNotOverAllocate) {
+  // SaveSnapshot of a corpus with a live delta flattens base + delta into
+  // one file; loading it must still size every buffer exactly.
   Rng rng(424242);
   Dataset base("allocsnap");
   for (int i = 0; i < 32; ++i) base.Add(RandomWalk(&rng, 20));
-  std::vector<Trajectory> journal;
+  ServiceOptions options;
+  options.compact_delta_trajectories = 0;
+  QueryService service(std::move(base), options);
+  std::vector<Trajectory> delta;
   std::vector<TrajectoryView> views;
   for (int i = 0; i < 12; ++i) {
-    journal.push_back(RandomWalk(&rng, 16));
-    views.push_back(journal.back().View());
+    delta.push_back(RandomWalk(&rng, 16));
+    views.push_back(delta.back().View());
   }
-  const std::string path = ::testing::TempDir() + "/alloc_v3.snap";
-  ASSERT_TRUE(WriteLiveSnapshot(base, views, path).ok());
+  service.AppendBatch(views);
+  ASSERT_EQ(service.Shape().delta_trajectories, 12);
+  const std::string path = ::testing::TempDir() + "/alloc_live.snap";
+  ASSERT_TRUE(service.SaveSnapshot(path).ok());
 
   const Result<Dataset> loaded = ReadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().size(), 44);
   const DatasetStats stats = loaded.value().Stats();
   EXPECT_EQ(stats.pool_capacity_bytes, stats.pool_bytes);
   EXPECT_EQ(stats.offsets_capacity_bytes, stats.offsets_bytes);

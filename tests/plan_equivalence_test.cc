@@ -295,7 +295,7 @@ TEST(PlanCutoffTest, ApproximatePlansIgnoreTheCutoff) {
         const Trajectory query = RandomWalk(&rng, 5);
         const Trajectory data = RandomWalk(&rng, 24);
         const SearchResult reference =
-            searcher.value()->Search(query, data);
+            searcher.value()->Bind(query)->Run(data, kNoCutoff);
         plan->Bind(query);
         for (const double cutoff : {0.0, reference.distance * 0.5, kNoCutoff}) {
           const SearchResult got = plan->Run(data, cutoff);
@@ -329,8 +329,10 @@ TEST(PlanReuseTest, ReboundPlanMatchesFreshPlansAcrossQueries) {
       for (const int qi : order) {
         reused->Bind(queries[static_cast<size_t>(qi)]);
         for (const Trajectory& data : corpus) {
-          const SearchResult expected = searcher.value()->Search(
-              queries[static_cast<size_t>(qi)], data);
+          const SearchResult expected =
+              searcher.value()
+                  ->Bind(queries[static_cast<size_t>(qi)])
+                  ->Run(data, kNoCutoff);
           const SearchResult got = reused->Run(data, kNoCutoff);
           EXPECT_EQ(got.distance, expected.distance)
               << ToString(algorithm) << "/" << ToString(spec.kind)

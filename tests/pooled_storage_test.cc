@@ -3,7 +3,7 @@
 // baseline that replicates the pre-refactor layout — heap-allocated
 // trajectories and a node-based hash-map grid — across search algorithms and
 // every pruning toggle combination. Also pins down the pool layout
-// invariants that the snapshot v2 format and the shard views rely on.
+// invariants that the snapshot sections and the shard views rely on.
 
 #include <gtest/gtest.h>
 
@@ -98,7 +98,7 @@ class BaselineEngine {
                                         options_.sample_rate);
         if (bound >= heap.Worst()) continue;
       }
-      heap.Offer(EngineHit{id, searcher_->Search(query, data)});
+      heap.Offer(EngineHit{id, searcher_->Bind(query)->Run(data, kNoCutoff)});
     }
     return heap.Sorted();
   }

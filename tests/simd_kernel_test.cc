@@ -19,7 +19,7 @@
 #include "core/dataset.h"
 #include "core/live_dataset.h"
 #include "distance/dp.h"
-#include "io/snapshot.h"
+#include "io/snapshot_v4.h"
 #include "search/searcher.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
@@ -200,9 +200,10 @@ TEST_F(SimdKernelTest, DatasetColumnsMirrorThePool) {
     }
   }
 
-  // The snapshot load path (Dataset::FromPool) must build the same columns.
+  // The snapshot round trip (shadow-column sections written, then copied
+  // into owned columns by the heap loader) must keep the same columns.
   const std::string path = ::testing::TempDir() + "/soa_cols.snap";
-  ASSERT_TRUE(WriteSnapshot(dataset, path).ok());
+  ASSERT_TRUE(WriteSnapshotV4(dataset, path).ok());
   const Result<Dataset> loaded = ReadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   for (int id = 0; id < loaded.value().size(); ++id) {

@@ -8,6 +8,7 @@
 
 #include "core/fingerprint.h"
 #include "gen/taxi.h"
+#include "io/snapshot_v4.h"
 #include "io/traj_csv.h"
 
 namespace trajsearch {
@@ -50,16 +51,58 @@ void Patch(const std::string& path, std::streamoff offset, T value) {
   f.write(reinterpret_cast<const char*>(&value), sizeof(value));
 }
 
+/// Header field offsets: magic(8), then version u32, name_length u32,
+/// trajectory_count u64, point_count u64, fingerprint u64.
+constexpr std::streamoff kVersionField = 8;
+constexpr std::streamoff kNameLengthField = 12;
+constexpr std::streamoff kTrajectoryCountField = 16;
+constexpr std::streamoff kPointCountField = 24;
+
+/// Writes `dataset` as a pooled snapshot without the grid section, so the
+/// file's last payload is the y column.
+void WritePooled(const Dataset& dataset, const std::string& path) {
+  V4WriteOptions options;
+  options.include_grid = false;
+  ASSERT_TRUE(WriteSnapshotV4(dataset, path, options).ok());
+}
+
+/// A section's table entry, located through the probe (no layout math).
+SnapshotSectionInfo Section(const std::string& path, uint32_t type) {
+  const Result<SnapshotInfo> probe = ProbeSnapshot(path);
+  EXPECT_TRUE(probe.ok()) << probe.status().ToString();
+  if (probe.ok()) {
+    for (const SnapshotSectionInfo& s : probe.value().sections) {
+      if (s.type == type) return s;
+    }
+  }
+  ADD_FAILURE() << "section " << type << " missing";
+  return {};
+}
+
+/// Expects the loader and the probe to reject the file with `code`.
+void ExpectRejected(const std::string& path, StatusCode code,
+                    const std::string& context) {
+  const Result<Dataset> loaded = ReadSnapshot(path);
+  ASSERT_FALSE(loaded.ok()) << context;
+  EXPECT_EQ(loaded.status().code(), code)
+      << context << ": " << loaded.status().ToString();
+  const Result<SnapshotInfo> probed = ProbeSnapshot(path);
+  ASSERT_FALSE(probed.ok()) << context;
+  EXPECT_EQ(probed.status().code(), code)
+      << context << ": " << probed.status().ToString();
+}
+
 TEST(SnapshotTest, RoundTripIsExact) {
   const Dataset original = GenerateTaxiDataset(PortoProfile(25));
   const std::string path = TempPath("roundtrip.snap");
-  ASSERT_TRUE(WriteSnapshot(original, path).ok());
+  ASSERT_TRUE(WriteSnapshotV4(original, path).ok());
 
   const Result<Dataset> loaded = ReadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const Dataset& copy = loaded.value();
 
   EXPECT_EQ(copy.name(), original.name());
+  EXPECT_FALSE(copy.borrowed());
   ASSERT_EQ(copy.size(), original.size());
   for (int id = 0; id < original.size(); ++id) {
     ASSERT_EQ(copy[id].size(), original[id].size());
@@ -70,7 +113,7 @@ TEST(SnapshotTest, RoundTripIsExact) {
   }
   EXPECT_EQ(Fingerprint(copy), Fingerprint(original));
 
-  // Byte-identical summary statistics.
+  // Byte-identical summary statistics, and exactly-sized storage.
   const DatasetStats a = original.Stats();
   const DatasetStats b = copy.Stats();
   EXPECT_EQ(a.trajectory_count, b.trajectory_count);
@@ -82,6 +125,8 @@ TEST(SnapshotTest, RoundTripIsExact) {
   EXPECT_EQ(a.bounds.max_x, b.bounds.max_x);
   EXPECT_EQ(a.bounds.min_y, b.bounds.min_y);
   EXPECT_EQ(a.bounds.max_y, b.bounds.max_y);
+  EXPECT_EQ(b.pool_capacity_bytes, b.pool_bytes);
+  EXPECT_EQ(b.offsets_capacity_bytes, b.offsets_bytes);
   std::remove(path.c_str());
 }
 
@@ -93,7 +138,7 @@ TEST(SnapshotTest, CsvRoundTripThroughSnapshotKeepsFingerprint) {
   ASSERT_TRUE(WriteTrajectoryCsv(original, csv).ok());
   const Result<Dataset> parsed = ReadTrajectoryCsv(csv, "chain");
   ASSERT_TRUE(parsed.ok());
-  ASSERT_TRUE(WriteSnapshot(parsed.value(), snap).ok());
+  ASSERT_TRUE(WriteSnapshotV4(parsed.value(), snap).ok());
   const Result<Dataset> reloaded = ReadSnapshot(snap);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ(Fingerprint(reloaded.value()), Fingerprint(parsed.value()));
@@ -102,14 +147,14 @@ TEST(SnapshotTest, CsvRoundTripThroughSnapshotKeepsFingerprint) {
 }
 
 TEST(SnapshotTest, EmptyTrajectoriesRoundTrip) {
-  // Empty trajectories are legal (the engine skips them); the reader must
+  // Empty trajectories are legal (the engine skips them); the readers must
   // not reject a file the writer produced for such a corpus.
   Dataset original("with-empties");
   original.Add(TrajectoryView{});
   original.Add(Trajectory{Point{1, 2}, Point{3, 4}});
   original.Add(TrajectoryView{});
   const std::string path = TempPath("empties.snap");
-  ASSERT_TRUE(WriteSnapshot(original, path).ok());
+  ASSERT_TRUE(WriteSnapshotV4(original, path).ok());
   const Result<Dataset> loaded = ReadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded.value().size(), 3);
@@ -117,34 +162,79 @@ TEST(SnapshotTest, EmptyTrajectoriesRoundTrip) {
   EXPECT_EQ(loaded.value()[1].size(), 2);
   EXPECT_EQ(loaded.value()[2].size(), 0);
   EXPECT_EQ(Fingerprint(loaded.value()), Fingerprint(original));
+
+  Result<MmapSnapshot> mapped = MmapSnapshot::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(Fingerprint(mapped.value().dataset()), Fingerprint(original));
+  EXPECT_TRUE(mapped.value().Verify().ok());
   std::remove(path.c_str());
 }
 
-TEST(SnapshotTest, RetiredV1HeaderIsInvalidArgument) {
-  // v1 (length table instead of the pool offset table) is no longer read:
-  // a v1 header is rejected up front, by the loader and the probe alike.
-  const Dataset original = GenerateTaxiDataset(PortoProfile(12));
-  const std::string path = TempPath("retired_v1.snap");
-  ASSERT_TRUE(WriteSnapshot(original, path).ok());
-  Patch<uint32_t>(path, 8, 1u);  // version field follows the 8-byte magic
+TEST(SnapshotTest, ZeroTrajectoryCorpusRoundTrips) {
+  // The empty corpus has zero-length pool and column sections and no grid.
+  const Dataset original("nothing");
+  const std::string path = TempPath("zero.snap");
+  ASSERT_TRUE(WriteSnapshotV4(original, path).ok());
+
   const Result<Dataset> loaded = ReadSnapshot(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().size(), 0);
+  EXPECT_EQ(loaded.value().name(), "nothing");
+  EXPECT_EQ(Fingerprint(loaded.value()), Fingerprint(original));
+
+  Result<MmapSnapshot> mapped = MmapSnapshot::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(mapped.value().dataset().size(), 0);
+  EXPECT_EQ(mapped.value().grid(), nullptr);
+  EXPECT_TRUE(mapped.value().Verify().ok());
+
   const Result<SnapshotInfo> probed = ProbeSnapshot(path);
-  ASSERT_FALSE(probed.ok());
-  EXPECT_EQ(probed.status().code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(probed.ok()) << probed.status().ToString();
+  EXPECT_EQ(probed.value().base_trajectories, 0u);
+  EXPECT_EQ(probed.value().base_points, 0u);
+  EXPECT_EQ(probed.value().bytes_per_trajectory, 0);
   std::remove(path.c_str());
 }
 
-TEST(SnapshotTest, V2OffsetTableCorruptionIsRejected) {
+TEST(SnapshotTest, RetiredHeadersAreInvalidArgument) {
+  // v1 (length table), v2 (pool dump) and v3 (pool dump + append journal)
+  // are no longer read: their headers are rejected up front, by the loader,
+  // the probe and the mapped reader alike.
+  const Dataset original = GenerateTaxiDataset(PortoProfile(12));
+  const std::string path = TempPath("retired.snap");
+  for (const uint32_t version : {1u, 2u, 3u}) {
+    const std::string context = "version " + std::to_string(version);
+    WritePooled(original, path);
+    Patch<uint32_t>(path, kVersionField, version);
+    ExpectRejected(path, StatusCode::kInvalidArgument, context);
+    const Result<MmapSnapshot> mapped = MmapSnapshot::Open(path);
+    ASSERT_FALSE(mapped.ok()) << context;
+    EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument)
+        << context;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotTest, NewerVersionIsUnsupported) {
+  const Dataset original = GenerateTaxiDataset(PortoProfile(3));
+  const std::string path = TempPath("badversion.snap");
+  WritePooled(original, path);
+  Patch<uint32_t>(path, kVersionField, kSnapshotVersionMapped + 1);
+  ExpectRejected(path, StatusCode::kUnsupported, "version 5");
+  WritePooled(original, path);
+  Corrupt(path, kVersionField);  // 4 -> 251
+  ExpectRejected(path, StatusCode::kUnsupported, "version 251");
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotTest, OffsetTableCorruptionIsRejected) {
   const Dataset original = GenerateTaxiDataset(PortoProfile(5));
   const std::string path = TempPath("badoffsets.snap");
-  ASSERT_TRUE(WriteSnapshot(original, path).ok());
-  // First offset entry follows the 8-byte magic, 32-byte header and name;
-  // flipping its low byte breaks the required offsets[0] == 0 invariant.
-  const std::streamoff offset0 =
-      8 + 32 + static_cast<std::streamoff>(original.name().size());
-  Corrupt(path, offset0);
+  WritePooled(original, path);
+  // Flipping the low byte of offsets[0] breaks the offsets[0] == 0
+  // invariant of the pool layout.
+  const SnapshotSectionInfo offsets = Section(path, kV4SectionOffsets);
+  Corrupt(path, static_cast<std::streamoff>(offsets.offset));
   const Result<Dataset> r = ReadSnapshot(path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
@@ -154,10 +244,10 @@ TEST(SnapshotTest, V2OffsetTableCorruptionIsRejected) {
 TEST(SnapshotTest, TruncatedOffsetTableIsIoError) {
   const Dataset original = GenerateTaxiDataset(PortoProfile(5));
   const std::string path = TempPath("truncoffsets.snap");
-  ASSERT_TRUE(WriteSnapshot(original, path).ok());
-  // Cut inside the offset table (just past the header + name + one entry).
-  Truncate(path, 8 + 32 +
-                     static_cast<std::streamoff>(original.name().size()) + 12);
+  WritePooled(original, path);
+  // Cut inside the offset table (just past its first entry).
+  const SnapshotSectionInfo offsets = Section(path, kV4SectionOffsets);
+  Truncate(path, static_cast<std::streamoff>(offsets.offset) + 12);
   const Result<Dataset> r = ReadSnapshot(path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
@@ -168,54 +258,40 @@ TEST(SnapshotTest, MissingFileIsIoError) {
   const Result<Dataset> r = ReadSnapshot("/nonexistent/corpus.snap");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  const Result<SnapshotInfo> p = ProbeSnapshot("/nonexistent/corpus.snap");
+  ASSERT_FALSE(p.ok());
+  EXPECT_EQ(p.status().code(), StatusCode::kIoError);
 }
 
 TEST(SnapshotTest, BadMagicIsRejected) {
   const std::string path = TempPath("badmagic.snap");
   {
     std::ofstream out(path, std::ios::binary);
-    out << "NOTASNAPXXXXXXXXXXXXXXXXXXXXXXXX";
+    out << "NOTASNAPXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXX";
   }
-  const Result<Dataset> r = ReadSnapshot(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  ExpectRejected(path, StatusCode::kInvalidArgument, "bad magic");
   EXPECT_FALSE(IsSnapshotFile(path));
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotTest, UnknownVersionIsRejected) {
-  const Dataset original = GenerateTaxiDataset(PortoProfile(3));
-  const std::string path = TempPath("badversion.snap");
-  ASSERT_TRUE(WriteSnapshot(original, path).ok());
-  Corrupt(path, 8);  // version field follows the 8-byte magic
-  const Result<Dataset> r = ReadSnapshot(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kUnsupported);
   std::remove(path.c_str());
 }
 
 TEST(SnapshotTest, TruncatedHeaderIsIoError) {
   const Dataset original = GenerateTaxiDataset(PortoProfile(3));
   const std::string path = TempPath("truncheader.snap");
-  ASSERT_TRUE(WriteSnapshot(original, path).ok());
+  WritePooled(original, path);
   Truncate(path, 20);  // inside the fixed header
-  const Result<Dataset> r = ReadSnapshot(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  ExpectRejected(path, StatusCode::kIoError, "truncated header");
   std::remove(path.c_str());
 }
 
 TEST(SnapshotTest, TruncatedPayloadIsIoError) {
   const Dataset original = GenerateTaxiDataset(PortoProfile(5));
   const std::string path = TempPath("truncpayload.snap");
-  ASSERT_TRUE(WriteSnapshot(original, path).ok());
-  {
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    const std::streamoff size = in.tellg();
-    ASSERT_GT(size, 100);
-    in.close();
-    Truncate(path, size - 64);  // drop the tail of the point array
-  }
+  WritePooled(original, path);
+  // Cut into the y column, the last payload (the file ends with alignment
+  // padding, which a shorter cut would merely trim).
+  const SnapshotSectionInfo ys = Section(path, kV4SectionYs);
+  ASSERT_GT(ys.length, 64u);
+  Truncate(path, static_cast<std::streamoff>(ys.offset + ys.length - 64));
   const Result<Dataset> r = ReadSnapshot(path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
@@ -225,195 +301,76 @@ TEST(SnapshotTest, TruncatedPayloadIsIoError) {
 TEST(SnapshotTest, FlippedPayloadByteFailsChecksum) {
   const Dataset original = GenerateTaxiDataset(PortoProfile(5));
   const std::string path = TempPath("bitflip.snap");
-  ASSERT_TRUE(WriteSnapshot(original, path).ok());
-  std::streamoff size = 0;
-  {
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    size = in.tellg();
-  }
-  Corrupt(path, size - 9);  // inside the last point's y coordinate
+  WritePooled(original, path);
+  const SnapshotSectionInfo pool = Section(path, kV4SectionPool);
+  // Inside the last point's y coordinate.
+  Corrupt(path, static_cast<std::streamoff>(pool.offset + pool.length - 9));
   const Result<Dataset> r = ReadSnapshot(path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 
-// ---------------------------------------------------------------------------
-// v3: base payload + replayable append journal
-// ---------------------------------------------------------------------------
-
-/// Writes a small base + journal pair and returns their flattened form.
-Dataset WriteV3Fixture(const std::string& path, Dataset* base_out,
-                       std::vector<Trajectory>* journal_out) {
-  const Dataset base = GenerateTaxiDataset(PortoProfile(8));
-  const Dataset extra = GenerateTaxiDataset(XianProfile(3));
-  std::vector<Trajectory> journal;
-  std::vector<TrajectoryView> views;
-  for (const TrajectoryRef t : extra) {
-    journal.emplace_back(t.View());
-    views.push_back(t.View());
-  }
-  EXPECT_TRUE(WriteLiveSnapshot(base, views, path).ok());
-  Dataset flat("flat");
-  for (const TrajectoryRef t : base) flat.Add(t);
-  for (const Trajectory& t : journal) flat.Add(t);
-  if (base_out != nullptr) *base_out = base;
-  if (journal_out != nullptr) *journal_out = std::move(journal);
-  return flat;
-}
-
-TEST(SnapshotTest, V3RoundTripPreservesBaseAndJournal) {
-  const std::string path = TempPath("live_v3.snap");
-  Dataset base;
-  std::vector<Trajectory> journal;
-  const Dataset flat = WriteV3Fixture(path, &base, &journal);
-
-  const Result<LiveSnapshot> loaded = ReadLiveSnapshot(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const LiveSnapshot& snapshot = loaded.value();
-  EXPECT_EQ(Fingerprint(snapshot.base), Fingerprint(base));
-  ASSERT_EQ(snapshot.journal.size(), journal.size());
-  for (size_t i = 0; i < journal.size(); ++i) {
-    EXPECT_EQ(Fingerprint(snapshot.journal[i].View()),
-              Fingerprint(journal[i].View()))
-        << "journal entry " << i;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotTest, V3FlattensThroughReadSnapshotAndLoadDataset) {
-  const std::string path = TempPath("live_flat.snap");
-  const Dataset flat = WriteV3Fixture(path, nullptr, nullptr);
-
-  const Result<Dataset> loaded = ReadSnapshot(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  // Base trajectories first, then the journal in order — the live corpus's
-  // id assignment — and exact allocation despite the incremental journal.
-  EXPECT_EQ(Fingerprint(loaded.value()), Fingerprint(flat));
-  const DatasetStats stats = loaded.value().Stats();
-  EXPECT_EQ(stats.pool_capacity_bytes, stats.pool_bytes);
-  EXPECT_EQ(stats.offsets_capacity_bytes, stats.offsets_bytes);
-
-  const Result<Dataset> sniffed = LoadDataset(path, "ignored");
-  ASSERT_TRUE(sniffed.ok());
-  EXPECT_EQ(Fingerprint(sniffed.value()), Fingerprint(flat));
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotTest, V3EmptyJournalLoads) {
-  const Dataset base = GenerateTaxiDataset(PortoProfile(4));
-  const std::string path = TempPath("live_empty.snap");
-  ASSERT_TRUE(WriteLiveSnapshot(base, {}, path).ok());
-  const Result<LiveSnapshot> loaded = ReadLiveSnapshot(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded.value().journal.empty());
-  EXPECT_EQ(Fingerprint(loaded.value().base), Fingerprint(base));
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotTest, V2LoadsThroughReadLiveSnapshotWithEmptyJournal) {
-  const Dataset original = GenerateTaxiDataset(PortoProfile(4));
-  const std::string path = TempPath("v2_as_live.snap");
-  ASSERT_TRUE(WriteSnapshot(original, path).ok());
-  const Result<LiveSnapshot> loaded = ReadLiveSnapshot(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded.value().journal.empty());
-  EXPECT_EQ(Fingerprint(loaded.value().base), Fingerprint(original));
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotTest, V3TruncatedJournalIsIoError) {
-  const std::string path = TempPath("live_trunc.snap");
-  WriteV3Fixture(path, nullptr, nullptr);
-  std::streamoff size = 0;
-  {
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    size = in.tellg();
-  }
-  Truncate(path, size - 24);  // drop the tail of the last journal entry
-  const Result<LiveSnapshot> r = ReadLiveSnapshot(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotTest, V3CorruptJournalFailsItsChecksum) {
-  const std::string path = TempPath("live_flip.snap");
-  WriteV3Fixture(path, nullptr, nullptr);
-  std::streamoff size = 0;
-  {
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    size = in.tellg();
-  }
-  Corrupt(path, size - 5);  // inside the last journal point
-  const Result<LiveSnapshot> r = ReadLiveSnapshot(path);
+TEST(SnapshotTest, FlippedShadowColumnByteFailsVerify) {
+  // The checksum covers the pool; a damaged shadow column must still be
+  // caught, or the vector kernels would read other coordinates than the
+  // scalar ones.
+  const Dataset original = GenerateTaxiDataset(PortoProfile(5));
+  const std::string path = TempPath("colflip.snap");
+  WritePooled(original, path);
+  const SnapshotSectionInfo xs = Section(path, kV4SectionXs);
+  Corrupt(path, static_cast<std::streamoff>(xs.offset + 3));
+  const Result<Dataset> r = ReadSnapshot(path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotTest, V3HugeJournalPointCountIsRejectedNotAllocated) {
-  // A crafted journal_points of ~2^60 must be rejected by the size sanity
-  // check, not wrap the needed-bytes arithmetic and reach the per-entry
-  // allocations (regression: journal_points * sizeof(Point) overflowed to a
-  // small value and a later bogus entry length provoked a giant alloc).
-  const Dataset base = GenerateTaxiDataset(PortoProfile(4));
-  const Trajectory a{Point{0, 0}, Point{1, 1}};
-  const Trajectory b{Point{2, 2}, Point{3, 3}, Point{4, 4}};
-  const std::string path = TempPath("huge_journal.snap");
-  ASSERT_TRUE(WriteLiveSnapshot(base, {a.View(), b.View()}, path).ok());
-  std::streamoff size = 0;
-  {
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    size = in.tellg();
-  }
-  // Journal layout from the end: [count u64][points u64][fp u64][entries];
-  // the two entries occupy (4 + 2*16) + (4 + 3*16) = 88 bytes.
-  const std::streamoff points_offset = size - 88 - 16;
-  Patch<uint64_t>(path, points_offset, uint64_t{1} << 60);
-  const Result<LiveSnapshot> r = ReadLiveSnapshot(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  Result<MmapSnapshot> mapped = MmapSnapshot::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_FALSE(mapped.value().Verify().ok());
   std::remove(path.c_str());
 }
 
 TEST(SnapshotTest, ProbeRejectsHeaderCountsLargerThanTheFile) {
-  // ProbeSnapshot must apply the same "no allocation sized from the file
-  // before a bounds check" rule as the loader: a corrupt name_length must
-  // not provoke a 4 GiB string resize.
+  // No allocation or span may be sized from a header count before it is
+  // checked against the file: a corrupt name_length must not provoke a
+  // 4 GiB string resize, and a trajectory or point count of 2^60 must not
+  // be reported (or mapped) as if the file held it.
   const Dataset original = GenerateTaxiDataset(PortoProfile(4));
-  const std::string path = TempPath("huge_name.snap");
-  ASSERT_TRUE(WriteSnapshot(original, path).ok());
-  Patch<uint32_t>(path, 12, 0xFFFFFFFFu);  // name_length: magic(8)+version(4)
-  const Result<SnapshotInfo> r = ProbeSnapshot(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  const std::string path = TempPath("huge_counts.snap");
+  WritePooled(original, path);
+  Patch<uint32_t>(path, kNameLengthField, 0xFFFFFFFFu);
+  ExpectRejected(path, StatusCode::kIoError, "name_length");
+
+  WritePooled(original, path);
+  Patch<uint64_t>(path, kTrajectoryCountField, uint64_t{1} << 60);
+  ExpectRejected(path, StatusCode::kIoError, "trajectory_count");
+
+  WritePooled(original, path);
+  Patch<uint64_t>(path, kPointCountField, uint64_t{1} << 60);
+  ExpectRejected(path, StatusCode::kIoError, "point_count");
   std::remove(path.c_str());
 }
 
 TEST(SnapshotTest, ProbeReportsVersionAndShapeWithoutLoading) {
   const Dataset original = GenerateTaxiDataset(PortoProfile(6));
-  const std::string v2 = TempPath("probe_v2.snap");
-  const std::string v3 = TempPath("probe_v3.snap");
-  ASSERT_TRUE(WriteSnapshot(original, v2).ok());
-  Dataset base;
-  std::vector<Trajectory> journal;
-  WriteV3Fixture(v3, &base, &journal);
+  const std::string path = TempPath("probe.snap");
+  WritePooled(original, path);
 
-  const Result<SnapshotInfo> p2 = ProbeSnapshot(v2);
-  const Result<SnapshotInfo> p3 = ProbeSnapshot(v3);
-  ASSERT_TRUE(p2.ok() && p3.ok());
-  EXPECT_EQ(p2.value().version, 2u);
-  EXPECT_EQ(p2.value().base_trajectories,
-            static_cast<uint64_t>(original.size()));
-  EXPECT_EQ(p2.value().journal_trajectories, 0u);
-  EXPECT_EQ(p3.value().version, kSnapshotVersionLive);
-  EXPECT_EQ(p3.value().base_trajectories,
-            static_cast<uint64_t>(base.size()));
-  EXPECT_EQ(p3.value().journal_trajectories, journal.size());
-  EXPECT_EQ(p3.value().name, base.name());
-  std::remove(v2.c_str());
-  std::remove(v3.c_str());
+  const Result<SnapshotInfo> probed = ProbeSnapshot(path);
+  ASSERT_TRUE(probed.ok()) << probed.status().ToString();
+  const SnapshotInfo& info = probed.value();
+  EXPECT_EQ(info.version, kSnapshotVersionMapped);
+  EXPECT_EQ(info.name, original.name());
+  EXPECT_EQ(info.base_trajectories, static_cast<uint64_t>(original.size()));
+  EXPECT_EQ(info.base_points, original.point_count());
+  EXPECT_TRUE(info.page_aligned);
+  EXPECT_FALSE(info.compressed);
+  // Offsets, pool and both shadow columns; no grid was asked for.
+  ASSERT_EQ(info.sections.size(), 4u);
+  EXPECT_EQ(info.sections[0].type, kV4SectionOffsets);
+  EXPECT_EQ(info.sections[1].type, kV4SectionPool);
+  EXPECT_EQ(info.sections[2].type, kV4SectionXs);
+  EXPECT_EQ(info.sections[3].type, kV4SectionYs);
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotTest, LoadDatasetSniffsBothFormats) {
@@ -421,7 +378,7 @@ TEST(SnapshotTest, LoadDatasetSniffsBothFormats) {
   const std::string csv = TempPath("sniff.csv");
   const std::string snap = TempPath("sniff.snap");
   ASSERT_TRUE(WriteTrajectoryCsv(original, csv).ok());
-  ASSERT_TRUE(WriteSnapshot(original, snap).ok());
+  ASSERT_TRUE(WriteSnapshotV4(original, snap).ok());
   EXPECT_FALSE(IsSnapshotFile(csv));
   EXPECT_TRUE(IsSnapshotFile(snap));
   const Result<Dataset> from_csv = LoadDataset(csv, "sniff");
