@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "distance/cost_model.h"
 #include "distance/dp.h"
 #include "gen/taxi.h"
+#include "prune/key_point_filter.h"
 #include "search/cma.h"
 #include "search/exacts.h"
 #include "search/greedy_backtracking.h"
@@ -359,6 +361,36 @@ void BM_CmaRowsBatched(benchmark::State& state) {
                           state.range(1) * simd::kLanes);
 }
 BENCHMARK(BM_CmaRowsBatched)->ArgsProduct({{16, 64}, {256, 1024}, {0, 1}});
+
+// KPF bound (Theorem B.1, DTW, every query point a key point) of an m = 40
+// query against one n-point candidate: the scalar per-pair estimate — a
+// sqrt and a cost switch per (key point, data point) — against the bound
+// plan's min-of-squares vector scan. Arg 1 = 1 passes half the full bound
+// as the abandon threshold, so the plan stops about half way through the
+// key points, as it does for a candidate the shared top-K prunes.
+void BM_KpfLowerBoundScalar(benchmark::State& state) {
+  const Trajectory q = MakeWalk(40, 7);
+  const Trajectory d = MakeWalk(static_cast<int>(state.range(0)), 8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        KpfLowerBoundEstimate(DistanceSpec::Dtw(), q, d, 1.0));
+  }
+}
+BENCHMARK(BM_KpfLowerBoundScalar)->Arg(64)->Arg(512);
+
+void BM_KpfLowerBoundPlan(benchmark::State& state) {
+  const Trajectory q = MakeWalk(40, 7);
+  const Trajectory d = MakeWalk(static_cast<int>(state.range(0)), 8);
+  KpfBoundPlan plan;
+  plan.Bind(DistanceSpec::Dtw(), q, 1.0);
+  const double abandon_at = state.range(1) != 0
+                                ? plan.LowerBound(d) / 2
+                                : std::numeric_limits<double>::infinity();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(plan.LowerBound(d, abandon_at));
+  }
+}
+BENCHMARK(BM_KpfLowerBoundPlan)->ArgsProduct({{64, 512}, {0, 1}});
 
 }  // namespace
 }  // namespace trajsearch

@@ -9,31 +9,56 @@ namespace trajsearch {
 LiveDataset::LiveDataset(Dataset base)
     : base_(std::make_shared<const Dataset>(std::move(base))) {
   MutexLock lock(mu_);
+  ResetTableLocked(0);
   PublishLocked();
 }
 
-LiveDataset::StoredEntry LiveDataset::StorePointsLocked(
-    TrajectoryView points) {
+void LiveDataset::ResetTableLocked(size_t entries) {
+  size_t capacity = kInitialTableEntries;
+  while (capacity < entries) capacity *= 2;
+  table_ = std::make_shared<DeltaTable>(capacity);
+  delta_size_ = 0;
+  last_chunk_used_ = 0;
+  last_chunk_capacity_ = 0;
+  delta_points_ = 0;
+}
+
+void LiveDataset::AddEntryLocked(TrajectoryView points) {
+  const size_t slot = static_cast<size_t>(delta_size_);
+  if (slot == table_->capacity) {
+    // Full: move to a doubled copy. Published views keep the old table.
+    auto grown = std::make_shared<DeltaTable>(2 * table_->capacity);
+    std::copy(table_->entries.get(), table_->entries.get() + slot,
+              grown->entries.get());
+    grown->chunks = table_->chunks;
+    table_ = std::move(grown);
+  }
+  DeltaEntry& entry = table_->entries[slot];
   const size_t n = points.size();
-  if (n == 0) return StoredEntry{};
-  if (chunks_.empty() || last_chunk_used_ + n > last_chunk_capacity_) {
-    // A trajectory never spans chunks; oversized ones get a dedicated chunk.
-    const size_t capacity = std::max(kChunkPoints, n);
-    chunks_.push_back(std::make_shared<DeltaChunk>(capacity));
-    last_chunk_used_ = 0;
-    last_chunk_capacity_ = capacity;
+  if (n != 0) {
+    std::vector<std::shared_ptr<DeltaChunk>>& chunks = table_->chunks;
+    if (chunks.empty() || last_chunk_used_ + n > last_chunk_capacity_) {
+      // A trajectory never spans chunks; oversized ones get a dedicated
+      // chunk.
+      const size_t capacity = std::max(kChunkPoints, n);
+      chunks.push_back(std::make_shared<DeltaChunk>(capacity));
+      last_chunk_used_ = 0;
+      last_chunk_capacity_ = capacity;
+    }
+    DeltaChunk& chunk = *chunks.back();
+    Point* dst = chunk.points.get() + last_chunk_used_;
+    double* xs = chunk.xs.get() + last_chunk_used_;
+    double* ys = chunk.ys.get() + last_chunk_used_;
+    std::memcpy(dst, points.data(), n * sizeof(Point));
+    for (size_t i = 0; i < n; ++i) {
+      xs[i] = points[i].x;
+      ys[i] = points[i].y;
+    }
+    last_chunk_used_ += n;
+    entry = DeltaEntry{TrajectoryView(dst, n), PointCols{xs, ys}};
   }
-  DeltaChunk& chunk = *chunks_.back();
-  Point* dst = chunk.points.get() + last_chunk_used_;
-  double* xs = chunk.xs.get() + last_chunk_used_;
-  double* ys = chunk.ys.get() + last_chunk_used_;
-  std::memcpy(dst, points.data(), n * sizeof(Point));
-  for (size_t i = 0; i < n; ++i) {
-    xs[i] = points[i].x;
-    ys[i] = points[i].y;
-  }
-  last_chunk_used_ += n;
-  return StoredEntry{TrajectoryView(dst, n), PointCols{xs, ys}};
+  ++delta_size_;
+  delta_points_ += n;
 }
 
 void LiveDataset::AttachMetrics(obs::Registry* registry) {
@@ -54,15 +79,14 @@ void LiveDataset::AttachMetrics(obs::Registry* registry) {
   // Reflect the current generation immediately, not at the next publish.
   generation_gauge_->Set(static_cast<int64_t>(generation_));
   base_generation_gauge_->Set(static_cast<int64_t>(base_generation_));
-  delta_trajectories_gauge_->Set(static_cast<int64_t>(entries_.size()));
+  delta_trajectories_gauge_->Set(delta_size_);
   delta_points_gauge_->Set(static_cast<int64_t>(delta_points_));
 }
 
 void LiveDataset::PublishLocked() {
   auto delta = std::make_shared<DeltaView>();
-  delta->entries_ = entries_;
-  delta->entry_cols_ = entry_cols_;
-  delta->chunks_ = chunks_;
+  delta->table_ = table_;
+  delta->size_ = delta_size_;
   delta->point_count_ = delta_points_;
 
   auto view = std::make_shared<CorpusView>();
@@ -76,7 +100,7 @@ void LiveDataset::PublishLocked() {
   if (metrics_ != nullptr && metrics_->enabled()) {
     generation_gauge_->Set(static_cast<int64_t>(generation_));
     base_generation_gauge_->Set(static_cast<int64_t>(base_generation_));
-    delta_trajectories_gauge_->Set(static_cast<int64_t>(entries_.size()));
+    delta_trajectories_gauge_->Set(delta_size_);
     delta_points_gauge_->Set(static_cast<int64_t>(delta_points_));
   }
 }
@@ -85,11 +109,8 @@ int LiveDataset::Append(TrajectoryView trajectory) {
   MutexLock lock(mu_);
   const bool timed = metrics_ != nullptr && metrics_->enabled();
   const int64_t start = timed ? obs::NowNanos() : 0;
-  const int id = base_->size() + static_cast<int>(entries_.size());
-  const StoredEntry stored = StorePointsLocked(trajectory);
-  entries_.push_back(stored.view);
-  entry_cols_.push_back(stored.cols);
-  delta_points_ += trajectory.size();
+  const int id = base_->size() + delta_size_;
+  AddEntryLocked(trajectory);
   ++ingest_seq_;
   ++generation_;
   PublishLocked();
@@ -104,14 +125,9 @@ std::vector<int> LiveDataset::AppendBatch(
   MutexLock lock(mu_);
   const bool timed = metrics_ != nullptr && metrics_->enabled();
   const int64_t start = timed ? obs::NowNanos() : 0;
-  entries_.reserve(entries_.size() + trajectories.size());
-  entry_cols_.reserve(entry_cols_.size() + trajectories.size());
   for (const TrajectoryView& trajectory : trajectories) {
-    ids.push_back(base_->size() + static_cast<int>(entries_.size()));
-    const StoredEntry stored = StorePointsLocked(trajectory);
-    entries_.push_back(stored.view);
-    entry_cols_.push_back(stored.cols);
-    delta_points_ += trajectory.size();
+    ids.push_back(base_->size() + delta_size_);
+    AddEntryLocked(trajectory);
     ++ingest_seq_;
   }
   if (!trajectories.empty()) {
@@ -149,32 +165,21 @@ void LiveDataset::AdoptBase(std::shared_ptr<const Dataset> base,
   MutexLock lock(mu_);
   const bool timed = metrics_ != nullptr && metrics_->enabled();
   const int64_t start = timed ? obs::NowNanos() : 0;
-  TRAJ_CHECK(compacted_count >= 0 &&
-             compacted_count <= static_cast<int>(entries_.size()));
+  TRAJ_CHECK(compacted_count >= 0 && compacted_count <= delta_size_);
   // The new base must be the old base plus exactly the compacted prefix, so
   // every already-assigned corpus id keeps its trajectory.
   TRAJ_CHECK(base->size() == base_->size() + compacted_count);
 
   // Re-home the surviving delta suffix (appends that raced the compactor)
-  // into fresh chunks. The old chunks stay alive through any still-pinned
-  // views, so copy before dropping our references.
-  const std::vector<TrajectoryView> survivors(
-      entries_.begin() + compacted_count, entries_.end());
-  const std::vector<std::shared_ptr<DeltaChunk>> old_chunks =
-      std::move(chunks_);
-  chunks_.clear();
-  last_chunk_used_ = 0;
-  last_chunk_capacity_ = 0;
-  entries_.clear();
-  entry_cols_.clear();
-  delta_points_ = 0;
-  for (const TrajectoryView& points : survivors) {
-    const StoredEntry stored = StorePointsLocked(points);
-    entries_.push_back(stored.view);
-    entry_cols_.push_back(stored.cols);
-    delta_points_ += points.size();
+  // into a fresh table and fresh chunks. Still-pinned views keep the old
+  // table and its chunks alive; holding it here keeps the survivors' points
+  // readable while they are copied.
+  const std::shared_ptr<const DeltaTable> old_table = table_;
+  const int old_size = delta_size_;
+  ResetTableLocked(static_cast<size_t>(old_size - compacted_count));
+  for (int i = compacted_count; i < old_size; ++i) {
+    AddEntryLocked(old_table->entries[static_cast<size_t>(i)].view);
   }
-  (void)old_chunks;  // released after the copies above
 
   base_ = std::move(base);
   ++base_generation_;

@@ -11,18 +11,9 @@
 
 namespace trajsearch {
 
-/// \brief Immutable snapshot of the append-only delta: the trajectories
-/// appended to a LiveDataset since its base was last compacted.
-///
-/// Delta points live in fixed-capacity chunks that never move once
-/// allocated; a DeltaView shares those chunks with the LiveDataset (and with
-/// every other published view), so publishing a new generation copies the
-/// per-trajectory entry table but never a point. Delta ids are dense
-/// [0, size()) in append order; the owning CorpusView maps them to corpus
-/// ids by adding its base size.
 /// \brief One fixed-capacity block of delta storage: the AoS point run plus
 /// its structure-of-arrays coordinate shadow, filled in lockstep by
-/// StorePointsLocked and never moved or resized after allocation.
+/// LiveDataset::AddEntryLocked and never moved or resized after allocation.
 struct DeltaChunk {
   explicit DeltaChunk(size_t capacity)
       : points(new Point[capacity]),
@@ -34,25 +25,59 @@ struct DeltaChunk {
   std::unique_ptr<double[]> ys;
 };
 
+/// A stored delta trajectory: its stable AoS location plus its SoA columns.
+struct DeltaEntry {
+  TrajectoryView view;
+  PointCols cols;
+};
+
+/// \brief The append-only entry table of one delta, shared by the writer
+/// and every DeltaView published over it.
+///
+/// The writer fills `entries` strictly in order under the ingest lock and
+/// never rewrites a filled slot; a view reads only the slots below its own
+/// size, all filled before the view was published, so the two never touch
+/// the same slot. When the table is full the writer moves to a copy of
+/// twice the capacity (amortised O(1) per append); views published before
+/// keep the old table, and the chunks it points into, alive.
+struct DeltaTable {
+  explicit DeltaTable(size_t capacity_in)
+      : entries(new DeltaEntry[capacity_in]), capacity(capacity_in) {}
+
+  std::unique_ptr<DeltaEntry[]> entries;
+  size_t capacity;
+  /// Keep-alives for every chunk the entries point into. Only the writer
+  /// touches this list; views hold it through the table.
+  std::vector<std::shared_ptr<DeltaChunk>> chunks;
+};
+
+/// \brief Immutable snapshot of the append-only delta: the trajectories
+/// appended to a LiveDataset since its base was last compacted.
+///
+/// A DeltaView is a shared DeltaTable plus a size. Publishing a generation
+/// is O(1): it records the current size and shares the table, copying
+/// neither an entry nor a point, so appends cost the same however large the
+/// delta has grown. Delta ids are dense [0, size()) in append order; the
+/// owning CorpusView maps them to corpus ids by adding its base size.
 class DeltaView {
  public:
   DeltaView() = default;
 
   /// Number of delta trajectories.
-  int size() const { return static_cast<int>(entries_.size()); }
-  bool empty() const { return entries_.empty(); }
+  int size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
   /// Points of delta trajectory `delta_id` (contiguous within one chunk).
   TrajectoryView operator[](int delta_id) const {
     TRAJ_DCHECK(delta_id >= 0 && delta_id < size());
-    return entries_[static_cast<size_t>(delta_id)];
+    return table_->entries[static_cast<size_t>(delta_id)].view;
   }
 
   /// Coordinate columns of delta trajectory `delta_id` (the SoA twin of
   /// operator[], backed by the same immutable chunk).
   PointCols cols(int delta_id) const {
     TRAJ_DCHECK(delta_id >= 0 && delta_id < size());
-    return entry_cols_[static_cast<size_t>(delta_id)];
+    return table_->entries[static_cast<size_t>(delta_id)].cols;
   }
 
   /// Total points across the delta trajectories.
@@ -60,11 +85,10 @@ class DeltaView {
 
  private:
   friend class LiveDataset;
-  std::vector<TrajectoryView> entries_;
-  std::vector<PointCols> entry_cols_;  // parallel to entries_
-  /// Keep-alives for every chunk the entries point into. The same chunk
-  /// array is shared (not copied) by all views over the same delta range.
-  std::vector<std::shared_ptr<DeltaChunk>> chunks_;
+  /// Slots [0, size_) are filled and never change; the writer may be
+  /// filling slots above them.
+  std::shared_ptr<const DeltaTable> table_;
+  int size_ = 0;
   size_t point_count_ = 0;
 };
 
@@ -148,10 +172,10 @@ class CorpusView {
 /// compaction swaps.
 ///
 /// Delta points are stored in fixed-capacity chunks that never reallocate;
-/// each append copies its points into chunk storage once, and publication
-/// copies only the entry table (O(delta count), not O(delta points)). The
-/// delta is expected to stay small: when it exceeds a threshold the owner
-/// compacts — builds one merged Dataset off-line via Merge(), then calls
+/// each append copies its points into chunk storage once and fills one slot
+/// of the shared DeltaTable, and publication is O(1) (it copies no entry).
+/// The delta is expected to stay small: when it exceeds a threshold the
+/// owner compacts — builds one merged Dataset off-line via Merge(), then calls
 /// AdoptBase() to swap it in and drop the compacted delta prefix.
 class LiveDataset {
  public:
@@ -203,28 +227,26 @@ class LiveDataset {
   /// Points per delta chunk (a trajectory longer than this gets a dedicated
   /// chunk, so points of one trajectory are always contiguous).
   static constexpr size_t kChunkPoints = 4096;
+  /// Entry slots of a fresh DeltaTable (it doubles when full).
+  static constexpr size_t kInitialTableEntries = 64;
 
-  /// A stored trajectory's stable AoS location plus its SoA columns.
-  struct StoredEntry {
-    TrajectoryView view;
-    PointCols cols;
-  };
-
-  /// Copies `points` into chunk storage (AoS run and coordinate columns);
-  /// returns the stable locations.
-  StoredEntry StorePointsLocked(TrajectoryView points) TRAJ_REQUIRES(mu_);
+  /// Starts an empty DeltaTable with room for at least `entries` slots.
+  void ResetTableLocked(size_t entries) TRAJ_REQUIRES(mu_);
+  /// Copies `points` into chunk storage (AoS run and coordinate columns)
+  /// and fills the next table slot with the stable locations.
+  void AddEntryLocked(TrajectoryView points) TRAJ_REQUIRES(mu_);
   /// Publishes the current state as a new CorpusView.
   void PublishLocked() TRAJ_REQUIRES(mu_);
 
   mutable Mutex mu_;  // serializes writers; readers never take it
 
-  // Writer state (guarded by mu_). entries_ views point into chunks_.
+  // Writer state (guarded by mu_). Slots [0, delta_size_) of table_ are
+  // filled and point into table_->chunks.
   std::shared_ptr<const Dataset> base_ TRAJ_GUARDED_BY(mu_);
-  std::vector<std::shared_ptr<DeltaChunk>> chunks_ TRAJ_GUARDED_BY(mu_);
+  std::shared_ptr<DeltaTable> table_ TRAJ_GUARDED_BY(mu_);
+  int delta_size_ TRAJ_GUARDED_BY(mu_) = 0;
   size_t last_chunk_used_ TRAJ_GUARDED_BY(mu_) = 0;
   size_t last_chunk_capacity_ TRAJ_GUARDED_BY(mu_) = 0;
-  std::vector<TrajectoryView> entries_ TRAJ_GUARDED_BY(mu_);
-  std::vector<PointCols> entry_cols_ TRAJ_GUARDED_BY(mu_);  // parallel to entries_
   size_t delta_points_ TRAJ_GUARDED_BY(mu_) = 0;
   uint64_t generation_ TRAJ_GUARDED_BY(mu_) = 0;
   uint64_t ingest_seq_ TRAJ_GUARDED_BY(mu_) = 0;

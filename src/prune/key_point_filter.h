@@ -1,5 +1,6 @@
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "core/dataset.h"
@@ -43,24 +44,57 @@ double OsfLowerBound(const DistanceSpec& spec, TrajectoryView query,
 ///
 /// LowerBound() reproduces KpfLowerBoundEstimate bit for bit (same key
 /// points, same accumulation order), so an engine switching between the two
-/// makes identical pruning decisions. A bound plan is immutable after Bind
-/// and LowerBound is const, so one bound plan may be shared by all worker
-/// threads of a query. With sample_rate == 1.0 this is the OSF comparator.
+/// makes identical pruning decisions. For the Euclidean substitution costs
+/// (DTW, Fréchet, ERP) each key point's min_j sub(q_i, T_j) is one vector
+/// min-scan of squared distances over the candidate's AoS points and a
+/// single sqrt: sqrt is correctly rounded and monotone, so
+/// sqrt(min_j s_j) == min_j sqrt(s_j) bit for bit. A NaN first square, or a
+/// lane the ISA's min turned NaN (NEON propagates it, AVX2 does not), sends
+/// the key point to the scalar loop, which orders NaN as the reference
+/// does. EDR and WED keep the scalar loop.
+///
+/// A bound plan is immutable after Bind and LowerBound is const, so one
+/// bound plan may be shared by all worker threads of a query. With
+/// sample_rate == 1.0 this is the OSF comparator.
 class KpfBoundPlan {
  public:
   /// (Re-)computes the key-point sample for `query` (non-empty; the view
   /// must stay valid while LowerBound is used). Scratch capacity is reused.
+  /// Samples simd::Enabled(), like the DP plans.
   void Bind(const DistanceSpec& spec, TrajectoryView query,
             double sample_rate);
 
   /// The KPF estimate (Theorem B.1 / Equation 28) against one candidate.
-  double LowerBound(TrajectoryView data) const;
+  ///
+  /// Early abandon: once the rescaled partial bound over a prefix of the key
+  /// points is >= `abandon_at`, it is returned without scanning the rest.
+  /// Every later term is >= 0 (Fréchet aggregates by max), a rounded add of
+  /// a non-negative term never decreases the sum, and dividing by the
+  /// positive rate is monotone — so the full bound is >= the returned one,
+  /// and `LowerBound(d, t) >= t` holds exactly when the full bound is >= t.
+  /// A NaN term still to come would make the full sum NaN; the scan keeps
+  /// going in that case. With the default +inf, or whenever the threshold is
+  /// not reached, the value is the full bound. Pass SharedTopK::Cutoff(): it
+  /// is one ulp above the K-th best, so "returned >= cutoff" is "returned >
+  /// K-th best", which ShouldPrune then decides the same way as it would
+  /// the full bound, since the published K-th best only ever tightens.
+  double LowerBound(
+      TrajectoryView data,
+      double abandon_at = std::numeric_limits<double>::infinity()) const;
 
  private:
+  /// min_j sub(q_i, T_j) of key point `k`.
+  double MinSubAt(size_t k, TrajectoryView data) const;
+  /// True when a key-point term at index >= `k` is NaN for `data` (only a
+  /// summed bound cares: a NaN sub is ignored by min, a NaN term by max).
+  bool TailHasNaN(size_t k, TrajectoryView data) const;
+
   DistanceSpec spec_;
   TrajectoryView query_;
   bool use_max_ = false;        // Fréchet aggregates by max, not sum
   bool wed_family_ = false;     // true when deletion costs participate
+  bool euclidean_ = false;      // sub is the Euclidean distance (DTW/Fréchet/ERP)
+  bool vector_ = false;         // simd::Enabled() at Bind
   double effective_rate_ = 1.0;
   std::vector<int> key_points_;     // sampled query indices, ascending
   std::vector<double> key_del_;     // del(q_i) per key point (WED family)

@@ -255,13 +255,17 @@ void SearchPipeline::Evaluate(const View& data, TrajectoryView query,
           ++state.skipped;
           continue;
         }
-        if (bound != nullptr && topk->Cutoff() != kNoCutoff) {
+        const double bound_cutoff =
+            bound != nullptr ? topk->Cutoff() : kNoCutoff;
+        if (bound_cutoff != kNoCutoff) {
           double lower;
           if (!cached_bounds.empty()) {
             lower = cached_bounds[c];  // paid once in the ordering pre-pass
           } else {
+            // Abandons once the partial bound proves the prune; ShouldPrune
+            // then decides exactly as it would on the full bound.
             state.bound_timer.Start();
-            lower = bound->LowerBound(trajectory);
+            lower = bound->LowerBound(trajectory, bound_cutoff);
             state.bound_timer.Stop();
           }
           if (topk->ShouldPrune(lower, id + id_offset)) {

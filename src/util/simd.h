@@ -28,8 +28,15 @@
 //    (cell [x] of lane l at x*kLanes + l) so steppers load whole lane
 //    groups without gathers.
 //
+// Outside the DP, the KPF bound (prune/key_point_filter.cc) is a plain
+// min-scan: it puts consecutive *data points* in the lanes, read straight
+// from the AoS pool with the deinterleaving LoadXY. Its data may hold NaN,
+// and Min orders NaN differently per ISA (AVX2 returns the second operand,
+// NEON returns NaN), so the scan checks its lanes for NaN itself.
+//
 // Dispatch is one switch: when Enabled(), every stepper with a vector
-// kernel (the WED column stepper and all batch kernels) uses it.
+// kernel (the WED column stepper and all batch kernels) and the KPF scan
+// use it.
 //
 // Bit-identity contract: every lane operation here is a single correctly
 // rounded IEEE-754 double operation (add/sub/mul/sqrt/min/max/compare), so a
@@ -91,13 +98,15 @@ struct VecD {
     return {_mm256_blendv_pd(y.v, x.v, mask)};
   }
 
-  /// Minimum across the lanes.
-  double ReduceMin() const {
-    const __m128d lo = _mm256_castpd256_pd128(v);
-    const __m128d hi = _mm256_extractf128_pd(v, 1);
-    const __m128d m2 = _mm_min_pd(lo, hi);
-    const __m128d m1 = _mm_min_sd(m2, _mm_unpackhi_pd(m2, m2));
-    return _mm_cvtsd_f64(m1);
+  /// Deinterleaving load of kLanes AoS (x, y) pairs starting at `p`: two
+  /// unaligned loads and one unpack each. The lanes come out in the order
+  /// 0, 2, 1, 3 — the same order in `x` and `y`, which is all a lanewise
+  /// point kernel followed by a cross-lane min needs.
+  static void LoadXY(const double* p, VecD* x, VecD* y) {
+    const __m256d a = _mm256_loadu_pd(p);      // x0 y0 x1 y1
+    const __m256d b = _mm256_loadu_pd(p + 4);  // x2 y2 x3 y3
+    x->v = _mm256_unpacklo_pd(a, b);           // x0 x2 x1 x3
+    y->v = _mm256_unpackhi_pd(a, b);           // y0 y2 y1 y3
   }
 };
 
@@ -132,10 +141,11 @@ struct VecD {
     return {vbslq_f64(mask, x.v, y.v)};
   }
 
-  double ReduceMin() const {
-    const double a = vgetq_lane_f64(v, 0);
-    const double b = vgetq_lane_f64(v, 1);
-    return a < b ? a : b;
+  /// Deinterleaving load of kLanes AoS (x, y) pairs starting at `p`.
+  static void LoadXY(const double* p, VecD* x, VecD* y) {
+    const float64x2x2_t xy = vld2q_f64(p);
+    x->v = xy.val[0];
+    y->v = xy.val[1];
   }
 };
 
@@ -169,7 +179,10 @@ struct VecD {
     return {a.v < b.v ? x.v : y.v};
   }
 
-  double ReduceMin() const { return v; }
+  static void LoadXY(const double* p, VecD* x, VecD* y) {
+    x->v = p[0];
+    y->v = p[1];
+  }
 };
 
 #endif

@@ -115,6 +115,60 @@ TEST(LiveDatasetTest, PinnedViewIgnoresLaterAppendsAndCompaction) {
   }
 }
 
+TEST(LiveDatasetTest, PinnedViewSurvivesTableRegrowthAndAdoptBase) {
+  Rng rng(23);
+  Dataset base("regrow");
+  for (int i = 0; i < 3; ++i) base.Add(RandomWalk(&rng, 10));
+  LiveDataset live(std::move(base));
+  std::vector<Trajectory> pinned_trajs;
+  for (int i = 0; i < 5; ++i) {
+    pinned_trajs.push_back(RandomWalk(&rng, 3 + i));
+    live.Append(pinned_trajs.back());
+  }
+  live.Append(Trajectory());  // an empty delta trajectory keeps its slot
+  const CorpusView pinned = live.View();
+  ASSERT_EQ(pinned.delta_size(), 6);
+
+  // The shared entry table starts at 64 slots and doubles when full: 300
+  // more appends move the writer through three regrowths (64 -> 128 -> 256
+  // -> 512), then a compaction starts a fresh table.
+  std::vector<Trajectory> later;
+  for (int i = 0; i < 300; ++i) {
+    later.push_back(RandomWalk(&rng, 4));
+    live.Append(later.back());
+  }
+  const CorpusView before = live.View();
+  ASSERT_EQ(before.delta_size(), 306);
+  for (int i = 0; i < 300; ++i) {  // every regrowth copied every entry
+    ExpectSamePoints(before[9 + i].View(),
+                     later[static_cast<size_t>(i)].View());
+  }
+  live.AdoptBase(std::make_shared<const Dataset>(LiveDataset::Merge(before)),
+                 before.delta_size());
+  live.Append(RandomWalk(&rng, 6));
+
+  EXPECT_EQ(pinned.size(), 9);
+  EXPECT_EQ(pinned.delta_size(), 6);
+  for (int i = 0; i < 5; ++i) {
+    const int id = 3 + i;
+    const TrajectoryRef ref = pinned[id];
+    EXPECT_EQ(ref.id(), id);
+    ExpectSamePoints(ref.View(), pinned_trajs[static_cast<size_t>(i)].View());
+    const PointCols cols = pinned.cols(id);
+    ASSERT_FALSE(cols.empty());
+    for (size_t p = 0; p < ref.View().size(); ++p) {
+      EXPECT_EQ(cols.x[p], ref.View()[p].x);
+      EXPECT_EQ(cols.y[p], ref.View()[p].y);
+    }
+  }
+  EXPECT_TRUE(pinned[8].View().empty());
+  // The later generations read the same trajectories under the same ids.
+  const CorpusView now = live.View();
+  for (int id = 3; id < 8; ++id) {
+    ExpectSamePoints(now[id].View(), pinned[id].View());
+  }
+}
+
 TEST(LiveDatasetTest, AdoptBaseKeepsAppendsThatRacedTheCompactor) {
   Rng rng(17);
   Dataset base("race");

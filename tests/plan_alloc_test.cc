@@ -2,8 +2,9 @@
 // warm-up pass over the candidate set, re-running every candidate through a
 // bound plan must perform zero heap allocations — the property the engine's
 // plan pooling relies on for allocation-free search stages under sustained
-// service traffic. Verified by instrumenting global operator new/delete in
-// this test binary only.
+// service traffic. The same counters also hold a live AppendBatch to
+// allocated bytes independent of the delta size. Verified by instrumenting
+// global operator new/delete in this test binary only.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <new>
 #include <vector>
 
+#include "core/live_dataset.h"
 #include "io/snapshot.h"
 #include "io/snapshot_v4.h"
 #include "prune/key_point_filter.h"
@@ -27,6 +29,7 @@
 namespace {
 
 std::atomic<long long> g_allocations{0};
+std::atomic<long long> g_allocated_bytes{0};
 
 }  // namespace
 
@@ -37,6 +40,8 @@ std::atomic<long long> g_allocations{0};
 // delete and reports a false mismatch.
 __attribute__((noinline)) void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(static_cast<long long>(size),
+                              std::memory_order_relaxed);
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -51,6 +56,8 @@ __attribute__((noinline)) void* operator new[](std::size_t size) {
 __attribute__((noinline)) void* operator new(std::size_t size,
                                              const std::nothrow_t&) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(static_cast<long long>(size),
+                              std::memory_order_relaxed);
   return std::malloc(size);
 }
 __attribute__((noinline)) void* operator new[](
@@ -78,6 +85,10 @@ using testing::RandomWalk;
 
 long long AllocationCount() {
   return g_allocations.load(std::memory_order_relaxed);
+}
+
+long long AllocatedBytes() {
+  return g_allocated_bytes.load(std::memory_order_relaxed);
 }
 
 class PlanAllocTest : public ::testing::TestWithParam<Algorithm> {};
@@ -423,6 +434,41 @@ TEST(PlanAllocTest, KpfBoundPlanLowerBoundDoesNotAllocate) {
     EXPECT_EQ(AllocationCount() - before, 0)
         << ToString(spec.kind) << " bound allocated (checksum " << sum << ")";
   }
+}
+
+// Publishing a live delta shares its entry table instead of copying it, so
+// the bytes one AppendBatch allocates (ids, the published views, and now and
+// then a chunk or a table regrowth) do not depend on how large the delta
+// already is. The minimum over a few consecutive batches skips the
+// occasional chunk allocation and table doubling.
+TEST(LiveAppendAllocTest, AppendBatchBytesDoNotGrowWithDeltaSize) {
+  Rng rng(515);
+  Dataset base("alloc");
+  for (int i = 0; i < 16; ++i) base.Add(RandomWalk(&rng, 20));
+  LiveDataset live(std::move(base));
+  std::vector<Trajectory> trajectories;
+  for (int i = 0; i < 8; ++i) trajectories.push_back(RandomWalk(&rng, 20));
+  const std::vector<TrajectoryView> batch(trajectories.begin(),
+                                          trajectories.end());
+
+  auto min_batch_bytes = [&]() {
+    long long best = -1;
+    for (int rep = 0; rep < 4; ++rep) {
+      const long long before = AllocatedBytes();
+      live.AppendBatch(batch);
+      const long long bytes = AllocatedBytes() - before;
+      if (best < 0 || bytes < best) best = bytes;
+    }
+    return best;
+  };
+
+  const long long at_empty = min_batch_bytes();
+  while (live.View().delta_size() < 4096) live.AppendBatch(batch);
+  ASSERT_EQ(live.View().delta_size(), 4096);
+  const long long at_4096 = min_batch_bytes();
+  EXPECT_GT(at_empty, 0);
+  EXPECT_EQ(at_4096, at_empty)
+      << "an AppendBatch of 8 allocates more with a larger delta";
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "gen/taxi.h"
@@ -9,6 +10,7 @@
 #include "search/cma.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace trajsearch {
 namespace {
@@ -217,6 +219,172 @@ TEST(KpfBoundTest, PointMinCostUsesDeletionWhenCheaper) {
   const DistanceSpec spec = DistanceSpec::Erp(Point{0, 0});
   EXPECT_DOUBLE_EQ(KpfPointMinCost(spec, q, 0, d), 0.0);
 }
+
+// ---------------------------------------------------------------------------
+// KpfBoundPlan: the vector min-scan and the early abandon against the scalar
+// KpfLowerBoundEstimate oracle.
+// ---------------------------------------------------------------------------
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+/// Every spec the plan distinguishes: the three Euclidean substitution
+/// costs (vector scan) and EDR/WED (scalar MinSub).
+std::vector<DistanceSpec> AllBoundSpecs(const WedCostFns* wed) {
+  return {DistanceSpec::Dtw(), DistanceSpec::Frechet(),
+          DistanceSpec::Erp(Point{5.0, 5.0}), DistanceSpec::Edr(1.5),
+          DistanceSpec::Wed(wed)};
+}
+
+WedCostFns TestWedFns() {
+  WedCostFns fns;
+  fns.sub = [](const Point& a, const Point& b) {
+    return 0.5 * EuclideanDistance(a, b);
+  };
+  fns.ins = [](const Point& p) { return 1.0 + 0.01 * std::fabs(p.x); };
+  fns.del = [](const Point& p) { return 0.75 + 0.01 * std::fabs(p.y); };
+  return fns;
+}
+
+/// Seeded random walks plus the adversarial shapes: data lengths 1-9 (every
+/// vector tail), 1-point queries, duplicate points, +-1e300, infinite and
+/// NaN coordinates at the front, middle and back of a trajectory.
+std::vector<Trajectory> BoundCorpus(Rng* rng) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<Trajectory> corpus;
+  for (int len = 1; len <= 9; ++len) corpus.push_back(RandomWalk(rng, len));
+  for (int i = 0; i < 12; ++i) {
+    corpus.push_back(
+        RandomWalk(rng, static_cast<int>(rng->UniformInt(10, 70))));
+  }
+  corpus.push_back(Trajectory(std::vector<Point>(7, Point{3.0, 4.0})));
+  const std::vector<Point> specials = {
+      Point{1e300, -1e300}, Point{-1e300, 1e300}, Point{inf, 2.0},
+      Point{-inf, -inf},    Point{nan, 1.0},      Point{2.0, nan}};
+  for (const Point& special : specials) {
+    for (const int len : {1, 5, 13}) {
+      for (const int at : {0, len / 2, len - 1}) {
+        const Trajectory walk = RandomWalk(rng, len);
+        std::vector<Point> pts(walk.points().begin(), walk.points().end());
+        pts[static_cast<size_t>(at)] = special;
+        corpus.push_back(Trajectory(std::move(pts)));
+      }
+    }
+  }
+  return corpus;
+}
+
+/// The bound over the first p key points, accumulated and rescaled as
+/// KpfLowerBoundEstimate does, for the smallest p whose bound is >= t (NaN
+/// if none is).
+double FirstPrefixBoundAtLeast(const DistanceSpec& spec, TrajectoryView query,
+                               TrajectoryView data, double rate, double t) {
+  const int m = static_cast<int>(query.size());
+  const int key_count =
+      std::max(1, static_cast<int>(std::ceil(rate * static_cast<double>(m))));
+  const double effective_rate =
+      static_cast<double>(key_count) / static_cast<double>(m);
+  const bool use_max = spec.kind == DistanceKind::kFrechet;
+  double total = 0;
+  for (int k = 0; k < key_count; ++k) {
+    const int i = static_cast<int>((static_cast<int64_t>(k) * m) / key_count);
+    const double c = KpfPointMinCost(spec, query, i, data);
+    total = use_max ? std::max(total, c) : total + c;
+    const double bound = use_max ? total : total / effective_rate;
+    if (bound >= t) return bound;
+  }
+  return std::numeric_limits<double>::quiet_NaN();
+}
+
+class KpfBoundPlanIdentityTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    was_enabled_ = simd::Enabled();
+    simd::SetEnabled(GetParam());
+  }
+  void TearDown() override { simd::SetEnabled(was_enabled_); }
+
+ private:
+  bool was_enabled_ = false;
+};
+
+TEST_P(KpfBoundPlanIdentityTest, MatchesScalarEstimateBitForBitAndAbandons) {
+  Rng rng(4242);
+  const WedCostFns wed = TestWedFns();
+  const std::vector<Trajectory> corpus = BoundCorpus(&rng);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // Queries: a 1-point query, random walks and duplicates, then a NaN, huge
+  // or infinite point first, in the middle (a key point at r = 0.3) and
+  // last, so the abandon meets such terms after a prefix.
+  std::vector<Trajectory> queries = {
+      Trajectory{Point{4.0, 6.0}}, RandomWalk(&rng, 3), RandomWalk(&rng, 40),
+      Trajectory(std::vector<Point>(5, Point{2.0, 2.0}))};
+  for (const Point special :
+       {Point{nan, 1.0}, Point{1e300, -1e300}, Point{2.0, inf}}) {
+    for (const int at : {0, 6, 11}) {
+      const Trajectory walk = RandomWalk(&rng, 12);
+      std::vector<Point> pts(walk.points().begin(), walk.points().end());
+      pts[static_cast<size_t>(at)] = special;
+      queries.push_back(Trajectory(std::move(pts)));
+    }
+  }
+
+  KpfBoundPlan plan;
+  int compared = 0;
+  int abandoned = 0;
+  for (const DistanceSpec& spec : AllBoundSpecs(&wed)) {
+    for (const double rate : {0.3, 1.0}) {
+      for (const Trajectory& query : queries) {
+        plan.Bind(spec, query, rate);
+        for (const Trajectory& data : corpus) {
+          const double full = KpfLowerBoundEstimate(spec, query, data, rate);
+          const std::string where = std::string(ToString(spec.kind)) +
+                                    " r=" + std::to_string(rate) + " m=" +
+                                    std::to_string(query.size()) +
+                                    " n=" + std::to_string(data.size());
+          ASSERT_EQ(Bits(plan.LowerBound(data)), Bits(full)) << where;
+          ++compared;
+          std::vector<double> thresholds = {0.0,
+                                            full,
+                                            std::nextafter(full, 0.0),
+                                            std::nextafter(full, inf),
+                                            inf,
+                                            1e-300,
+                                            1e300};
+          for (int t = 0; t < 6; ++t) {
+            thresholds.push_back(rng.Uniform(0.0, 3.0) *
+                                 (std::isfinite(full) ? full : 50.0));
+          }
+          for (const double t : thresholds) {
+            if (std::isnan(t)) continue;
+            const double partial = plan.LowerBound(data, t);
+            ASSERT_EQ(partial >= t, full >= t) << where << " t=" << t;
+            if (Bits(partial) != Bits(full)) {
+              // An abandon returns the first rescaled prefix bound >= t.
+              ++abandoned;
+              ASSERT_EQ(Bits(partial), Bits(FirstPrefixBoundAtLeast(
+                                           spec, query, data, rate, t)))
+                  << where << " t=" << t;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 1000);
+  EXPECT_GT(abandoned, 0);  // the thresholds do reach the abandon path
+}
+
+INSTANTIATE_TEST_SUITE_P(Dispatch, KpfBoundPlanIdentityTest,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& param_info) {
+                           return param_info.param ? "Vector" : "Scalar";
+                         });
 
 }  // namespace
 }  // namespace trajsearch
