@@ -277,7 +277,11 @@ BENCHMARK(BM_ExactSMultiSweepWedBatched)
 /// (RunCols), and cross-candidate lanes (RunBatch over kLanes candidates).
 /// One "iteration" evaluates kLanes candidates so the three variants do the
 /// same work. The third argument picks the distance (0 = DTW, 1 = ERP);
-/// the column variant exists for the WED family only, so it runs ERP.
+/// the column variant exists for the WED family only, so it runs ERP. The
+/// last argument picks the cutoff: 0 = none (every DP runs in full), 1 =
+/// the fixture's median full distance, the abandon-heavy regime where the
+/// row floor and suffix floor retire runs early. Items processed count the
+/// full m x n cells either way, so items/s compares the two directly.
 struct CmaBatchFixture {
   Trajectory query;
   std::vector<Trajectory> data;
@@ -294,6 +298,17 @@ struct CmaBatchFixture {
     return distance == 0 ? DistanceSpec::Dtw()
                          : DistanceSpec::Erp(dataset.Bounds().Center());
   }
+
+  /// kNoCutoff for arg 0, else the median full distance under `plan`.
+  double Cutoff(QueryRun* plan, int64_t arg) const {
+    if (arg == 0) return kNoCutoff;
+    std::vector<double> full;
+    for (int id = 0; id < dataset.size(); ++id) {
+      full.push_back(plan->Run(dataset[id], kNoCutoff).distance);
+    }
+    std::sort(full.begin(), full.end());
+    return full[full.size() / 2];
+  }
 };
 
 void BM_CmaRowsScalar(benchmark::State& state) {
@@ -302,17 +317,19 @@ void BM_CmaRowsScalar(benchmark::State& state) {
   simd::SetEnabled(false);
   auto searcher = MakeSearcher(Algorithm::kCma, f.Spec(state.range(2)));
   std::unique_ptr<QueryRun> plan = searcher.value()->Bind(f.query);
+  const double cutoff = f.Cutoff(plan.get(), state.range(3));
   for (auto _ : state) {
     double sum = 0;
     for (int id = 0; id < f.dataset.size(); ++id) {
-      sum += plan->Run(f.dataset[id], kNoCutoff).distance;
+      sum += plan->Run(f.dataset[id], cutoff).distance;
     }
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0) *
                           state.range(1) * simd::kLanes);
 }
-BENCHMARK(BM_CmaRowsScalar)->ArgsProduct({{16, 64}, {256, 1024}, {0, 1}});
+BENCHMARK(BM_CmaRowsScalar)
+    ->ArgsProduct({{16, 64}, {256, 1024}, {0, 1}, {0, 1}});
 
 void BM_CmaRowsColumn(benchmark::State& state) {
   const CmaBatchFixture f(static_cast<int>(state.range(0)),
@@ -320,10 +337,11 @@ void BM_CmaRowsColumn(benchmark::State& state) {
   simd::SetEnabled(true);
   auto searcher = MakeSearcher(Algorithm::kCma, f.Spec(1));
   std::unique_ptr<QueryRun> plan = searcher.value()->Bind(f.query);
+  const double cutoff = f.Cutoff(plan.get(), state.range(2));
   for (auto _ : state) {
     double sum = 0;
     for (int id = 0; id < f.dataset.size(); ++id) {
-      sum += plan->RunCols(f.dataset[id], f.dataset.cols(id), kNoCutoff)
+      sum += plan->RunCols(f.dataset[id], f.dataset.cols(id), cutoff)
                  .distance;
     }
     benchmark::DoNotOptimize(sum);
@@ -331,7 +349,7 @@ void BM_CmaRowsColumn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0) *
                           state.range(1) * simd::kLanes);
 }
-BENCHMARK(BM_CmaRowsColumn)->ArgsProduct({{16, 64}, {256, 1024}});
+BENCHMARK(BM_CmaRowsColumn)->ArgsProduct({{16, 64}, {256, 1024}, {0, 1}});
 
 void BM_CmaRowsBatched(benchmark::State& state) {
   const CmaBatchFixture f(static_cast<int>(state.range(0)),
@@ -345,12 +363,13 @@ void BM_CmaRowsBatched(benchmark::State& state) {
   }
   std::vector<SearchResult> results(items.size());
   const int width = plan->batch_width();
+  const double cutoff = f.Cutoff(plan.get(), state.range(3));
   for (auto _ : state) {
     double sum = 0;
     for (size_t begin = 0; begin < items.size();) {
       const int count = static_cast<int>(std::min(
           static_cast<size_t>(width), items.size() - begin));
-      plan->RunBatch(items.data() + begin, count, kNoCutoff,
+      plan->RunBatch(items.data() + begin, count, cutoff,
                      results.data() + begin);
       begin += static_cast<size_t>(count);
     }
@@ -360,7 +379,8 @@ void BM_CmaRowsBatched(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0) *
                           state.range(1) * simd::kLanes);
 }
-BENCHMARK(BM_CmaRowsBatched)->ArgsProduct({{16, 64}, {256, 1024}, {0, 1}});
+BENCHMARK(BM_CmaRowsBatched)
+    ->ArgsProduct({{16, 64}, {256, 1024}, {0, 1}, {0, 1}});
 
 // KPF bound (Theorem B.1, DTW, every query point a key point) of an m = 40
 // query against one n-point candidate: the scalar per-pair estimate — a

@@ -84,8 +84,14 @@ struct EdrCosts {
   /// same squared-distance/threshold sequence as the scalar Sub, per lane.
   simd::VecD SubData(int i, simd::VecD dx, simd::VecD dy) const {
     const Point p = q[static_cast<size_t>(i)];
-    const simd::VecD ddx = simd::VecD::Broadcast(p.x) - dx;
-    const simd::VecD ddy = simd::VecD::Broadcast(p.y) - dy;
+    return SubData(simd::VecD::Broadcast(p.x), simd::VecD::Broadcast(p.y), dx,
+                   dy);
+  }
+  /// SubData with a query point per lane (qx, qy).
+  simd::VecD SubData(simd::VecD qx, simd::VecD qy, simd::VecD dx,
+                     simd::VecD dy) const {
+    const simd::VecD ddx = qx - dx;
+    const simd::VecD ddy = qy - dy;
     const simd::VecD sq = ddx * ddx + ddy * ddy;
     return simd::VecD::SelectLE(sq, simd::VecD::Broadcast(epsilon * epsilon),
                                 simd::VecD::Broadcast(0.0),
@@ -135,8 +141,14 @@ struct ErpCosts {
   /// the same sub/mul/add/sqrt sequence as the scalar EuclideanDistance.
   simd::VecD SubData(int i, simd::VecD dx, simd::VecD dy) const {
     const Point p = q[static_cast<size_t>(i)];
-    const simd::VecD ddx = simd::VecD::Broadcast(p.x) - dx;
-    const simd::VecD ddy = simd::VecD::Broadcast(p.y) - dy;
+    return SubData(simd::VecD::Broadcast(p.x), simd::VecD::Broadcast(p.y), dx,
+                   dy);
+  }
+  /// SubData with a query point per lane (qx, qy).
+  simd::VecD SubData(simd::VecD qx, simd::VecD qy, simd::VecD dx,
+                     simd::VecD dy) const {
+    const simd::VecD ddx = qx - dx;
+    const simd::VecD ddy = qy - dy;
     return simd::VecD::Sqrt(ddx * ddx + ddy * ddy);
   }
 };
@@ -188,8 +200,15 @@ struct EuclideanSub {
 
   simd::VecD SubData(int i, simd::VecD dx, simd::VecD dy) const {
     const Point p = q[static_cast<size_t>(i)];
-    const simd::VecD ddx = simd::VecD::Broadcast(p.x) - dx;
-    const simd::VecD ddy = simd::VecD::Broadcast(p.y) - dy;
+    return SubData(simd::VecD::Broadcast(p.x), simd::VecD::Broadcast(p.y), dx,
+                   dy);
+  }
+  /// SubData with a query point per lane (qx, qy), as the CMA lane kernel
+  /// needs when its lanes sit at different query rows.
+  simd::VecD SubData(simd::VecD qx, simd::VecD qy, simd::VecD dx,
+                     simd::VecD dy) const {
+    const simd::VecD ddx = qx - dx;
+    const simd::VecD ddy = qy - dy;
     return simd::VecD::Sqrt(ddx * ddx + ddy * ddy);
   }
 };

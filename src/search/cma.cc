@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <type_traits>
 
 #include "distance/dp.h"
@@ -24,12 +25,167 @@ SearchResult CmaSearch(const DistanceSpec& spec, TrajectoryView query,
   }
 }
 
+void CmaSuffixFloor::Bind(const DistanceSpec& spec, CmaWedVariant variant,
+                          TrajectoryView query, DpArena* arena) {
+  m_ = static_cast<int>(query.size());
+  qx_ = arena->Doubles();
+  qy_ = arena->Doubles();
+  del_ = arena->Doubles();
+  box_ = arena->Doubles();
+  lb_ = arena->Doubles();
+  const bool exact = variant == CmaWedVariant::kExact;
+  switch (spec.kind) {
+    case DistanceKind::kDtw:
+      kind_ = Kind::kSum;
+      break;
+    case DistanceKind::kFrechet:
+      kind_ = Kind::kMax;
+      break;
+    case DistanceKind::kErp:
+      kind_ = exact ? Kind::kSum : Kind::kNone;
+      break;
+    case DistanceKind::kEdr:
+      kind_ = exact ? Kind::kEdr : Kind::kNone;
+      break;
+    default:
+      kind_ = Kind::kNone;  // opaque user costs: no bound on sub
+  }
+  finite_query_ = true;
+  for (const Point& p : query) {
+    finite_query_ =
+        finite_query_ && std::isfinite(p.x) && std::isfinite(p.y);
+  }
+  if (m_ == 0) kind_ = Kind::kNone;
+  if (kind_ == Kind::kNone) return;
+  // Pad to whole pairs of lane groups by repeating the last point; the pad
+  // lanes' floors are computed and never read.
+  const size_t group = 2 * simd::kLanes;
+  const size_t padded =
+      (static_cast<size_t>(m_) + group - 1) / group * group;
+  qx_->resize(padded);
+  qy_->resize(padded);
+  del_->resize(padded);
+  lb_->resize(padded);
+  for (size_t k = 0; k < padded; ++k) {
+    const Point p = query[std::min(k, query.size() - 1)];
+    (*qx_)[k] = p.x;
+    (*qy_)[k] = p.y;
+  }
+  for (int k = 0; k < m_; ++k) {
+    (*del_)[static_cast<size_t>(k)] =
+        spec.kind == DistanceKind::kErp
+            ? ErpCosts{query, {}, spec.erp_gap}.Del(k)
+        : spec.kind == DistanceKind::kEdr
+            ? EdrCosts{query, {}, spec.edr_epsilon}.Del(k)
+            : kNoCutoff;  // DTW/Fréchet: deletion is a substitution
+  }
+  eps2_ = spec.edr_epsilon * spec.edr_epsilon;
+  scale_ = 1.0 - 4.0 * static_cast<double>(m_ + 2) * 0x1p-53;
+  vector_ = simd::Enabled();
+}
+
+CmaAbandonRule CmaSuffixFloor::Fill(TrajectoryView data, double cutoff,
+                                    double* sfx) {
+  if (kind_ == Kind::kNone || cutoff == kNoCutoff) return {};
+  CmaAbandonRule non_finite;
+  non_finite.never = kind_ == Kind::kMax;
+  if (!finite_query_) return non_finite;
+  constexpr int kChunk = 8;
+  const int n = static_cast<int>(data.size());
+  const int boxes = (n + kChunk - 1) / kChunk;
+  box_->resize(4 * static_cast<size_t>(boxes));
+  double* lox = box_->data();
+  double* hix = lox + boxes;
+  double* loy = hix + boxes;
+  double* hiy = loy + boxes;
+  bool finite = true;
+  for (int b = 0; b < boxes; ++b) {
+    const int end = std::min(n, (b + 1) * kChunk);
+    const Point first = data[static_cast<size_t>(b * kChunk)];
+    double x0 = first.x, x1 = first.x, y0 = first.y, y1 = first.y;
+    for (int j = b * kChunk; j < end; ++j) {
+      const Point p = data[static_cast<size_t>(j)];
+      finite = finite && std::isfinite(p.x) && std::isfinite(p.y);
+      x0 = std::min(x0, p.x);
+      x1 = std::max(x1, p.x);
+      y0 = std::min(y0, p.y);
+      y1 = std::max(y1, p.y);
+    }
+    lox[b] = x0;
+    hix[b] = x1;
+    loy[b] = y0;
+    hiy[b] = y1;
+  }
+  if (!finite) return non_finite;
+
+  // lb[k] = min over boxes of the squared distance from q_k to the box:
+  // per axis q minus q clamped into [lo, hi] (the gap lo - q or q - hi up
+  // to sign, or 0 inside), squared and summed like SquaredDistance. No NaN
+  // can arise (all inputs finite), so the vector and scalar mins agree bit
+  // for bit. The vector loop runs two groups of kLanes query points per
+  // box, sharing the box broadcasts.
+  const double* qx = qx_->data();
+  const double* qy = qy_->data();
+  double* lb = lb_->data();
+  const int padded = static_cast<int>(lb_->size());
+  if (vector_) {
+    using simd::VecD;
+    constexpr int kStep = simd::kLanes;
+    for (int k = 0; k < padded; k += 2 * kStep) {
+      const VecD x0 = VecD::Load(qx + k);
+      const VecD y0 = VecD::Load(qy + k);
+      const VecD x1 = VecD::Load(qx + k + kStep);
+      const VecD y1 = VecD::Load(qy + k + kStep);
+      VecD best0 = VecD::Broadcast(kNoCutoff);
+      VecD best1 = best0;
+      for (int b = 0; b < boxes; ++b) {
+        const VecD lo_x = VecD::Broadcast(lox[b]);
+        const VecD hi_x = VecD::Broadcast(hix[b]);
+        const VecD lo_y = VecD::Broadcast(loy[b]);
+        const VecD hi_y = VecD::Broadcast(hiy[b]);
+        const VecD gx0 = x0 - VecD::Min(VecD::Max(x0, lo_x), hi_x);
+        const VecD gy0 = y0 - VecD::Min(VecD::Max(y0, lo_y), hi_y);
+        const VecD gx1 = x1 - VecD::Min(VecD::Max(x1, lo_x), hi_x);
+        const VecD gy1 = y1 - VecD::Min(VecD::Max(y1, lo_y), hi_y);
+        best0 = VecD::Min(best0, gx0 * gx0 + gy0 * gy0);
+        best1 = VecD::Min(best1, gx1 * gx1 + gy1 * gy1);
+      }
+      best0.Store(lb + k);
+      best1.Store(lb + k + kStep);
+    }
+  } else {
+    for (int k = 0; k < m_; ++k) {
+      double best = kNoCutoff;
+      for (int b = 0; b < boxes; ++b) {
+        const double gx = qx[k] - std::min(std::max(qx[k], lox[b]), hix[b]);
+        const double gy = qy[k] - std::min(std::max(qy[k], loy[b]), hiy[b]);
+        best = std::min(best, gx * gx + gy * gy);
+      }
+      lb[k] = best;
+    }
+  }
+
+  const double* del = del_->data();
+  double acc = 0;
+  sfx[m_] = 0;
+  for (int k = m_ - 1; k >= 0; --k) {
+    const double sub = kind_ == Kind::kEdr ? (lb[k] <= eps2_ ? 0.0 : 1.0)
+                                           : std::sqrt(lb[k]);
+    const double c = std::min(sub, del[k]);
+    acc = kind_ == Kind::kMax ? std::max(acc, c) : acc + c;
+    sfx[k] = acc;
+  }
+  if (kind_ == Kind::kMax) return {sfx, 1.0, true};
+  return {sfx, scale_, false};
+}
+
 namespace {
 
 /// Bind-once CMA plan. CMA has no query-sized precomputation beyond the
 /// recurrence itself, so the plan's value is (a) the row scratch kept across
-/// candidates and queries, (b) cutoff-driven row abandoning, and (c) the two
-/// SIMD axes of the recurrence:
+/// candidates and queries, (b) cutoff-driven row abandoning by the one
+/// CmaAbandonRule, over a suffix floor filled per candidate (floor_), and
+/// (c) the two SIMD axes of the recurrence:
 ///
 ///  - RunCols (one candidate): the row scan is serial in j — the rolling
 ///    G-minimum and the start pointers chain left to right — but the
@@ -38,27 +194,29 @@ namespace {
 ///    and Fréchet that precompute measured no faster than the scalar rows
 ///    (bench_micro), so their single candidates run CmaDtwRows /
 ///    CmaFrechetRows.
-///  - RunBatch (up to batch_width() candidates): one candidate per SIMD
-///    lane. Every per-cell operation of the scalar recurrence — including
-///    the serial-in-j parts — runs lanewise over lane-interleaved rows
-///    (cell j of lane l at j*kLanes + l), because the lanes hold
+///  - RunWindow / RunBatch (many candidates): one candidate per SIMD lane
+///    (LaneKernel). Every per-cell operation of the scalar recurrence —
+///    including the serial-in-j parts — runs lanewise over lane-interleaved
+///    rows (cell j of lane l at j*kLanes + l), because the lanes hold
 ///    *independent* candidates; j-serialness only constrains a single lane.
 ///    Start pointers ride along as doubles (exact up to 2^53). Candidates
 ///    are ragged: each lane carries its own length, a 0/1 validity mask
 ///    keeps pad columns out of the row-minimum fold, and pad cells compute
 ///    finite garbage (coordinates repeat the last real point) that no valid
-///    cell ever reads — cell j < n_l depends only on cells j' <= j. The
-///    row-floor abandon rolls per lane against the shared cutoff: a dead
-///    lane stops counting cells and reports the not-found sentinel, exactly
-///    like its scalar run would. Lanes refill only at batch boundaries (the
-///    engine re-fills the batch): the recurrence is row-synchronous — every
-///    lane must be at the same row i for the shared Del/del_prefix
-///    broadcasts — so a mid-run refill would have to restart at row 0 and
-///    recompute every other lane's rows.
+///    cell ever reads — cell j < n_l depends only on cells j' <= j. Each
+///    lane also sits at its own row: the query point, Del and del_prefix
+///    are per-lane vectors, not broadcasts. So a lane whose candidate
+///    completes, or whose floor crosses its cutoff, hands its result (the
+///    not-found sentinel when abandoned, exactly like its scalar run)
+///    to the sink and restarts at row 0 with the next candidate of the
+///    window, under the cutoff read at that moment. Rows run only as wide
+///    as the longest live lane; the engines sort the window longest first,
+///    so that width shrinks as the window drains. RunBatch is the same
+///    kernel over at most batch_width() candidates and one cutoff.
 ///
 /// All paths are bit-identical to the scalar oracle: same IEEE ops per cell
-/// per lane, min/max folds whose value ties are bit ties (DP cells are never
-/// NaN or -0.0), and the same abandon row.
+/// per lane, a row-minimum fold that skips NaN cells like the scalar one,
+/// and the same abandon row.
 class CmaPlan final : public QueryRun {
  public:
   CmaPlan(DistanceSpec spec, CmaWedVariant variant)
@@ -78,6 +236,11 @@ class CmaPlan final : public QueryRun {
     bc_cur_ = arena_.Doubles();
     bs_prev_ = arena_.Doubles();
     bs_cur_ = arena_.Doubles();
+    sfx_ = arena_.Doubles();
+    floor_.Bind(spec_, variant_, query, &arena_);
+    // One suffix floor per lane (lane l at l * (m + 1)); lane 0's doubles as
+    // the single-candidate floor.
+    sfx_->resize(static_cast<size_t>(kW) * (query.size() + 1));
     // Dispatch is sampled here, like the steppers': DTW/Fréchet batches
     // always vectorize; WED rows only under the kExact variant (the Vec/batch
     // kernels implement its rolling G-minimum) and only for cost models
@@ -102,21 +265,23 @@ class CmaPlan final : public QueryRun {
     // stateless path bit for bit).
     const double effective_cutoff =
         variant_ == CmaWedVariant::kExact ? cutoff : kNoCutoff;
+    const CmaAbandonRule rule = floor_.Fill(data, cutoff, sfx_->data());
     bool complete = true;
     int rows = 0;
     switch (spec_.kind) {
       case DistanceKind::kDtw:
-        complete = CmaDtwRows(m, n, EuclideanSub{query_, data}, cutoff,
+        complete = CmaDtwRows(m, n, EuclideanSub{query_, data}, cutoff, rule,
                               &c_prev_, &c_cur_, &s_prev_, &s_cur_, &rows);
         break;
       case DistanceKind::kFrechet:
-        complete = CmaFrechetRows(m, n, EuclideanSub{query_, data}, cutoff,
-                                  &c_prev_, &c_cur_, &s_prev_, &s_cur_, &rows);
+        complete =
+            CmaFrechetRows(m, n, EuclideanSub{query_, data}, cutoff, rule,
+                           &c_prev_, &c_cur_, &s_prev_, &s_cur_, &rows);
         break;
       default:
         complete = VisitWedCosts(
             spec_, query_, data, [&](const auto& costs) {
-              return CmaWedRows(m, n, costs, variant_, effective_cutoff,
+              return CmaWedRows(m, n, costs, variant_, effective_cutoff, rule,
                                 &c_prev_, &c_cur_, &s_prev_, &s_cur_, &rows);
             });
     }
@@ -136,12 +301,14 @@ class CmaPlan final : public QueryRun {
     const int n = static_cast<int>(data.size());
     TRAJ_CHECK(m >= 1 && n >= 1);
     int rows = 0;
+    const CmaAbandonRule rule = floor_.Fill(data, cutoff, sfx_->data());
     const bool complete = VisitWedCosts(
         spec_, query_, data, [&](const auto& costs) {
           using C = std::decay_t<decltype(costs)>;
           if constexpr (simd::BatchCosts<C>) {
-            return CmaWedRowsVec(m, n, costs, cols, cutoff, &c_prev_, &c_cur_,
-                                 &s_prev_, &s_cur_, sub_row_, ins_row_, &rows);
+            return CmaWedRowsVec(m, n, costs, cols, cutoff, rule, &c_prev_,
+                                 &c_cur_, &s_prev_, &s_cur_, sub_row_,
+                                 ins_row_, &rows);
           } else {
             TRAJ_CHECK(false && "vec dispatch on scalar-only costs");
             return true;
@@ -167,24 +334,31 @@ class CmaPlan final : public QueryRun {
       return;
     }
     TRAJ_CHECK(count <= batch_width_);
-    switch (spec_.kind) {
-      case DistanceKind::kDtw:
-        RunBatchSub</*kFrechet=*/false>(items, count, cutoff, results);
-        break;
-      case DistanceKind::kFrechet:
-        RunBatchSub</*kFrechet=*/true>(items, count, cutoff, results);
-        break;
-      default:
-        VisitWedCosts(spec_, query_, items[0].data, [&](const auto& proto) {
-          using C = std::decay_t<decltype(proto)>;
-          if constexpr (simd::BatchCosts<C>) {
-            RunBatchWed(proto, items, count, cutoff, results);
-          } else {
-            TRAJ_CHECK(false && "batch dispatch on scalar-only costs");
-          }
-          return true;
-        });
+    // A batch that fits the lanes never refills, so every lane starts under
+    // the one cutoff.
+    class FixedCutoff final : public WindowSink {
+     public:
+      FixedCutoff(double cutoff, SearchResult* results)
+          : cutoff_(cutoff), results_(results) {}
+      double Cutoff() override { return cutoff_; }
+      void Done(int item, const SearchResult& result, double) override {
+        results_[item] = result;
+      }
+
+     private:
+      double cutoff_;
+      SearchResult* results_;
+    } sink(cutoff, results);
+    RunLanes(items, count, &sink);
+  }
+
+  void RunWindow(const RunBatchItem* items, int count,
+                 WindowSink* sink) override {
+    if (count <= 1 || batch_width_ <= 1) {
+      QueryRun::RunWindow(items, count, sink);
+      return;
     }
+    RunLanes(items, count, sink);
   }
 
   simd::CellCounts TakeSimdStats() override {
@@ -198,17 +372,64 @@ class CmaPlan final : public QueryRun {
  private:
   static constexpr int kW = simd::kLanes;
 
-  /// Interleaves the candidates' coordinates into bx_/by_ (cell j of lane l
-  /// at j*kW + l; pad columns repeat the last real point so their garbage
-  /// cells stay finite) and builds the 0-valid/1-pad mask. Returns the
-  /// longest candidate length.
-  int StageBatch(const RunBatchItem* items, int count) {
-    int nmax = 0;
-    for (int l = 0; l < count; ++l) {
-      n_[static_cast<size_t>(l)] = static_cast<int>(items[l].data.size());
-      nmax = std::max(nmax, n_[static_cast<size_t>(l)]);
+  enum class Recurrence { kDtw, kFrechet, kWed };
+
+  /// One lane of the lane kernel: the candidate it runs and where it is.
+  struct Lane {
+    int item = -1;  // window index; -1: idle
+    int n = 0;
+    int row = 0;  // the next row to compute
+    double cutoff = kNoCutoff;  // read when the candidate started
+    double del_prefix = 0;      // del(query[0..row-1]) (WED family)
+    double row_min = kDpInfinity;  // minimum of row `row - 1`
+    CmaAbandonRule rule;
+  };
+
+  void RunLanes(const RunBatchItem* items, int count, WindowSink* sink) {
+    switch (spec_.kind) {
+      case DistanceKind::kDtw:
+        LaneKernel<Recurrence::kDtw>(EuclideanSub{query_, {}}, items, count,
+                                     sink);
+        break;
+      case DistanceKind::kFrechet:
+        LaneKernel<Recurrence::kFrechet>(EuclideanSub{query_, {}}, items,
+                                         count, sink);
+        break;
+      default:
+        VisitWedCosts(spec_, query_, items[0].data, [&](const auto& proto) {
+          using C = std::decay_t<decltype(proto)>;
+          if constexpr (simd::BatchCosts<C>) {
+            LaneKernel<Recurrence::kWed>(proto, items, count, sink);
+          } else {
+            TRAJ_CHECK(false && "batch dispatch on scalar-only costs");
+          }
+          return true;
+        });
     }
-    const size_t sz = static_cast<size_t>(nmax) * kW;
+  }
+
+  /// Lane-parallel CMA over a window of candidates: Equation 8 (DTW),
+  /// Equation 9 (Fréchet) or Equation 7 with the explicit rolling G-minimum
+  /// (WED family, kExact), lanewise. Each lane holds one candidate at its
+  /// own row, so the query point, Del and del_prefix are per-lane vectors.
+  /// G and its start pointer roll per lane over that lane's insertion
+  /// costs, a lane-local recurrence with no cross-lane coupling. Before
+  /// every row a lane that completed hands its result to the sink, and a
+  /// lane that the abandon rule retires hands back the not-found sentinel;
+  /// either way the lane restarts at row 0 with the next candidate of the
+  /// window under the cutoff read at that moment.
+  template <Recurrence kRec, typename Costs>
+  void LaneKernel(const Costs& proto, const RunBatchItem* items, int count,
+                  WindowSink* sink) {
+    using simd::VecD;
+    constexpr bool kWed = kRec == Recurrence::kWed;
+    const int m = static_cast<int>(query_.size());
+    TRAJ_CHECK(m >= 1);
+    int cap = 0;
+    for (int k = 0; k < count; ++k) {
+      cap = std::max(cap, static_cast<int>(items[k].data.size()));
+    }
+    const size_t sz = static_cast<size_t>(cap) * kW;
     bx_->assign(sz, 0.0);
     by_->assign(sz, 0.0);
     bmask_->assign(sz, 1.0);
@@ -216,238 +437,238 @@ class CmaPlan final : public QueryRun {
     bc_cur_->assign(sz, 0.0);
     bs_prev_->assign(sz, 0.0);
     bs_cur_->assign(sz, 0.0);
-    for (int l = 0; l < count; ++l) {
-      const TrajectoryView d = items[l].data;
-      const int nl = n_[static_cast<size_t>(l)];
-      for (int j = 0; j < nmax; ++j) {
-        const Point p = d[static_cast<size_t>(std::min(j, nl - 1))];
-        (*bx_)[static_cast<size_t>(j) * kW + l] = p.x;
-        (*by_)[static_cast<size_t>(j) * kW + l] = p.y;
-        if (j < nl) (*bmask_)[static_cast<size_t>(j) * kW + l] = 0.0;
-      }
-    }
-    return nmax;
-  }
-
-  uint64_t LiveCells(const std::array<bool, kW>& dead, int count) const {
-    uint64_t cells = 0;
-    for (int l = 0; l < count; ++l) {
-      if (!dead[static_cast<size_t>(l)]) {
-        cells += static_cast<uint64_t>(n_[static_cast<size_t>(l)]);
-      }
-    }
-    return cells;
-  }
-
-  /// Per-lane PickBestFromRow over the interleaved final row; dead lanes
-  /// report the not-found sentinel, exactly like their scalar abandon.
-  void Harvest(const double* cc, const double* sc,
-               const std::array<bool, kW>& dead, int count,
-               SearchResult* results) const {
-    for (int l = 0; l < count; ++l) {
-      if (dead[static_cast<size_t>(l)]) {
-        results[l] = SearchResult{};
-        continue;
-      }
-      SearchResult r;
-      for (int j = 0; j < n_[static_cast<size_t>(l)]; ++j) {
-        const double c = cc[static_cast<size_t>(j) * kW + l];
-        if (c < r.distance) {
-          r.distance = c;
-          r.range = Subrange{
-              static_cast<int>(sc[static_cast<size_t>(j) * kW + l]), j};
-        }
-      }
-      results[l] = r;
-    }
-  }
-
-  /// Lane-parallel CMA for the substitution-only distances (DTW when
-  /// kFrechet is false, discrete Fréchet otherwise): Equations 8/9 lanewise.
-  template <bool kFrechet>
-  void RunBatchSub(const RunBatchItem* items, int count, double cutoff,
-                   SearchResult* results) {
-    using simd::VecD;
-    const int m = static_cast<int>(query_.size());
-    TRAJ_CHECK(m >= 1);
-    const int nmax = StageBatch(items, count);
-    const EuclideanSub sub{query_, TrajectoryView{}};
+    if constexpr (kWed) bins_->assign(sz, 0.0);
     double* cp = bc_prev_->data();
     double* cc = bc_cur_->data();
     double* sp = bs_prev_->data();
     double* sc = bs_cur_->data();
-    const double* bx = bx_->data();
-    const double* by = by_->data();
-    const double* mask = bmask_->data();
-    const VecD inf = VecD::Broadcast(kDpInfinity);
-    const VecD half = VecD::Broadcast(0.5);
-    std::array<double, kW> row_min_arr;
-    std::array<bool, kW> dead{};
-    for (int l = count; l < kW; ++l) dead[static_cast<size_t>(l)] = true;
+    double* bx = bx_->data();
+    double* by = by_->data();
+    double* bins = bins_->data();
+    double* mask = bmask_->data();
 
-    VecD rm = inf;
-    for (int j = 0; j < nmax; ++j) {
-      const VecD v = sub.SubData(0, VecD::Load(bx + j * kW),
-                                 VecD::Load(by + j * kW));
-      v.Store(cc + j * kW);
-      VecD::Broadcast(static_cast<double>(j)).Store(sc + j * kW);
-      rm = VecD::Min(rm, VecD::SelectLE(VecD::Load(mask + j * kW), half, v,
-                                        inf));
-    }
-    rm.Store(row_min_arr.data());
-    cells_.vector_cells += LiveCells(dead, count);
-
-    for (int i = 1; i < m; ++i) {
-      for (int l = 0; l < count; ++l) {
-        if (!dead[static_cast<size_t>(l)] &&
-            row_min_arr[static_cast<size_t>(l)] >= cutoff) {
-          dead[static_cast<size_t>(l)] = true;  // lane-wise row-floor abandon
-          ++cells_.lane_abandons;
+    std::array<Lane, kW> lanes{};
+    int next = 0;
+    // Starts the next candidate in lane l: stages its coordinates (pad
+    // columns repeat the last real point so their garbage cells stay
+    // finite), validity mask, insertion costs and suffix floor, and writes
+    // its row 0 — the substitutions of query[0], each its own start — into
+    // the latest row (cc/sc), where the next step reads it as row i-1.
+    const auto start = [&](int l) {
+      Lane& lane = lanes[static_cast<size_t>(l)];
+      if (next == count) {
+        lane.item = -1;
+        return;
+      }
+      if (lane.item >= 0) ++cells_.lane_refills;
+      lane.item = next++;
+      const TrajectoryView d = items[lane.item].data;
+      const int n = static_cast<int>(d.size());
+      lane.n = n;
+      lane.row = 1;
+      lane.cutoff = sink->Cutoff();
+      lane.rule = floor_.Fill(
+          d, lane.cutoff, sfx_->data() + static_cast<size_t>(l) * (m + 1));
+      Costs costs = proto;
+      costs.d = d;
+      // Row 0 takes kW consecutive points per SubData (the same ops as the
+      // scalar Sub) and the scalar Sub on the tail.
+      double row_min = kDpInfinity;
+      for (int j0 = 0; j0 < cap; j0 += kW) {
+        double row0[kW] = {};
+        if (j0 + kW <= n) {
+          double xs[kW] = {};
+          double ys[kW] = {};
+          for (int t = 0; t < kW; ++t) {
+            xs[t] = d[static_cast<size_t>(j0 + t)].x;
+            ys[t] = d[static_cast<size_t>(j0 + t)].y;
+          }
+          proto.SubData(0, VecD::Load(xs), VecD::Load(ys)).Store(row0);
+        } else {
+          for (int j = j0; j < std::min(n, j0 + kW); ++j) {
+            if constexpr (kWed) {
+              row0[j - j0] = costs.Sub(0, j);
+            } else {
+              row0[j - j0] = costs(0, j);
+            }
+          }
+        }
+        for (int j = j0; j < std::min(cap, j0 + kW); ++j) {
+          const size_t at =
+              static_cast<size_t>(j) * kW + static_cast<size_t>(l);
+          const Point p = d[static_cast<size_t>(std::min(j, n - 1))];
+          bx[at] = p.x;
+          by[at] = p.y;
+          const double v = j < n ? row0[j - j0] : 0.0;
+          if (j < n) {
+            mask[at] = 0.0;
+            if constexpr (kWed) bins[at] = costs.Ins(j);
+            if (v < row_min) row_min = v;
+          } else {
+            mask[at] = 1.0;
+          }
+          cc[at] = v;
+          sc[at] = static_cast<double>(j);
         }
       }
-      const uint64_t live = LiveCells(dead, count);
-      if (live == 0) break;
-      cells_.vector_cells += live;
-      std::swap(cp, cc);
-      std::swap(sp, sc);
-      const VecD s0 = sub.SubData(i, VecD::Load(bx), VecD::Load(by));
-      const VecD p0 = VecD::Load(cp);
-      const VecD v0 = kFrechet ? VecD::Max(p0, s0) : p0 + s0;
-      v0.Store(cc);
-      VecD::Broadcast(0.0).Store(sc);
-      rm = VecD::SelectLE(VecD::Load(mask), half, v0, inf);
-      VecD prev_c = v0;
-      VecD prev_s = VecD::Broadcast(0.0);
-      for (int j = 1; j < nmax; ++j) {
-        const VecD diag_c = VecD::Load(cp + (j - 1) * kW);
-        const VecD up_c = VecD::Load(cp + j * kW);
-        VecD best = diag_c;
-        VecD s = VecD::Load(sp + (j - 1) * kW);
-        s = VecD::SelectLT(up_c, best, VecD::Load(sp + j * kW), s);
-        best = VecD::SelectLT(up_c, best, up_c, best);
-        s = VecD::SelectLT(prev_c, best, prev_s, s);
-        best = VecD::SelectLT(prev_c, best, prev_c, best);
-        const VecD sij = sub.SubData(i, VecD::Load(bx + j * kW),
-                                     VecD::Load(by + j * kW));
-        const VecD v = kFrechet ? VecD::Max(best, sij) : best + sij;
-        v.Store(cc + j * kW);
-        s.Store(sc + j * kW);
-        prev_c = v;
-        prev_s = s;
-        rm = VecD::Min(rm, VecD::SelectLE(VecD::Load(mask + j * kW), half, v,
-                                          inf));
-      }
-      rm.Store(row_min_arr.data());
-    }
-    Harvest(cc, sc, dead, count, results);
-  }
+      lane.row_min = row_min;
+      if constexpr (kWed) lane.del_prefix = 0.0 + proto.Del(0);
+      // Row 0's cells: lane groups of the candidate's own points, then its
+      // scalar tail.
+      const int vec_end = n - n % kW;
+      cells_.vector_cells += static_cast<uint64_t>(vec_end);
+      cells_.scalar_cells += static_cast<uint64_t>(n - vec_end);
+    };
 
-  /// Lane-parallel CMA for WED-family costs under the kExact variant:
-  /// Equation 7 with the explicit rolling G-minimum, lanewise. G and its
-  /// start pointer roll per lane — each lane's G tracks min_k C[i-1][k] +
-  /// ins_l(data_l[k+1..j-1]) over *that lane's* insertion costs, so the
-  /// whole roll (extend-vs-fresh compare included) is a lane-local
-  /// recurrence with no cross-lane coupling; only the query-side Del /
-  /// del_prefix terms are shared broadcasts.
-  template <typename Costs>
-  void RunBatchWed(const Costs& proto, const RunBatchItem* items, int count,
-                   double cutoff, SearchResult* results) {
-    using simd::VecD;
-    const int m = static_cast<int>(query_.size());
-    TRAJ_CHECK(m >= 1);
-    const int nmax = StageBatch(items, count);
-    // Per-lane insertion costs (data-side): staged once per batch, exactly
-    // the values the scalar run computes per row.
-    bins_->assign(static_cast<size_t>(nmax) * kW, 0.0);
-    for (int l = 0; l < count; ++l) {
-      Costs costs_l = proto;
-      costs_l.d = items[l].data;
-      for (int j = 0; j < n_[static_cast<size_t>(l)]; ++j) {
-        (*bins_)[static_cast<size_t>(j) * kW + l] = costs_l.Ins(j);
-      }
-    }
-    double* cp = bc_prev_->data();
-    double* cc = bc_cur_->data();
-    double* sp = bs_prev_->data();
-    double* sc = bs_cur_->data();
-    const double* bx = bx_->data();
-    const double* by = by_->data();
-    const double* bins = bins_->data();
-    const double* mask = bmask_->data();
-    const VecD inf = VecD::Broadcast(kDpInfinity);
+    const int width = batch_width_;
+    for (int l = 0; l < width; ++l) start(l);
+    const Point q0 = query_[0];
+    std::array<double, kW> qxs{}, qys{}, dels{}, dps{}, rms{};
+    qxs.fill(q0.x);
+    qys.fill(q0.y);
+    // Pad columns fold as true infinity, which never wins Min(x, rm): the
+    // scalar rows fold no pad, and a cell above kDpInfinity must not be
+    // capped by one.
+    const VecD inf = VecD::Broadcast(kNoCutoff);
     const VecD half = VecD::Broadcast(0.5);
-    std::array<double, kW> row_min_arr;
-    std::array<bool, kW> dead{};
-    for (int l = count; l < kW; ++l) dead[static_cast<size_t>(l)] = true;
-
-    VecD rm = inf;
-    for (int j = 0; j < nmax; ++j) {
-      const VecD v = proto.SubData(0, VecD::Load(bx + j * kW),
-                                   VecD::Load(by + j * kW));
-      v.Store(cc + j * kW);
-      VecD::Broadcast(static_cast<double>(j)).Store(sc + j * kW);
-      rm = VecD::Min(rm, VecD::SelectLE(VecD::Load(mask + j * kW), half, v,
-                                        inf));
-    }
-    rm.Store(row_min_arr.data());
-    cells_.vector_cells += LiveCells(dead, count);
-
-    double del_prefix = 0;
-    for (int i = 1; i < m; ++i) {
-      del_prefix += proto.Del(i - 1);
-      for (int l = 0; l < count; ++l) {
-        if (!dead[static_cast<size_t>(l)] &&
-            row_min_arr[static_cast<size_t>(l)] >= cutoff &&
-            del_prefix >= cutoff) {
-          dead[static_cast<size_t>(l)] = true;  // lane-wise row-floor abandon
-          ++cells_.lane_abandons;
+    const VecD zero = VecD::Broadcast(0.0);
+    for (;;) {
+      int nlive = 0;
+      uint64_t live_cells = 0;
+      for (int l = 0; l < width; ++l) {
+        Lane& lane = lanes[static_cast<size_t>(l)];
+        while (lane.item >= 0) {
+          if (lane.row == m) {
+            sink->Done(lane.item, HarvestLane(cc, sc, l, lane.n), lane.cutoff);
+          } else {
+            const double floor =
+                kWed && !(lane.row_min < lane.del_prefix) ? lane.del_prefix
+                                                          : lane.row_min;
+            if (!lane.rule.Abandons(lane.row, floor, lane.cutoff)) break;
+            ++cells_.lane_abandons;  // lane-wise abandon
+            sink->Done(lane.item, SearchResult{}, lane.cutoff);
+          }
+          start(l);
+        }
+        if (lane.item < 0) continue;
+        nlive = std::max(nlive, lane.n);
+        live_cells += static_cast<uint64_t>(lane.n);
+        const Point q = query_[static_cast<size_t>(lane.row)];
+        qxs[static_cast<size_t>(l)] = q.x;
+        qys[static_cast<size_t>(l)] = q.y;
+        if constexpr (kWed) {
+          dels[static_cast<size_t>(l)] = proto.Del(lane.row);
+          dps[static_cast<size_t>(l)] = lane.del_prefix;
         }
       }
-      const uint64_t live = LiveCells(dead, count);
-      if (live == 0) break;
-      cells_.vector_cells += live;
+      if (nlive == 0) break;
+      cells_.vector_cells += live_cells;
       std::swap(cp, cc);
       std::swap(sp, sc);
-      const VecD del_i = VecD::Broadcast(proto.Del(i));
-      const VecD dpv = VecD::Broadcast(del_prefix);
-      {
-        const VecD via_del = VecD::Load(cp) + del_i;
-        const VecD via_sub =
-            proto.SubData(i, VecD::Load(bx), VecD::Load(by)) + dpv;
-        const VecD v0 = VecD::Min(via_del, via_sub);
+      const VecD qx = VecD::Load(qxs.data());
+      const VecD qy = VecD::Load(qys.data());
+      // The row minimum folds NaN-skipping, like the scalar `v < row_min`:
+      // Min(x, rm) keeps rm when x is NaN (AVX2, scalar; NEON's fmin
+      // propagates it, which only keeps a lane alive longer).
+      VecD rm = inf;
+      if constexpr (kWed) {
+        const VecD del_i = VecD::Load(dels.data());
+        const VecD dpv = VecD::Load(dps.data());
+        {
+          const VecD via_del = VecD::Load(cp) + del_i;
+          const VecD via_sub = proto.SubData(qx, qy, VecD::Load(bx),
+                                             VecD::Load(by)) +
+                               dpv;
+          const VecD v0 = VecD::Min(via_del, via_sub);
+          v0.Store(cc);
+          zero.Store(sc);
+          rm = VecD::SelectLE(VecD::Load(mask), half, v0, inf);
+        }
+        VecD g = VecD::Load(cp);
+        VecD sg = VecD::Load(sp);
+        for (int j = 1; j < nlive; ++j) {
+          if (j > 1) {
+            const VecD extended = g + VecD::Load(bins + (j - 1) * kW);
+            const VecD fresh = VecD::Load(cp + (j - 1) * kW);
+            sg = VecD::SelectLE(fresh, extended,
+                                VecD::Load(sp + (j - 1) * kW), sg);
+            g = VecD::SelectLE(fresh, extended, fresh, extended);
+          }
+          const VecD sub_ij = proto.SubData(qx, qy, VecD::Load(bx + j * kW),
+                                            VecD::Load(by + j * kW));
+          VecD best = g + sub_ij;
+          VecD s = sg;
+          const VecD via_del = VecD::Load(cp + j * kW) + del_i;
+          s = VecD::SelectLT(via_del, best, VecD::Load(sp + j * kW), s);
+          best = VecD::SelectLT(via_del, best, via_del, best);
+          const VecD via_prefix = dpv + sub_ij;
+          s = VecD::SelectLT(via_prefix, best,
+                             VecD::Broadcast(static_cast<double>(j)), s);
+          best = VecD::SelectLT(via_prefix, best, via_prefix, best);
+          best.Store(cc + j * kW);
+          s.Store(sc + j * kW);
+          rm = VecD::Min(
+              VecD::SelectLE(VecD::Load(mask + j * kW), half, best, inf), rm);
+        }
+      } else {
+        constexpr bool kFrechet = kRec == Recurrence::kFrechet;
+        const VecD s0 =
+            proto.SubData(qx, qy, VecD::Load(bx), VecD::Load(by));
+        const VecD p0 = VecD::Load(cp);
+        const VecD v0 = kFrechet ? VecD::Max(p0, s0) : p0 + s0;
         v0.Store(cc);
-        VecD::Broadcast(0.0).Store(sc);
+        zero.Store(sc);
         rm = VecD::SelectLE(VecD::Load(mask), half, v0, inf);
-      }
-      VecD g = VecD::Load(cp);
-      VecD sg = VecD::Load(sp);
-      for (int j = 1; j < nmax; ++j) {
-        if (j > 1) {
-          const VecD extended = g + VecD::Load(bins + (j - 1) * kW);
-          const VecD fresh = VecD::Load(cp + (j - 1) * kW);
-          sg = VecD::SelectLE(fresh, extended,
-                              VecD::Load(sp + (j - 1) * kW), sg);
-          g = VecD::SelectLE(fresh, extended, fresh, extended);
+        VecD prev_c = v0;
+        VecD prev_s = zero;
+        for (int j = 1; j < nlive; ++j) {
+          const VecD diag_c = VecD::Load(cp + (j - 1) * kW);
+          const VecD up_c = VecD::Load(cp + j * kW);
+          VecD best = diag_c;
+          VecD s = VecD::Load(sp + (j - 1) * kW);
+          s = VecD::SelectLT(up_c, best, VecD::Load(sp + j * kW), s);
+          best = VecD::SelectLT(up_c, best, up_c, best);
+          s = VecD::SelectLT(prev_c, best, prev_s, s);
+          best = VecD::SelectLT(prev_c, best, prev_c, best);
+          const VecD sij = proto.SubData(qx, qy, VecD::Load(bx + j * kW),
+                                         VecD::Load(by + j * kW));
+          const VecD v = kFrechet ? VecD::Max(best, sij) : best + sij;
+          v.Store(cc + j * kW);
+          s.Store(sc + j * kW);
+          prev_c = v;
+          prev_s = s;
+          rm = VecD::Min(
+              VecD::SelectLE(VecD::Load(mask + j * kW), half, v, inf), rm);
         }
-        const VecD sub_ij = proto.SubData(i, VecD::Load(bx + j * kW),
-                                          VecD::Load(by + j * kW));
-        VecD best = g + sub_ij;
-        VecD s = sg;
-        const VecD via_del = VecD::Load(cp + j * kW) + del_i;
-        s = VecD::SelectLT(via_del, best, VecD::Load(sp + j * kW), s);
-        best = VecD::SelectLT(via_del, best, via_del, best);
-        const VecD via_prefix = dpv + sub_ij;
-        s = VecD::SelectLT(via_prefix, best,
-                           VecD::Broadcast(static_cast<double>(j)), s);
-        best = VecD::SelectLT(via_prefix, best, via_prefix, best);
-        best.Store(cc + j * kW);
-        s.Store(sc + j * kW);
-        rm = VecD::Min(rm, VecD::SelectLE(VecD::Load(mask + j * kW), half,
-                                          best, inf));
       }
-      rm.Store(row_min_arr.data());
+      rm.Store(rms.data());
+      for (int l = 0; l < width; ++l) {
+        Lane& lane = lanes[static_cast<size_t>(l)];
+        if (lane.item < 0) continue;
+        lane.row_min = rms[static_cast<size_t>(l)];
+        if constexpr (kWed) {
+          lane.del_prefix += dels[static_cast<size_t>(l)];
+        }
+        ++lane.row;
+      }
     }
-    Harvest(cc, sc, dead, count, results);
+  }
+
+  /// PickBestFromRow over lane l of the interleaved final row.
+  static SearchResult HarvestLane(const double* cc, const double* sc, int l,
+                                  int n) {
+    SearchResult r;
+    for (int j = 0; j < n; ++j) {
+      const double c = cc[static_cast<size_t>(j) * kW + static_cast<size_t>(l)];
+      if (c < r.distance) {
+        r.distance = c;
+        r.range = Subrange{
+            static_cast<int>(
+                sc[static_cast<size_t>(j) * kW + static_cast<size_t>(l)]),
+            j};
+      }
+    }
+    return r;
   }
 
   DistanceSpec spec_;
@@ -466,7 +687,8 @@ class CmaPlan final : public QueryRun {
   std::vector<double>* bc_cur_ = nullptr;
   std::vector<double>* bs_prev_ = nullptr;
   std::vector<double>* bs_cur_ = nullptr;
-  std::array<int, kW> n_ = {};
+  std::vector<double>* sfx_ = nullptr;
+  CmaSuffixFloor floor_;
   bool vec_ = false;
   int batch_width_ = 1;
   simd::CellCounts cells_;

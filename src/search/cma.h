@@ -1,5 +1,6 @@
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -29,6 +30,50 @@ namespace trajsearch {
 /// Results below the cutoff are bit-identical to the unbounded run (the
 /// skipped work could only have produced values >= cutoff), which is why the
 /// engine's heap-threshold cutoff preserves exact top-K answers.
+///
+/// The row floor ignores what the rows still to come must add. Every path
+/// from row i-1 (or from the deleted prefix) to the final row pays each
+/// query point k >= i once more: matched to some data point or deleted. So
+/// the plans add a *suffix floor* sfx[i] = sum_{k>=i} min(del(q_k),
+/// min_j sub(q_k, d_j)) (max instead of sum for Fréchet, no del for
+/// DTW/Fréchet), bounded from below per candidate by CmaSuffixFloor, and
+/// every CMA kernel abandons before row i by the one CmaAbandonRule below.
+
+/// \brief CMA's early-abandon test, shared by every CMA kernel.
+///
+/// Before computing row i (1 <= i < m) a run stops once
+///   row_floor >= cutoff, or
+///   (row_floor + sfx[i]) * scale >= cutoff   (summed costs), or
+///   sfx[i] >= cutoff                         (Fréchet: max of costs),
+/// where row_floor is min(row i-1 minimum, deleted-prefix cost) as above.
+/// The suffix sum is added in a different order than the DP adds its
+/// terms; `scale` = 1 - 4(m+2)·2^-53 absorbs that rounding difference (each
+/// of the at most m+1 additions on either side moves the value by at most
+/// one relative 2^-53), so the scaled test never exceeds the value the DP
+/// would compute. A sum that overflows is not used. A default-constructed
+/// rule (no sfx) is the plain row floor.
+///
+/// `never` switches abandoning off. Fréchet needs it for a NaN cell: its max
+/// drops a NaN operand (max(NaN, x) == x), so a cell after a NaN can fall
+/// below the row floor; a NaN also arises from inf - inf. So a Fréchet run
+/// over a NaN or infinite coordinate never abandons. The sum recurrences
+/// keep a NaN cell NaN, and their floors stay sound.
+struct CmaAbandonRule {
+  const double* sfx = nullptr;  ///< m+1 entries, sfx[m] == 0; null: none
+  double scale = 1;
+  bool max = false;  ///< Fréchet: the path cost is a max, not a sum
+  bool never = false;
+
+  bool Abandons(int i, double row_floor, double cutoff) const {
+    // kNoCutoff runs in full, also through rows that overflowed to +inf.
+    if (never || cutoff == kNoCutoff) return false;
+    if (row_floor >= cutoff) return true;
+    if (sfx == nullptr) return false;
+    if (max) return sfx[i] >= cutoff;
+    const double t = (row_floor + sfx[i]) * scale;
+    return t >= cutoff && t <= std::numeric_limits<double>::max();
+  }
+};
 
 /// \brief Recurrence variant for CMA under WED-family costs.
 enum class CmaWedVariant {
@@ -56,6 +101,49 @@ enum class CmaWedVariant {
   kEq7Rolling,
 };
 
+/// \brief Per-candidate suffix floors for the CMA plans.
+///
+/// Bind compiles the query side once (deletion costs, query coordinate
+/// columns padded to the lane width); Fill then bounds min_j sub(q_k, d_j)
+/// for every query point from the bounding boxes of 8-point chunks of the
+/// candidate, never from the points themselves: a box is at most as far
+/// from q_k as any point in it, also after rounding (subtraction, squaring,
+/// addition and sqrt are monotone), so the bound is never above the DP's
+/// computed substitution cost. The boxes are rebuilt per candidate in plan
+/// scratch, nothing is stored. One VecD min over the boxes' squared
+/// distances covers kLanes query points; then one sqrt per query point (or,
+/// for EDR, the same squared-distance-vs-eps^2 test as EdrCosts::Sub).
+class CmaSuffixFloor {
+ public:
+  /// Compiles the query side. Custom WED costs and the kEq7Rolling variant
+  /// get no floor (every Fill returns the plain row-floor rule), and
+  /// neither does a query with a NaN or infinite coordinate (Fréchet: a
+  /// rule that never abandons, see CmaAbandonRule).
+  void Bind(const DistanceSpec& spec, CmaWedVariant variant,
+            TrajectoryView query, DpArena* arena);
+
+  /// Writes the suffix floor of `data` into sfx[0..m] and returns the rule
+  /// that reads it. Under kNoCutoff, without a floor (see Bind) or when
+  /// `data` has a NaN or infinite coordinate, writes nothing and returns
+  /// the plain row-floor rule (Fréchet with such a coordinate: never).
+  CmaAbandonRule Fill(TrajectoryView data, double cutoff, double* sfx);
+
+ private:
+  enum class Kind { kNone, kSum, kMax, kEdr };
+
+  Kind kind_ = Kind::kNone;
+  int m_ = 0;
+  double eps2_ = 0;     // EDR: epsilon^2, as EdrCosts::Sub compares
+  double scale_ = 1;
+  bool finite_query_ = true;
+  bool vector_ = false;
+  std::vector<double>* qx_ = nullptr;   // query columns, lane-padded
+  std::vector<double>* qy_ = nullptr;
+  std::vector<double>* del_ = nullptr;  // del(q_k); +inf for DTW/Fréchet
+  std::vector<double>* box_ = nullptr;  // chunk boxes: min x|max x|min y|max y
+  std::vector<double>* lb_ = nullptr;   // per query point cost floor
+};
+
 /// \brief Bounded-core CMA row recursion for WED-family distances
 /// (Equation 7 / §5.1) over caller-provided row scratch.
 ///
@@ -63,15 +151,17 @@ enum class CmaWedVariant {
 /// rolling previous row; all four vectors are resized internally, so
 /// callers can hand in reused scratch. Returns true with the final row in
 /// (*c_cur, *s_cur); returns false if the run was abandoned because no cell
-/// of the final row can be < cutoff (see the early-abandoning note above).
-/// With cutoff == kNoCutoff this never abandons and (*c_cur, *s_cur) match
-/// the unbounded recursion exactly.
+/// of the final row can be < cutoff (`rule`, see the early-abandoning note
+/// above; all three Rows functions take it). With cutoff == kNoCutoff this
+/// never abandons and (*c_cur, *s_cur) match the unbounded recursion
+/// exactly.
 /// The optional `rows_out` (all three Rows functions) reports how many DP
 /// rows were actually computed — m when the run completes, the abandon row
 /// index otherwise — so execution plans can account DP cells exactly.
 template <typename Costs>
 bool CmaWedRows(int m, int n, const Costs& costs, CmaWedVariant variant,
-                double cutoff, std::vector<double>* c_prev,
+                double cutoff, const CmaAbandonRule& rule,
+                std::vector<double>* c_prev,
                 std::vector<double>* c_cur, std::vector<int>* s_prev,
                 std::vector<int>* s_cur, int* rows_out = nullptr) {
   TRAJ_CHECK(m >= 1 && n >= 1);
@@ -96,8 +186,10 @@ bool CmaWedRows(int m, int n, const Costs& costs, CmaWedVariant variant,
     del_prefix += costs.Del(i - 1);
 
     // Every cell of rows i..m-1 is >= min(previous row min, del_prefix):
-    // non-negative costs only grow along any conversion path.
-    if (row_min >= cutoff && del_prefix >= cutoff) {
+    // non-negative costs only grow along any conversion path. (A NaN
+    // del_prefix keeps the floor NaN, so it never abandons.)
+    if (rule.Abandons(i, row_min < del_prefix ? row_min : del_prefix,
+                      cutoff)) {
       if (rows_out != nullptr) *rows_out = i;
       return false;
     }
@@ -194,7 +286,8 @@ bool CmaWedRows(int m, int n, const Costs& costs, CmaWedVariant variant,
 template <typename Costs>
   requires simd::BatchCosts<Costs>
 bool CmaWedRowsVec(int m, int n, const Costs& costs, PointCols cols,
-                   double cutoff, std::vector<double>* c_prev,
+                   double cutoff, const CmaAbandonRule& rule,
+                   std::vector<double>* c_prev,
                    std::vector<double>* c_cur, std::vector<int>* s_prev,
                    std::vector<int>* s_cur, std::vector<double>* sub_row,
                    std::vector<double>* ins_row, int* rows_out = nullptr) {
@@ -235,7 +328,8 @@ bool CmaWedRowsVec(int m, int n, const Costs& costs, PointCols cols,
     std::swap(*c_prev, *c_cur);
     std::swap(*s_prev, *s_cur);
     del_prefix += costs.Del(i - 1);
-    if (row_min >= cutoff && del_prefix >= cutoff) {
+    if (rule.Abandons(i, row_min < del_prefix ? row_min : del_prefix,
+                      cutoff)) {
       if (rows_out != nullptr) *rows_out = i;
       return false;
     }
@@ -296,7 +390,8 @@ void CmaWedFinalRow(int m, int n, const Costs& costs, CmaWedVariant variant,
                     std::vector<double>* c_out, std::vector<int>* s_out) {
   std::vector<double> c_prev;
   std::vector<int> s_prev;
-  CmaWedRows(m, n, costs, variant, kNoCutoff, &c_prev, c_out, &s_prev, s_out);
+  CmaWedRows(m, n, costs, variant, kNoCutoff, {}, &c_prev, c_out, &s_prev,
+             s_out);
 }
 
 /// Extracts the optimum from a final CMA row (Equation 6).
@@ -333,7 +428,8 @@ SearchResult CmaWedSearch(int m, int n, const Costs& costs,
 /// matched point. Same scratch/abandon contract as CmaWedRows.
 template <typename SubFn>
 bool CmaDtwRows(int m, int n, SubFn sub, double cutoff,
-                std::vector<double>* c_prev, std::vector<double>* c_cur,
+                const CmaAbandonRule& rule, std::vector<double>* c_prev,
+                std::vector<double>* c_cur,
                 std::vector<int>* s_prev, std::vector<int>* s_cur,
                 int* rows_out = nullptr) {
   TRAJ_CHECK(m >= 1 && n >= 1);
@@ -351,7 +447,7 @@ bool CmaDtwRows(int m, int n, SubFn sub, double cutoff,
   }
   for (int i = 1; i < m; ++i) {
     // DTW row i cells all derive from row i-1 plus non-negative subs.
-    if (row_min >= cutoff) {
+    if (rule.Abandons(i, row_min, cutoff)) {
       if (rows_out != nullptr) *rows_out = i;
       return false;
     }
@@ -389,7 +485,7 @@ void CmaDtwFinalRow(int m, int n, SubFn sub, std::vector<double>* c_out,
                     std::vector<int>* s_out) {
   std::vector<double> c_prev;
   std::vector<int> s_prev;
-  CmaDtwRows(m, n, sub, kNoCutoff, &c_prev, c_out, &s_prev, s_out);
+  CmaDtwRows(m, n, sub, kNoCutoff, {}, &c_prev, c_out, &s_prev, s_out);
 }
 
 /// \brief CMA for DTW (Equation 8 / §5.2). Only substitution costs are
@@ -406,7 +502,8 @@ SearchResult CmaDtwSearch(int m, int n, SubFn sub) {
 /// (Equation 9 / §5.3). Same scratch/abandon contract as CmaWedRows.
 template <typename SubFn>
 bool CmaFrechetRows(int m, int n, SubFn sub, double cutoff,
-                    std::vector<double>* c_prev, std::vector<double>* c_cur,
+                    const CmaAbandonRule& rule, std::vector<double>* c_prev,
+                    std::vector<double>* c_cur,
                     std::vector<int>* s_prev, std::vector<int>* s_cur,
                     int* rows_out = nullptr) {
   TRAJ_CHECK(m >= 1 && n >= 1);
@@ -424,7 +521,7 @@ bool CmaFrechetRows(int m, int n, SubFn sub, double cutoff,
   }
   for (int i = 1; i < m; ++i) {
     // max-of-mins cells never drop below the cheapest row i-1 predecessor.
-    if (row_min >= cutoff) {
+    if (rule.Abandons(i, row_min, cutoff)) {
       if (rows_out != nullptr) *rows_out = i;
       return false;
     }
@@ -463,7 +560,7 @@ void CmaFrechetFinalRow(int m, int n, SubFn sub, std::vector<double>* c_out,
                         std::vector<int>* s_out) {
   std::vector<double> c_prev;
   std::vector<int> s_prev;
-  CmaFrechetRows(m, n, sub, kNoCutoff, &c_prev, c_out, &s_prev, s_out);
+  CmaFrechetRows(m, n, sub, kNoCutoff, {}, &c_prev, c_out, &s_prev, s_out);
 }
 
 /// \brief CMA for the discrete Fréchet distance (Equation 9 / §5.3).

@@ -26,6 +26,7 @@ FunnelCounters::FunnelCounters(obs::Registry* registry, Algorithm algorithm) {
   simd_vector_cells = registry->counter(simd_base + "vector_cells");
   simd_scalar_cells = registry->counter(simd_base + "scalar_cells");
   simd_lane_abandons = registry->counter(simd_base + "lane_abandons");
+  simd_lane_refills = registry->counter(simd_base + "lane_refills");
 }
 
 void FunnelCounters::Fold(const QueryStats& stats) const {
@@ -41,6 +42,7 @@ void FunnelCounters::Fold(const QueryStats& stats) const {
   simd_vector_cells->Add(stats.simd_vector_cells);
   simd_scalar_cells->Add(stats.simd_scalar_cells);
   simd_lane_abandons->Add(stats.simd_lane_abandons);
+  simd_lane_refills->Add(stats.simd_lane_refills);
 }
 
 std::unique_ptr<Searcher> MakeEngineSearcher(const EngineOptions& options) {

@@ -131,9 +131,13 @@ struct QueryStats {
   uint64_t simd_vector_cells = 0;
   uint64_t simd_scalar_cells = 0;
   /// Batch-kernel lanes retired early by the shared cutoff (per-lane
-  /// SweepLowerBound / row-floor crossings); 0 under scalar dispatch, where
-  /// the same abandons surface as shorter sweeps.
+  /// SweepLowerBound crossings; for CMA the row floor plus suffix floor); 0
+  /// under scalar dispatch, where the same abandons surface as shorter
+  /// sweeps.
   uint64_t simd_lane_abandons = 0;
+  /// CMA lanes restarted with the next candidate of the batch window after
+  /// their candidate completed or abandoned; 0 under scalar dispatch.
+  uint64_t simd_lane_refills = 0;
 };
 
 /// \brief Resolved `engine.<Algorithm>.funnel.*` counters. SearchEngine and
@@ -159,10 +163,11 @@ struct FunnelCounters {
   obs::Counter* simd_vector_cells = nullptr;
   obs::Counter* simd_scalar_cells = nullptr;
   obs::Counter* simd_lane_abandons = nullptr;
+  obs::Counter* simd_lane_refills = nullptr;
 };
 
 /// \brief Algorithm 3 after candidate generation — bound ordering, KPF/OSF
-/// bound filter, length-sorted batch window, QueryRun::RunBatch, offer into
+/// bound filter, length-sorted batch window, QueryRun::RunWindow, offer into
 /// a SharedTopK — implemented once for SearchEngine (base shards, over a
 /// DatasetView) and DeltaEngine (the live delta, over a DeltaView).
 ///

@@ -110,7 +110,7 @@ void SearchPipeline::Evaluate(const View& data, TrajectoryView query,
   // cannot enter the final top-K no matter when the cutoff tightened) but
   // not under the sampled KPF estimate, whose prune decisions depend on how
   // tight the heap was at check time. There every survivor runs in a window
-  // of one, which RunBatch evaluates exactly as RunCols would, so sampled
+  // of one, which RunWindow evaluates exactly as RunCols would, so sampled
   // KPF keeps its sequential semantics.
   const bool sound_bound =
       bound == nullptr || options_.use_osf || options_.sample_rate >= 1.0;
@@ -147,11 +147,12 @@ void SearchPipeline::Evaluate(const View& data, TrajectoryView query,
   const std::span<const double> cached_bounds(scratch->bounds);
 
   // Batched plans accumulate kBatchGroups batches' worth of survivors
-  // before flushing: one RunBatch sweeps every lane to its *longest*
-  // member, so random-length lanes (Porto trajectory lengths vary by
-  // several x) would waste most of the lane speedup on ragged tails. The
-  // window is sorted longest-first at flush time and emitted in
-  // width-sized groups of near-equal length.
+  // before flushing: a batch sweeps every lane to its *longest* member, so
+  // random-length lanes (Porto trajectory lengths vary by several x) would
+  // waste most of the lane speedup on ragged tails. The window is sorted
+  // longest-first at flush time and handed to RunWindow whole: by default
+  // it runs in width-sized groups of near-equal length; CMA refills a lane
+  // with the next candidate as soon as the lane's candidate is done.
   constexpr int kBatchGroups = 4;
   constexpr int kBatchWindow = kBatchGroups * simd::kLanes;
 
@@ -174,11 +175,35 @@ void SearchPipeline::Evaluate(const View& data, TrajectoryView query,
   // (SharedTopK's cutoff is strictly above the K-th best, so distance ties
   // — which may still win on the canonical id tie-break — stay below it and
   // are computed exactly), so the plan may stop as soon as it can prove the
-  // cutoff unbeatable. The cutoff is re-captured per group — at most as
-  // tight as per-candidate captures would be, and RunBatch is exact below
-  // any cutoff, so the surviving hits (and therefore the final top-K) are
-  // identical; only the abandoned/completed split can shift.
-  auto flush = [&](QueryRun* run, int width, WorkerState* state) {
+  // cutoff unbeatable. The plan reads the cutoff when each candidate (or
+  // group) starts, and every result is offered as soon as it is done, so a
+  // later start sees a cutoff at most as tight as per-candidate captures
+  // would be. RunWindow is exact below any cutoff, so the surviving hits
+  // (and therefore the final top-K) are identical; only the
+  // abandoned/completed split can shift.
+  struct Sink final : QueryRun::WindowSink {
+    bool early_abandon;
+    SharedTopK* topk;
+    WorkerState* state;
+    const int* order;
+    int id_offset;
+
+    double Cutoff() override {
+      return early_abandon ? topk->Cutoff() : kNoCutoff;
+    }
+    void Done(int item, const SearchResult& result, double cutoff) override {
+      // Funnel accounting: a run whose result lands at or above the cutoff
+      // it started with did (possibly early-abandoned) DP work that the
+      // top-K merge will discard.
+      if (cutoff != kNoCutoff && result.distance >= cutoff) {
+        ++state->abandoned;
+      }
+      const int id = state->batch_ids[static_cast<size_t>(
+          order[static_cast<size_t>(item)])];
+      topk->Offer(EngineHit{id + id_offset, result});
+    }
+  };
+  auto flush = [&](QueryRun* run, WorkerState* state) {
     const int count = state->batch_pending;
     if (count == 0) return;
     state->batch_pending = 0;
@@ -189,34 +214,21 @@ void SearchPipeline::Evaluate(const View& data, TrajectoryView query,
           return state->batch_items[static_cast<size_t>(a)].data.size() >
                  state->batch_items[static_cast<size_t>(b)].data.size();
         });
-    std::array<QueryRun::RunBatchItem, simd::kLanes> group_items;
-    std::array<SearchResult, simd::kLanes> group_results;
-    for (int begin = 0; begin < count; begin += width) {
-      const int group = std::min(width, count - begin);
-      for (int i = 0; i < group; ++i) {
-        group_items[static_cast<size_t>(i)] =
-            state->batch_items[static_cast<size_t>(
-                order[static_cast<size_t>(begin + i)])];
-      }
-      const double cutoff =
-          options_.use_early_abandon ? topk->Cutoff() : kNoCutoff;
-      state->pair_timer.Start();
-      run->RunBatch(group_items.data(), group, cutoff, group_results.data());
-      state->pair_timer.Stop();
-      state->searched += group;
-      for (int i = 0; i < group; ++i) {
-        const SearchResult& result = group_results[static_cast<size_t>(i)];
-        // Funnel accounting: a run whose result lands at or above the
-        // cutoff it started with did (possibly early-abandoned) DP work
-        // that the top-K merge will discard.
-        if (cutoff != kNoCutoff && result.distance >= cutoff) {
-          ++state->abandoned;
-        }
-        const int id = state->batch_ids[static_cast<size_t>(
-            order[static_cast<size_t>(begin + i)])];
-        topk->Offer(EngineHit{id + id_offset, result});
-      }
+    std::array<QueryRun::RunBatchItem, kBatchWindow> items;
+    for (int i = 0; i < count; ++i) {
+      items[static_cast<size_t>(i)] = state->batch_items[static_cast<size_t>(
+          order[static_cast<size_t>(i)])];
     }
+    Sink sink;
+    sink.early_abandon = options_.use_early_abandon;
+    sink.topk = topk;
+    sink.state = state;
+    sink.order = order.data();
+    sink.id_offset = id_offset;
+    state->pair_timer.Start();
+    run->RunWindow(items.data(), count, &sink);
+    state->pair_timer.Stop();
+    state->searched += count;
   };
 
   // Up to `threads` workers pull candidate chunks from an atomic counter
@@ -276,12 +288,12 @@ void SearchPipeline::Evaluate(const View& data, TrajectoryView query,
         state.batch_items[static_cast<size_t>(state.batch_pending)] =
             QueryRun::RunBatchItem{trajectory, data.cols(id)};
         state.batch_ids[static_cast<size_t>(state.batch_pending)] = id;
-        if (++state.batch_pending == window) flush(run.get(), width, &state);
+        if (++state.batch_pending == window) flush(run.get(), &state);
       }
     }
     // A worker's pending window may span chunk boundaries; it drains once
     // the worker's whole candidate stream is exhausted.
-    flush(run.get(), width, &state);
+    flush(run.get(), &state);
     state.cells = run->TakeSimdStats();
     plans_.ReleaseRun(std::move(run));
   };
@@ -312,6 +324,7 @@ void SearchPipeline::Evaluate(const View& data, TrajectoryView query,
     stats->simd_vector_cells += state.cells.vector_cells;
     stats->simd_scalar_cells += state.cells.scalar_cells;
     stats->simd_lane_abandons += state.cells.lane_abandons;
+    stats->simd_lane_refills += state.cells.lane_refills;
   };
   add(caller_state);
   for (const WorkerState& state : task_states) add(state);

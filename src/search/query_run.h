@@ -6,6 +6,7 @@
 #include "core/point.h"
 #include "core/trajectory.h"
 #include "search/result.h"
+#include "util/check.h"
 #include "util/simd.h"
 
 namespace trajsearch {
@@ -89,6 +90,40 @@ class QueryRun {
                         SearchResult* results) {
     for (int i = 0; i < count; ++i) {
       results[i] = RunCols(items[i].data, items[i].cols, cutoff);
+    }
+  }
+
+  /// Where RunWindow reads the live cutoff and hands each result back.
+  class WindowSink {
+   public:
+    /// The cutoff a candidate starts under, read when it starts.
+    virtual double Cutoff() = 0;
+    /// items[item] finished with `result` under the `cutoff` it started
+    /// with. Called once per item, in the order the items finish.
+    virtual void Done(int item, const SearchResult& result,
+                      double cutoff) = 0;
+
+   protected:
+    ~WindowSink() = default;
+  };
+
+  /// Evaluates a window of `count` candidates (any count), each under the
+  /// cutoff the sink reports when that candidate starts, and reports every
+  /// result through sink->Done. Each result obeys the single-candidate
+  /// cutoff contract for its own cutoff. The default runs the window in
+  /// order, in RunBatch groups of batch_width() that read one cutoff per
+  /// group; the CMA plan instead refills a lane with the next item as soon
+  /// as the lane's candidate finishes or abandons.
+  virtual void RunWindow(const RunBatchItem* items, int count,
+                         WindowSink* sink) {
+    const int width = batch_width();
+    TRAJ_CHECK(width >= 1 && width <= simd::kLanes);
+    SearchResult results[simd::kLanes];
+    for (int begin = 0; begin < count; begin += width) {
+      const int group = count - begin < width ? count - begin : width;
+      const double cutoff = sink->Cutoff();
+      RunBatch(items + begin, group, cutoff, results);
+      for (int i = 0; i < group; ++i) sink->Done(begin + i, results[i], cutoff);
     }
   }
 

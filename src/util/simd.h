@@ -308,18 +308,22 @@ inline void SetBatchLanes(int lanes) {
 /// group (batch kernels count per *live* lane, so the sum stays
 /// dispatch-invariant); scalar_cells counts tail lanes plus everything a
 /// scalar-dispatched stepper does. lane_abandons counts lanes of a batch
-/// kernel retired early by the shared cutoff (per-lane SweepLowerBound/
-/// row-floor crossings) — always 0 under scalar dispatch, where the same
-/// abandons surface as shorter sweeps instead.
+/// kernel retired early by the cutoff (per-lane SweepLowerBound crossings;
+/// for CMA the row floor plus suffix floor, search/cma.h) — always 0 under
+/// scalar dispatch, where the same abandons surface as shorter sweeps
+/// instead. lane_refills counts CMA lanes restarted with the next candidate
+/// of the window after their candidate completed or abandoned.
 struct CellCounts {
   uint64_t vector_cells = 0;
   uint64_t scalar_cells = 0;
   uint64_t lane_abandons = 0;
+  uint64_t lane_refills = 0;
 
   CellCounts& operator+=(const CellCounts& o) {
     vector_cells += o.vector_cells;
     scalar_cells += o.scalar_cells;
     lane_abandons += o.lane_abandons;
+    lane_refills += o.lane_refills;
     return *this;
   }
 };

@@ -272,14 +272,15 @@ TEST(FunnelTest, SimdDispatchLeavesTheFunnelUnchanged) {
 }
 
 TEST(FunnelTest, CmaCrossCandidateBatchingKeepsHitsAndFunnelInvariant) {
-  // CMA's cross-candidate batch kernel defers the top-K Offers of a lane
-  // group to flush time. Under a sound bound that must leave the hits and
-  // every pre-DP funnel stage (candidates, skipped, bound_pruned, dp_runs)
-  // bit-identical to scalar dispatch; only the abandoned/completed *split*
-  // of dp_runs may shift (the flush-time cutoff is at most as tight as the
+  // CMA's cross-candidate lane kernel defers a worker's candidates to its
+  // window flush, then offers each result as its lane finishes and refills
+  // the lane. Under a sound bound that must leave the hits and every pre-DP
+  // funnel stage (candidates, skipped, bound_pruned, dp_runs) bit-identical
+  // to scalar dispatch; only the abandoned/completed *split* of dp_runs may
+  // shift (a cutoff read at lane start is at most as tight as the
   // per-candidate captures), and the telescoping identities must hold in
-  // both modes. Lane abandons land in the simd.* namespace, outside the
-  // funnel.
+  // both modes. Lane abandons and refills land in the simd.* namespace,
+  // outside the funnel.
   if (simd::kLanes == 1) GTEST_SKIP() << "built without SIMD lanes";
   const FunnelFixture f = MakeFixture();
   Dataset dataset("funnel-cma-batch");
@@ -291,6 +292,7 @@ TEST(FunnelTest, CmaCrossCandidateBatchingKeepsHitsAndFunnelInvariant) {
     obs::FunnelRow rows[2];
     std::vector<std::vector<EngineHit>> hits(2);
     uint64_t lane_abandons[2] = {0, 0};
+    uint64_t lane_refills[2] = {0, 0};
     for (const int mode : {0, 1}) {  // 0 = batched dispatch, 1 = scalar
       simd::SetEnabled(mode == 0);
       obs::Registry registry;
@@ -301,6 +303,7 @@ TEST(FunnelTest, CmaCrossCandidateBatchingKeepsHitsAndFunnelInvariant) {
       options.metrics = &registry;
       const SearchEngine engine(&dataset, options);
       uint64_t stats_lane_abandons = 0;
+      uint64_t stats_lane_refills = 0;
       for (size_t qi = 0; qi < f.queries.size(); ++qi) {
         QueryStats stats;
         for (const EngineHit& hit :
@@ -314,6 +317,7 @@ TEST(FunnelTest, CmaCrossCandidateBatchingKeepsHitsAndFunnelInvariant) {
                   stats.abandoned + (stats.searched - stats.abandoned))
             << context;
         stats_lane_abandons += stats.simd_lane_abandons;
+        stats_lane_refills += stats.simd_lane_refills;
       }
       const obs::RegistrySnapshot snap = registry.Snapshot();
       const std::vector<obs::FunnelRow> funnels = obs::ExtractFunnels(snap);
@@ -321,6 +325,8 @@ TEST(FunnelTest, CmaCrossCandidateBatchingKeepsHitsAndFunnelInvariant) {
       rows[mode] = funnels.front();
       lane_abandons[mode] = snap.counter("engine.CMA.simd.lane_abandons");
       EXPECT_EQ(stats_lane_abandons, lane_abandons[mode]) << context;
+      lane_refills[mode] = snap.counter("engine.CMA.simd.lane_refills");
+      EXPECT_EQ(stats_lane_refills, lane_refills[mode]) << context;
       EXPECT_TRUE(rows[mode].Consistent()) << context;
     }
     simd::SetEnabled(prev);
@@ -340,8 +346,9 @@ TEST(FunnelTest, CmaCrossCandidateBatchingKeepsHitsAndFunnelInvariant) {
     EXPECT_EQ(rows[0].skipped, rows[1].skipped) << context;
     EXPECT_EQ(rows[0].bound_pruned, rows[1].bound_pruned) << context;
     EXPECT_EQ(rows[0].dp_runs, rows[1].dp_runs) << context;
-    // Scalar dispatch never retires lanes.
+    // Scalar dispatch never retires or refills lanes.
     EXPECT_EQ(lane_abandons[1], 0u) << context;
+    EXPECT_EQ(lane_refills[1], 0u) << context;
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -107,16 +108,22 @@ TEST_P(PlanAllocTest, SteadyStateRunsDoNotAllocate) {
     std::unique_ptr<QueryRun> plan = searcher.value()->Bind(query);
 
     // Warm-up: sizes all scratch (rows, heaps, suffix tables, feature
-    // buffers) to this candidate population.
+    // buffers) to this candidate population. It also yields the median
+    // full distance, a cutoff under which about half the runs abandon.
+    std::vector<double> full;
     for (const Trajectory& data : corpus) {
-      (void)plan->Run(data, kNoCutoff);
+      full.push_back(plan->Run(data, kNoCutoff).distance);
     }
+    std::sort(full.begin(), full.end());
+    const double median = full[full.size() / 2];
+    for (const Trajectory& data : corpus) (void)plan->Run(data, median);
 
     const long long before = AllocationCount();
     double sum = 0;
     for (int pass = 0; pass < 3; ++pass) {
       for (const Trajectory& data : corpus) {
         sum += plan->Run(data, kNoCutoff).distance;
+        sum += std::min(plan->Run(data, median).distance, 1.0);
       }
     }
     const long long after = AllocationCount();
@@ -192,11 +199,30 @@ TEST(PlanAllocTest, BatchedRunsDoNotAllocateInSteadyState) {
   // warm-up pass RunBatch must be allocation-free — including across
   // re-Binds to different queries and across *shrinking* batch counts
   // (count < batch_width must reuse the full-width scratch, never resize).
+  //
+  // Every pass runs twice: under kNoCutoff and under the query's median
+  // full distance, where about half the runs abandon (CMA: the suffix
+  // floor is filled per candidate and lanes retire and refill). RunCols
+  // and RunWindow (one window of the whole set) are audited the same way.
   Rng rng(99123);
   std::vector<Trajectory> queries;
   for (int i = 0; i < 3; ++i) queries.push_back(RandomWalk(&rng, 8 + i * 3));
   Dataset dataset("alloc-batch");
   for (int i = 0; i < 12; ++i) dataset.Add(RandomWalk(&rng, 28 + i));
+
+  class Sink final : public QueryRun::WindowSink {
+   public:
+    Sink(double cutoff, SearchResult* results)
+        : cutoff_(cutoff), results_(results) {}
+    double Cutoff() override { return cutoff_; }
+    void Done(int item, const SearchResult& result, double) override {
+      results_[item] = result;
+    }
+
+   private:
+    double cutoff_;
+    SearchResult* results_;
+  };
 
   for (const Algorithm algorithm :
        {Algorithm::kCma, Algorithm::kExactS, Algorithm::kPss,
@@ -212,36 +238,47 @@ TEST(PlanAllocTest, BatchedRunsDoNotAllocateInSteadyState) {
         items.push_back({dataset[id].View(), dataset.cols(id)});
       }
       std::vector<SearchResult> results(items.size());
-      auto run_batches = [&](int width) {
+      std::vector<double> medians;
+      for (const Trajectory& q : queries) {
+        plan->Bind(q);
+        std::vector<double> full;
+        for (const QueryRun::RunBatchItem& item : items) {
+          full.push_back(plan->RunCols(item.data, item.cols).distance);
+        }
+        std::sort(full.begin(), full.end());
+        medians.push_back(full[full.size() / 2]);
+      }
+      auto run_all = [&](int width, double cutoff) {
         for (size_t begin = 0; begin < items.size();) {
           const int count = static_cast<int>(std::min(
               static_cast<size_t>(width), items.size() - begin));
-          plan->RunBatch(items.data() + begin, count, kNoCutoff,
+          plan->RunBatch(items.data() + begin, count, cutoff,
                          results.data() + begin);
           begin += static_cast<size_t>(count);
         }
+        for (const QueryRun::RunBatchItem& item : items) {
+          (void)plan->RunCols(item.data, item.cols, cutoff);
+        }
+        Sink sink(cutoff, results.data());
+        plan->RunWindow(items.data(), static_cast<int>(items.size()), &sink);
+      };
+      auto pass = [&]() {
+        for (size_t qi = 0; qi < queries.size(); ++qi) {
+          plan->Bind(queries[qi]);
+          // Full width first, then every shrinking batch size down to 1
+          // (the width-1 batches route through the sequential RunCols
+          // fallback, which has its own scratch).
+          for (int width = std::max(1, plan->batch_width()); width >= 1;
+               --width) {
+            run_all(width, kNoCutoff);
+            run_all(width, medians[qi]);
+          }
+        }
       };
 
-      // Warm-up: every query length, every batch size the audit will run
-      // (the width-1 batches route through the sequential RunCols fallback,
-      // which has its own scratch).
-      for (const Trajectory& q : queries) {
-        plan->Bind(q);
-        for (int width = std::max(1, plan->batch_width()); width >= 1;
-             --width) {
-          run_batches(width);
-        }
-      }
-
+      pass();  // warm-up: every query length, batch size and cutoff
       const long long before = AllocationCount();
-      for (const Trajectory& q : queries) {
-        plan->Bind(q);
-        // Full width first, then every shrinking batch size down to 1.
-        for (int width = std::max(1, plan->batch_width()); width >= 1;
-             --width) {
-          run_batches(width);
-        }
-      }
+      pass();
       EXPECT_EQ(AllocationCount() - before, 0)
           << ToString(algorithm) << "/" << ToString(spec.kind)
           << " RunBatch allocated on the steady-state path";
