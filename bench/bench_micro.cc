@@ -273,8 +273,10 @@ void BM_ExactSMultiSweepWedBatched(benchmark::State& state) {
 BENCHMARK(BM_ExactSMultiSweepWedBatched)
     ->ArgsProduct({{8, 32, 128}, {2, simd::kLanes}});
 
-/// CMA three-way: scalar rows (Run), data-dimension vectorized rows
-/// (RunCols), and cross-candidate lanes (RunBatch over kLanes candidates).
+/// CMA three-way: scalar rows (Run under scalar dispatch), data-dimension
+/// vectorized rows (Run under vector dispatch: each call copies the
+/// candidate into column scratch, then CmaWedRowsVec), and cross-candidate
+/// lanes (RunBatch over kLanes candidates).
 /// One "iteration" evaluates kLanes candidates so the three variants do the
 /// same work. The third argument picks the distance (0 = DTW, 1 = ERP);
 /// the column variant exists for the WED family only, so it runs ERP. The
@@ -341,8 +343,7 @@ void BM_CmaRowsColumn(benchmark::State& state) {
   for (auto _ : state) {
     double sum = 0;
     for (int id = 0; id < f.dataset.size(); ++id) {
-      sum += plan->RunCols(f.dataset[id], f.dataset.cols(id), cutoff)
-                 .distance;
+      sum += plan->Run(f.dataset[id], cutoff).distance;
     }
     benchmark::DoNotOptimize(sum);
   }
@@ -359,7 +360,7 @@ void BM_CmaRowsBatched(benchmark::State& state) {
   std::unique_ptr<QueryRun> plan = searcher.value()->Bind(f.query);
   std::vector<QueryRun::RunBatchItem> items;
   for (int id = 0; id < f.dataset.size(); ++id) {
-    items.push_back({f.dataset[id].View(), f.dataset.cols(id)});
+    items.push_back({f.dataset[id].View(), {}});
   }
   std::vector<SearchResult> results(items.size());
   const int width = plan->batch_width();

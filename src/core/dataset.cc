@@ -8,13 +8,9 @@ Dataset::Dataset(const Dataset& other)
     : name_(other.name_),
       borrowed_(other.borrowed_),
       pool_(other.pool_),
-      xs_(other.xs_),
-      ys_(other.ys_),
       offsets_(other.offsets_),
       pool_data_(other.pool_data_),
       pool_size_(other.pool_size_),
-      xs_data_(other.xs_data_),
-      ys_data_(other.ys_data_),
       offsets_data_(other.offsets_data_),
       offsets_size_(other.offsets_size_),
       keepalive_(other.keepalive_) {
@@ -28,13 +24,9 @@ Dataset& Dataset::operator=(const Dataset& other) {
   name_ = other.name_;
   borrowed_ = other.borrowed_;
   pool_ = other.pool_;
-  xs_ = other.xs_;
-  ys_ = other.ys_;
   offsets_ = other.offsets_;
   pool_data_ = other.pool_data_;
   pool_size_ = other.pool_size_;
-  xs_data_ = other.xs_data_;
-  ys_data_ = other.ys_data_;
   offsets_data_ = other.offsets_data_;
   offsets_size_ = other.offsets_size_;
   keepalive_ = other.keepalive_;
@@ -45,7 +37,6 @@ Dataset& Dataset::operator=(const Dataset& other) {
 int Dataset::Add(TrajectoryView points) {
   TRAJ_CHECK(!borrowed_);
   const int id = size();
-  const size_t old_size = pool_.size();
   if (!points.empty() && points.data() >= pool_.data() &&
       points.data() < pool_.data() + pool_.size()) {
     // The view aliases this dataset's own pool (e.g. Add(dataset[i]) to
@@ -55,12 +46,6 @@ int Dataset::Add(TrajectoryView points) {
     pool_.insert(pool_.end(), copy.begin(), copy.end());
   } else {
     pool_.insert(pool_.end(), points.begin(), points.end());
-  }
-  // Keep the coordinate columns in lockstep with the pool; reading back from
-  // the pool tail covers both insert branches above.
-  for (size_t i = old_size; i < pool_.size(); ++i) {
-    xs_.push_back(pool_[i].x);
-    ys_.push_back(pool_[i].y);
   }
   offsets_.push_back(static_cast<uint64_t>(pool_.size()));
   SyncViews();
@@ -83,60 +68,21 @@ Dataset Dataset::FromPool(std::string name, std::vector<Point> pool,
   Dataset dataset(std::move(name));
   dataset.pool_ = std::move(pool);
   dataset.offsets_ = std::move(offsets);
-  // Columns are built exactly-sized in one shot: the adopted pool is final,
-  // so unlike Add there is no incremental growth to amortize.
-  dataset.xs_.resize(dataset.pool_.size());
-  dataset.ys_.resize(dataset.pool_.size());
-  for (size_t i = 0; i < dataset.pool_.size(); ++i) {
-    dataset.xs_[i] = dataset.pool_[i].x;
-    dataset.ys_[i] = dataset.pool_[i].y;
-  }
-  dataset.SyncViews();
-  return dataset;
-}
-
-Dataset Dataset::FromPool(std::string name, std::vector<Point> pool,
-                          std::vector<double> xs, std::vector<double> ys,
-                          std::vector<uint64_t> offsets) {
-  TRAJ_CHECK(!offsets.empty() && offsets.front() == 0 &&
-             offsets.back() == pool.size());
-  TRAJ_CHECK(std::is_sorted(offsets.begin(), offsets.end()));
-  TRAJ_CHECK(xs.size() == pool.size() && ys.size() == pool.size());
-  Dataset dataset(std::move(name));
-  dataset.pool_ = std::move(pool);
-  dataset.xs_ = std::move(xs);
-  dataset.ys_ = std::move(ys);
-  dataset.offsets_ = std::move(offsets);
-#if !defined(NDEBUG)
-  for (size_t i = 0; i < dataset.pool_.size(); ++i) {
-    TRAJ_DCHECK(dataset.xs_[i] == dataset.pool_[i].x ||
-                (dataset.xs_[i] != dataset.xs_[i] &&
-                 dataset.pool_[i].x != dataset.pool_[i].x));
-    TRAJ_DCHECK(dataset.ys_[i] == dataset.pool_[i].y ||
-                (dataset.ys_[i] != dataset.ys_[i] &&
-                 dataset.pool_[i].y != dataset.pool_[i].y));
-  }
-#endif
   dataset.SyncViews();
   return dataset;
 }
 
 Dataset Dataset::FromMapped(std::string name, std::span<const Point> pool,
-                            std::span<const double> xs,
-                            std::span<const double> ys,
                             std::span<const uint64_t> offsets,
                             std::shared_ptr<const void> keepalive) {
   TRAJ_CHECK(!offsets.empty() && offsets.front() == 0 &&
              offsets.back() == pool.size());
   TRAJ_CHECK(std::is_sorted(offsets.begin(), offsets.end()));
-  TRAJ_CHECK(xs.size() == pool.size() && ys.size() == pool.size());
   Dataset dataset(std::move(name));
   dataset.borrowed_ = true;
   dataset.offsets_.clear();  // the default {0} would shadow the borrowed table
   dataset.pool_data_ = pool.data();
   dataset.pool_size_ = pool.size();
-  dataset.xs_data_ = xs.data();
-  dataset.ys_data_ = ys.data();
   dataset.offsets_data_ = offsets.data();
   dataset.offsets_size_ = offsets.size();
   dataset.keepalive_ = std::move(keepalive);

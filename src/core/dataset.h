@@ -36,13 +36,15 @@ struct DatasetStats {
 };
 
 /// \brief An in-memory collection of data trajectories, stored as one
-/// contiguous structure-of-arrays point pool.
+/// contiguous array-of-structures point pool.
 ///
 /// All points of all trajectories live back to back in a single flat buffer;
 /// a per-trajectory offset table maps trajectory id i to the half-open pool
 /// range [offsets[i], offsets[i+1]). Trajectory ids are assigned densely
 /// (their index in the collection) so pruning indexes can use plain arrays,
 /// and operator[] hands out zero-copy TrajectoryRef handles into the pool.
+/// The pool is the only copy of every point: kernels that want coordinate
+/// columns deinterleave a trajectory into their own scratch.
 /// The offsets table and pool are also sections of the snapshot format, so a
 /// mapped snapshot serves them in place (FromMapped).
 ///
@@ -78,12 +80,10 @@ class Dataset {
     SyncViews();
   }
 
-  /// Pre-allocates room for `n` more points in the pool (and its columns).
+  /// Pre-allocates room for `n` more points in the pool.
   void ReservePoints(size_t n) {
     TRAJ_CHECK(!borrowed_);
     pool_.reserve(pool_.size() + n);
-    xs_.reserve(xs_.size() + n);
-    ys_.reserve(ys_.size() + n);
     SyncViews();
   }
 
@@ -97,23 +97,13 @@ class Dataset {
   static Dataset FromPool(std::string name, std::vector<Point> pool,
                           std::vector<uint64_t> offsets);
 
-  /// FromPool overload adopting prebuilt coordinate columns (must mirror
-  /// `pool` exactly; the compressed-snapshot decoder produces all three
-  /// streams in one pass, so rebuilding the columns here would be waste).
-  static Dataset FromPool(std::string name, std::vector<Point> pool,
-                          std::vector<double> xs, std::vector<double> ys,
-                          std::vector<uint64_t> offsets);
-
   /// Borrows an already-laid-out corpus without copying: spans over the AoS
-  /// pool, its SoA coordinate columns and the offset table — typically the
-  /// page-aligned sections of a mapped snapshot. `keepalive` owns the
-  /// storage (shared by copies of this dataset) and is released when the
-  /// last borrower is destroyed. The spans must satisfy the same invariants
-  /// FromPool checks, plus xs/ys mirroring the pool (checked in debug
-  /// builds); callers loading untrusted bytes validate first and fail soft.
+  /// pool and the offset table — typically the page-aligned sections of a
+  /// mapped snapshot. `keepalive` owns the storage (shared by copies of this
+  /// dataset) and is released when the last borrower is destroyed. The spans
+  /// must satisfy the same invariants FromPool checks; callers loading
+  /// untrusted bytes validate first and fail soft.
   static Dataset FromMapped(std::string name, std::span<const Point> pool,
-                            std::span<const double> xs,
-                            std::span<const double> ys,
                             std::span<const uint64_t> offsets,
                             std::shared_ptr<const void> keepalive);
 
@@ -162,21 +152,6 @@ class Dataset {
   ConstIterator begin() const { return ConstIterator(this, 0); }
   ConstIterator end() const { return ConstIterator(this, size()); }
 
-  /// \brief Coordinate columns of trajectory `id`: the structure-of-arrays
-  /// twin of operator[]. The columns are materialized when the pool is built
-  /// (Add / FromPool) and live as long as the dataset, so views returned
-  /// here are stable across queries.
-  PointCols cols(int id) const {
-    TRAJ_DCHECK(id >= 0 && id < size());
-    const size_t off =
-        static_cast<size_t>(offsets_data_[static_cast<size_t>(id)]);
-    return PointCols{xs_data_ + off, ys_data_ + off};
-  }
-
-  /// Coordinate columns over the whole pool (trajectory-major, same order
-  /// as pool()).
-  PointCols pool_cols() const { return PointCols{xs_data_, ys_data_}; }
-
   /// The shared point pool (trajectory-major, contiguous).
   std::span<const Point> pool() const { return {pool_data_, pool_size_}; }
   /// Per-trajectory pool offsets; size() + 1 entries, first 0, last
@@ -200,8 +175,6 @@ class Dataset {
   void SyncViews() {
     pool_data_ = pool_.data();
     pool_size_ = pool_.size();
-    xs_data_ = xs_.data();
-    ys_data_ = ys_.data();
     offsets_data_ = offsets_.data();
     offsets_size_ = offsets_.size();
   }
@@ -210,17 +183,11 @@ class Dataset {
   bool borrowed_ = false;
   /// Owned storage (empty in borrowed mode).
   std::vector<Point> pool_;
-  // Structure-of-arrays shadow of pool_ (same indexing), kept in lockstep by
-  // Add/FromPool so SIMD kernels can stream coordinates column-wise.
-  std::vector<double> xs_;
-  std::vector<double> ys_;
   std::vector<uint64_t> offsets_ = {0};
   /// Serving views: what every read accessor dereferences, regardless of
   /// whether the bytes live in the vectors above or in borrowed storage.
   const Point* pool_data_ = nullptr;
   size_t pool_size_ = 0;
-  const double* xs_data_ = nullptr;
-  const double* ys_data_ = nullptr;
   const uint64_t* offsets_data_ = nullptr;
   size_t offsets_size_ = 1;
   /// Owner of borrowed storage (e.g. the mapped snapshot file); shared by
@@ -261,11 +228,9 @@ class DatasetView {
     return (*dataset_)[begin_ + local_id];
   }
 
-  /// Coordinate columns of the trajectory at view-local id.
-  PointCols cols(int local_id) const {
-    TRAJ_DCHECK(local_id >= 0 && local_id < count_);
-    return dataset_->cols(begin_ + local_id);
-  }
+  /// No coordinate columns: the pool is the only copy of the points. Kept
+  /// only for perfbench/src/replay.cc, its one caller; delete with it.
+  PointCols cols(int) const { return PointCols{}; }
 
   /// First global trajectory id covered; global id = begin_id() + local id.
   int begin_id() const { return begin_; }

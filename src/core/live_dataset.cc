@@ -33,29 +33,22 @@ void LiveDataset::AddEntryLocked(TrajectoryView points) {
     grown->chunks = table_->chunks;
     table_ = std::move(grown);
   }
-  DeltaEntry& entry = table_->entries[slot];
+  TrajectoryView& entry = table_->entries[slot];
   const size_t n = points.size();
   if (n != 0) {
-    std::vector<std::shared_ptr<DeltaChunk>>& chunks = table_->chunks;
+    std::vector<DeltaTable::Chunk>& chunks = table_->chunks;
     if (chunks.empty() || last_chunk_used_ + n > last_chunk_capacity_) {
       // A trajectory never spans chunks; oversized ones get a dedicated
       // chunk.
       const size_t capacity = std::max(kChunkPoints, n);
-      chunks.push_back(std::make_shared<DeltaChunk>(capacity));
+      chunks.push_back({std::make_shared<Point[]>(capacity), delta_size_});
       last_chunk_used_ = 0;
       last_chunk_capacity_ = capacity;
     }
-    DeltaChunk& chunk = *chunks.back();
-    Point* dst = chunk.points.get() + last_chunk_used_;
-    double* xs = chunk.xs.get() + last_chunk_used_;
-    double* ys = chunk.ys.get() + last_chunk_used_;
+    Point* dst = chunks.back().points.get() + last_chunk_used_;
     std::memcpy(dst, points.data(), n * sizeof(Point));
-    for (size_t i = 0; i < n; ++i) {
-      xs[i] = points[i].x;
-      ys[i] = points[i].y;
-    }
     last_chunk_used_ += n;
-    entry = DeltaEntry{TrajectoryView(dst, n), PointCols{xs, ys}};
+    entry = TrajectoryView(dst, n);
   }
   ++delta_size_;
   delta_points_ += n;
@@ -170,16 +163,37 @@ void LiveDataset::AdoptBase(std::shared_ptr<const Dataset> base,
   // every already-assigned corpus id keeps its trajectory.
   TRAJ_CHECK(base->size() == base_->size() + compacted_count);
 
-  // Re-home the surviving delta suffix (appends that raced the compactor)
-  // into a fresh table and fresh chunks. Still-pinned views keep the old
-  // table and its chunks alive; holding it here keeps the survivors' points
-  // readable while they are copied.
+  // The delta suffix that raced the compactor survives in place: a fresh
+  // table takes its entries and keeps the chunks from the one holding the
+  // first survivor on, and the writer goes on filling the last chunk. The
+  // swap copies no points, so an append that waits for it waits for a copy
+  // of entries only. Still-pinned views keep the old table and all of its
+  // chunks; a chunk holding only compacted trajectories is released with
+  // the last of them.
   const std::shared_ptr<const DeltaTable> old_table = table_;
-  const int old_size = delta_size_;
-  ResetTableLocked(static_cast<size_t>(old_size - compacted_count));
-  for (int i = compacted_count; i < old_size; ++i) {
-    AddEntryLocked(old_table->entries[static_cast<size_t>(i)].view);
+  const int survivors = delta_size_ - compacted_count;
+  const size_t last_chunk_used = last_chunk_used_;
+  const size_t last_chunk_capacity = last_chunk_capacity_;
+  ResetTableLocked(static_cast<size_t>(survivors));
+  if (survivors > 0 && !old_table->chunks.empty()) {
+    const std::vector<DeltaTable::Chunk>& old_chunks = old_table->chunks;
+    auto from = std::upper_bound(
+        old_chunks.begin(), old_chunks.end(), compacted_count,
+        [](int slot, const DeltaTable::Chunk& chunk) {
+          return slot < chunk.first_slot;
+        });
+    if (from != old_chunks.begin()) --from;
+    for (auto it = from; it != old_chunks.end(); ++it) {
+      table_->chunks.push_back(
+          {it->points, std::max(0, it->first_slot - compacted_count)});
+    }
+    last_chunk_used_ = last_chunk_used;
+    last_chunk_capacity_ = last_chunk_capacity;
   }
+  const TrajectoryView* kept = old_table->entries.get() + compacted_count;
+  std::copy(kept, kept + survivors, table_->entries.get());
+  for (int i = 0; i < survivors; ++i) delta_points_ += kept[i].size();
+  delta_size_ = survivors;
 
   base_ = std::move(base);
   ++base_generation_;

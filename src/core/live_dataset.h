@@ -11,29 +11,12 @@
 
 namespace trajsearch {
 
-/// \brief One fixed-capacity block of delta storage: the AoS point run plus
-/// its structure-of-arrays coordinate shadow, filled in lockstep by
-/// LiveDataset::AddEntryLocked and never moved or resized after allocation.
-struct DeltaChunk {
-  explicit DeltaChunk(size_t capacity)
-      : points(new Point[capacity]),
-        xs(new double[capacity]),
-        ys(new double[capacity]) {}
-
-  std::unique_ptr<Point[]> points;
-  std::unique_ptr<double[]> xs;
-  std::unique_ptr<double[]> ys;
-};
-
-/// A stored delta trajectory: its stable AoS location plus its SoA columns.
-struct DeltaEntry {
-  TrajectoryView view;
-  PointCols cols;
-};
-
 /// \brief The append-only entry table of one delta, shared by the writer
 /// and every DeltaView published over it.
 ///
+/// Each entry is the stable location of one delta trajectory's points inside
+/// a chunk: a fixed-capacity block of points, filled by
+/// LiveDataset::AddEntryLocked and never moved or resized after allocation.
 /// The writer fills `entries` strictly in order under the ingest lock and
 /// never rewrites a filled slot; a view reads only the slots below its own
 /// size, all filled before the view was published, so the two never touch
@@ -42,13 +25,19 @@ struct DeltaEntry {
 /// keep the old table, and the chunks it points into, alive.
 struct DeltaTable {
   explicit DeltaTable(size_t capacity_in)
-      : entries(new DeltaEntry[capacity_in]), capacity(capacity_in) {}
+      : entries(new TrajectoryView[capacity_in]), capacity(capacity_in) {}
 
-  std::unique_ptr<DeltaEntry[]> entries;
+  /// A chunk's storage and the slot of the first entry stored in it.
+  struct Chunk {
+    std::shared_ptr<Point[]> points;
+    int first_slot;
+  };
+
+  std::unique_ptr<TrajectoryView[]> entries;
   size_t capacity;
-  /// Keep-alives for every chunk the entries point into. Only the writer
-  /// touches this list; views hold it through the table.
-  std::vector<std::shared_ptr<DeltaChunk>> chunks;
+  /// Keep-alives for every chunk the entries point into, in fill order.
+  /// Only the writer touches this list; views hold it through the table.
+  std::vector<Chunk> chunks;
 };
 
 /// \brief Immutable snapshot of the append-only delta: the trajectories
@@ -70,14 +59,7 @@ class DeltaView {
   /// Points of delta trajectory `delta_id` (contiguous within one chunk).
   TrajectoryView operator[](int delta_id) const {
     TRAJ_DCHECK(delta_id >= 0 && delta_id < size());
-    return table_->entries[static_cast<size_t>(delta_id)].view;
-  }
-
-  /// Coordinate columns of delta trajectory `delta_id` (the SoA twin of
-  /// operator[], backed by the same immutable chunk).
-  PointCols cols(int delta_id) const {
-    TRAJ_DCHECK(delta_id >= 0 && delta_id < size());
-    return table_->entries[static_cast<size_t>(delta_id)].cols;
+    return table_->entries[static_cast<size_t>(delta_id)];
   }
 
   /// Total points across the delta trajectories.
@@ -122,13 +104,6 @@ class CorpusView {
     if (id < base_size()) return (*base_)[id];
     const TrajectoryView points = (*delta_)[id - base_size()];
     return TrajectoryRef(points.data(), static_cast<int>(points.size()), id);
-  }
-
-  /// Coordinate columns by corpus id (base or delta storage).
-  PointCols cols(int id) const {
-    TRAJ_DCHECK(id >= 0 && id < size());
-    if (id < base_size()) return base_->cols(id);
-    return delta_->cols(id - base_size());
   }
 
   const Dataset& base() const {
@@ -212,8 +187,9 @@ class LiveDataset {
   /// `compacted_count` delta trajectories (it must contain exactly the old
   /// base plus that delta prefix, in order — checked by size). Delta
   /// trajectories appended after the compactor pinned its view survive with
-  /// their corpus ids unchanged; their points are re-homed into fresh chunks
-  /// so the compacted chunks can be reclaimed once old views die.
+  /// their corpus ids unchanged and their points where they are; chunks
+  /// holding only compacted trajectories are reclaimed once old views die.
+  /// O(survivors) entry copies under the ingest lock, no point copies.
   void AdoptBase(std::shared_ptr<const Dataset> base, int compacted_count)
       TRAJ_EXCLUDES(mu_);
 
@@ -232,8 +208,8 @@ class LiveDataset {
 
   /// Starts an empty DeltaTable with room for at least `entries` slots.
   void ResetTableLocked(size_t entries) TRAJ_REQUIRES(mu_);
-  /// Copies `points` into chunk storage (AoS run and coordinate columns)
-  /// and fills the next table slot with the stable locations.
+  /// Copies `points` into chunk storage and fills the next table slot with
+  /// their stable location.
   void AddEntryLocked(TrajectoryView points) TRAJ_REQUIRES(mu_);
   /// Publishes the current state as a new CorpusView.
   void PublishLocked() TRAJ_REQUIRES(mu_);

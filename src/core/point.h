@@ -20,11 +20,12 @@ struct Point {
 };
 
 /// \brief Structure-of-arrays view over a point sequence: two parallel,
-/// contiguous coordinate columns (x[i], y[i] are point i). Column storage is
-/// materialized once by Dataset/LiveDataset beside the AoS pool so vector
-/// kernels can load whole lane groups of coordinates with one instruction.
-/// A default-constructed PointCols means "columns not available"; consumers
-/// must fall back to the AoS path.
+/// contiguous coordinate columns (x[i], y[i] are point i), so vector kernels
+/// can load whole lane groups of coordinates with one instruction. Corpora
+/// store points only as AoS; columns are scratch copies a plan makes (the
+/// query's at Bind, a candidate's per call; see CopyCols in
+/// distance/dp.h). A default-constructed PointCols means "columns not
+/// available".
 struct PointCols {
   const double* x = nullptr;
   const double* y = nullptr;

@@ -108,8 +108,8 @@ struct ErpCosts {
   Point gap;
   PointCols qc;  // query coordinate columns (set at plan Bind; may be empty)
   /// When set, Ins(j) reads this instead of recomputing the gap distance.
-  /// ExactSWedPlan fills it once per data trajectory from the pool's SoA
-  /// columns (the values are identical either way), turning the O(n) gap
+  /// ExactSWedPlan fills it once per data trajectory under vector dispatch
+  /// (the values are identical either way), turning the O(n) gap
   /// distances recomputed across ExactS's n start sweeps into loads.
   const double* ins_cache = nullptr;
 

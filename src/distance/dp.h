@@ -58,12 +58,13 @@ class DpArena {
   size_t next_point_ = 0;
 };
 
-/// Deinterleaves `points` into two arena-backed coordinate columns. Plans
-/// call this at Bind to materialize the query-side columns the SubLane
-/// kernels read; the arena makes it grow-only across rebinds.
-inline PointCols FillCols(TrajectoryView points, DpArena* arena) {
-  std::vector<double>* xs = arena->Doubles();
-  std::vector<double>* ys = arena->Doubles();
+/// Deinterleaves `points` into the coordinate columns *xs and *ys (resized
+/// to points.size(), so reused scratch stops allocating once it has grown
+/// to the longest trajectory). The point pool is the only stored copy of a
+/// corpus; kernels that load coordinates column-wise copy one trajectory
+/// here per call, O(n) against their O(mn) DP.
+inline PointCols CopyCols(TrajectoryView points, std::vector<double>* xs,
+                          std::vector<double>* ys) {
   xs->resize(points.size());
   ys->resize(points.size());
   for (size_t i = 0; i < points.size(); ++i) {
@@ -71,6 +72,15 @@ inline PointCols FillCols(TrajectoryView points, DpArena* arena) {
     (*ys)[i] = points[i].y;
   }
   return PointCols{xs->data(), ys->data()};
+}
+
+/// CopyCols into two arena-backed columns. Plans call this at Bind to
+/// materialize the query-side columns the SubLane kernels read; the arena
+/// makes it grow-only across rebinds.
+inline PointCols FillCols(TrajectoryView points, DpArena* arena) {
+  std::vector<double>* xs = arena->Doubles();
+  std::vector<double>* ys = arena->Doubles();
+  return CopyCols(points, xs, ys);
 }
 
 /// The three column steppers below incrementally compute

@@ -117,8 +117,7 @@ CompressedColumns EncodeColumns(const Dataset& dataset,
 
 Status DecodeColumns(const CompressedColumnsView& view,
                      std::span<const uint64_t> offsets,
-                     std::vector<Point>* pool, std::vector<double>* xs,
-                     std::vector<double>* ys) {
+                     std::vector<Point>* pool) {
   if (!(view.resolution > 0)) {
     return Status::InvalidArgument("column codec: non-positive resolution");
   }
@@ -145,11 +144,9 @@ Status DecodeColumns(const CompressedColumnsView& view,
         "column codec: residual columns must cover every point");
   }
 
-  // Exactly-sized output buffers: one allocation each, audited by the
+  // Exactly-sized output buffer: one allocation, audited by the
   // zero-over-allocation test on the mmap load path.
   pool->resize(point_count);
-  xs->resize(point_count);
-  ys->resize(point_count);
   size_t exception_cursor = 0;
   for (size_t t = 0; t < traj_count; ++t) {
     const uint8_t mode = view.modes[t];
@@ -184,8 +181,6 @@ Status DecodeColumns(const CompressedColumnsView& view,
         ++exception_cursor;
       }
       (*pool)[i] = Point{x, y};
-      (*xs)[i] = x;
-      (*ys)[i] = y;
     }
   }
   if (!view.store_residuals && exception_cursor != view.rx.size()) {

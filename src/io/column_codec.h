@@ -94,15 +94,14 @@ inline double ReconstructCoord(double ref, int32_t q, double resolution) {
 CompressedColumns EncodeColumns(const Dataset& dataset,
                                 const ColumnCodecConfig& config);
 
-/// Decodes an encoded column set back into an AoS pool plus SoA coordinate
-/// columns, sized exactly (one allocation each). `offsets` is the dataset's
+/// Decodes an encoded column set back into an AoS point pool, sized exactly
+/// (one allocation). `offsets` is the dataset's
 /// offset table (trajectory count + 1 entries). Rejects structurally
 /// inconsistent inputs — mismatched array lengths, bad modes, a cursor
 /// overrun — with InvalidArgument; with store_residuals the output is
 /// bitwise identical to the encoded corpus.
 Status DecodeColumns(const CompressedColumnsView& view,
                      std::span<const uint64_t> offsets,
-                     std::vector<Point>* pool, std::vector<double>* xs,
-                     std::vector<double>* ys);
+                     std::vector<Point>* pool);
 
 }  // namespace trajsearch

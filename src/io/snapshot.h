@@ -14,11 +14,10 @@ namespace trajsearch {
 /// A snapshot is the serving-time storage format of a Dataset. There is one
 /// on-disk format, version 4: a versioned fixed-size header and the dataset
 /// name, then a section table and page-aligned sections holding the corpus in
-/// exactly its in-memory layout (offsets table, AoS pool, SoA shadow
-/// columns), or the compressed column tier, plus an optional prebuilt grid
-/// index. The layout, the writer (WriteSnapshotV4) and the zero-copy mapped
-/// reader (MmapSnapshot) live in io/snapshot_v4.h; this header holds the
-/// format-agnostic entry points.
+/// exactly its in-memory layout (offsets table, AoS pool), or the compressed
+/// column tier, plus an optional prebuilt grid index. The layout, the writer
+/// (WriteSnapshotV4) and the zero-copy mapped reader (MmapSnapshot) live in
+/// io/snapshot_v4.h; this header holds the format-agnostic entry points.
 ///
 /// Header (all integers little-endian):
 ///   magic       8 bytes  "TRAJSNAP"
@@ -69,8 +68,8 @@ struct SnapshotInfo {
 };
 
 /// Heap-loads a snapshot: maps the file, verifies the checksum and returns
-/// an owned Dataset (restoring the stored name) whose pool, columns and
-/// offsets are sized exactly from the header counts.
+/// an owned Dataset (restoring the stored name) whose pool and offsets are
+/// sized exactly from the header counts.
 Result<Dataset> ReadSnapshot(const std::string& path);
 
 /// Reads a snapshot's header and section table without loading the payload.

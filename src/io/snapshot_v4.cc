@@ -1,7 +1,6 @@
 #include "io/snapshot_v4.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <fstream>
 #include <vector>
@@ -260,14 +259,12 @@ Status WriteSnapshotV4(const Dataset& dataset, const std::string& path,
   if (options.compress) {
     encoded = EncodeColumns(dataset, options.codec);
     std::vector<Point> pool;
-    std::vector<double> xs, ys;
     const Status decode_status =
-        DecodeColumns(encoded.View(), dataset.offsets(), &pool, &xs, &ys);
+        DecodeColumns(encoded.View(), dataset.offsets(), &pool);
     TRAJ_CHECK(decode_status.ok());  // the encoder's output always decodes
     std::vector<uint64_t> offsets(dataset.offsets().begin(),
                                   dataset.offsets().end());
     decoded = Dataset::FromPool(dataset.name(), std::move(pool),
-                                std::move(xs), std::move(ys),
                                 std::move(offsets));
   }
   const Dataset& corpus = options.compress ? decoded : dataset;
@@ -295,8 +292,6 @@ Status WriteSnapshotV4(const Dataset& dataset, const std::string& path,
     sections.push_back({kV4SectionCompressed, 0, shape.ExpectedLength()});
   } else {
     sections.push_back({kV4SectionPool, 0, point_count * sizeof(Point)});
-    sections.push_back({kV4SectionXs, 0, point_count * sizeof(double)});
-    sections.push_back({kV4SectionYs, 0, point_count * sizeof(double)});
   }
   if (grid.has_value()) {
     GridSectionShape shape;
@@ -345,12 +340,6 @@ Status WriteSnapshotV4(const Dataset& dataset, const std::string& path,
         static_assert(sizeof(Point) == 2 * sizeof(double));
         PutBytes(out, corpus.pool().data(),
                  corpus.pool().size() * sizeof(Point));
-        break;
-      case kV4SectionXs:
-        PutBytes(out, corpus.pool_cols().x, point_count * sizeof(double));
-        break;
-      case kV4SectionYs:
-        PutBytes(out, corpus.pool_cols().y, point_count * sizeof(double));
         break;
       case kV4SectionGrid: {
         PutScalar(out, grid->cell_size());
@@ -478,27 +467,21 @@ Result<MmapSnapshot> MmapSnapshot::Open(const std::string& path,
     // (it is (T+1) words) so the decoded dataset owns all its storage and
     // releases the mapping-independent corpus to callers like compaction.
     std::vector<Point> pool;
-    std::vector<double> xs, ys;
-    TRAJ_RETURN_NOT_OK(DecodeColumns(view, offsets, &pool, &xs, &ys));
+    TRAJ_RETURN_NOT_OK(DecodeColumns(view, offsets, &pool));
     std::vector<uint64_t> owned_offsets(offsets.begin(), offsets.end());
-    snapshot.dataset_ = Dataset::FromPool(
-        std::move(prelude.name), std::move(pool), std::move(xs),
-        std::move(ys), std::move(owned_offsets));
+    snapshot.dataset_ = Dataset::FromPool(std::move(prelude.name),
+                                          std::move(pool),
+                                          std::move(owned_offsets));
   } else {
+    // Files written before the shadow columns were retired also carry x/y
+    // column sections (types 3 and 4); like any section this reader does
+    // not use, they are skipped and never faulted.
     Result<const SectionEntry*> pool_entry = RequireSection(
         prelude, kV4SectionPool, point_count * sizeof(Point), path);
     if (!pool_entry.ok()) return pool_entry.status();
-    Result<const SectionEntry*> xs_entry = RequireSection(
-        prelude, kV4SectionXs, point_count * sizeof(double), path);
-    if (!xs_entry.ok()) return xs_entry.status();
-    Result<const SectionEntry*> ys_entry = RequireSection(
-        prelude, kV4SectionYs, point_count * sizeof(double), path);
-    if (!ys_entry.ok()) return ys_entry.status();
     snapshot.dataset_ = Dataset::FromMapped(
         std::move(prelude.name),
-        SpanAt<Point>(base, pool_entry.value()->offset, point_count),
-        SpanAt<double>(base, xs_entry.value()->offset, point_count),
-        SpanAt<double>(base, ys_entry.value()->offset, point_count), offsets,
+        SpanAt<Point>(base, pool_entry.value()->offset, point_count), offsets,
         file);
   }
 
@@ -576,20 +559,6 @@ Status MmapSnapshot::Verify() const {
   if (Fingerprint(dataset_) != fingerprint_) {
     return Status::InvalidArgument("snapshot checksum mismatch");
   }
-  // The checksum covers the pool; the shadow columns must mirror it bit for
-  // bit, or the vector kernels would read other coordinates than the scalar
-  // ones (and an owned copy would trip FromPool's mirror check).
-  const std::span<const Point> pool = dataset_.pool();
-  const PointCols cols = dataset_.pool_cols();
-  for (size_t i = 0; i < pool.size(); ++i) {
-    if (std::bit_cast<uint64_t>(cols.x[i]) !=
-            std::bit_cast<uint64_t>(pool[i].x) ||
-        std::bit_cast<uint64_t>(cols.y[i]) !=
-            std::bit_cast<uint64_t>(pool[i].y)) {
-      return Status::InvalidArgument(
-          "snapshot coordinate columns disagree with the pool");
-    }
-  }
   if (grid_.has_value()) {
     // Open validates everything memory-safety-relevant (CSR bounds, slot
     // targets); the deep pass adds the pure integrity invariant that the
@@ -615,13 +584,10 @@ Result<Dataset> ReadSnapshot(const std::string& path) {
   // Deep-copy the mapped corpus into owned, exactly-sized vectors so the
   // returned dataset outlives the mapping.
   std::vector<Point> pool(served.pool().begin(), served.pool().end());
-  const PointCols cols = served.pool_cols();
-  std::vector<double> xs(cols.x, cols.x + served.point_count());
-  std::vector<double> ys(cols.y, cols.y + served.point_count());
   std::vector<uint64_t> offsets(served.offsets().begin(),
                                 served.offsets().end());
-  return Dataset::FromPool(served.name(), std::move(pool), std::move(xs),
-                           std::move(ys), std::move(offsets));
+  return Dataset::FromPool(served.name(), std::move(pool),
+                           std::move(offsets));
 }
 
 Result<SnapshotInfo> ProbeSnapshot(const std::string& path) {

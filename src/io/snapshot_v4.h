@@ -29,18 +29,20 @@ namespace trajsearch {
 ///   sections' payloads, each starting on a page boundary
 ///
 /// Section offsets are absolute file offsets. An *uncompressed* file carries
-/// the corpus in exactly the in-memory layout — offsets table, AoS point
-/// pool, SoA x/y shadow columns — so MmapSnapshot::Open serves it with zero
-/// copies: Dataset::FromMapped borrows the mapped sections directly. A
-/// *compressed* file replaces pool/xs/ys with one encoded column section
-/// (see column_codec.h) that Open decodes into exactly-sized heap columns.
+/// the corpus in exactly the in-memory layout — offsets table and AoS point
+/// pool — so MmapSnapshot::Open serves it with zero copies:
+/// Dataset::FromMapped borrows the mapped sections directly. A *compressed*
+/// file replaces the pool with one encoded column section (see
+/// column_codec.h) that Open decodes into an exactly-sized heap pool.
 /// Either kind may carry a prebuilt CSR grid-index section, served borrowed
-/// through GridIndex::FromParts.
+/// through GridIndex::FromParts. Readers skip section types they do not
+/// use, which is how files that still carry the retired x/y shadow columns
+/// (types 3 and 4) open.
 enum : uint32_t {
   kV4SectionOffsets = 1,     ///< (traj_count + 1) x uint64 pool offsets
   kV4SectionPool = 2,        ///< point_count x Point, the AoS pool verbatim
-  kV4SectionXs = 3,          ///< point_count x double, x shadow column
-  kV4SectionYs = 4,          ///< point_count x double, y shadow column
+  kV4SectionXs = 3,          ///< retired x shadow column; never reused
+  kV4SectionYs = 4,          ///< retired y shadow column; never reused
   kV4SectionGrid = 5,        ///< prebuilt CSR grid index (see writer)
   kV4SectionCompressed = 6,  ///< encoded column tier (see column_codec.h)
 };
@@ -54,7 +56,7 @@ inline constexpr uint64_t kV4PageSize = 4096;
 inline constexpr uint32_t kV4FlagCompressed = 1u << 0;
 
 struct V4WriteOptions {
-  /// Write the compressed column tier instead of pool/xs/ys sections.
+  /// Write the compressed column tier instead of the pool section.
   bool compress = false;
   /// Codec settings for the compressed tier (ignored otherwise).
   ColumnCodecConfig codec;
@@ -134,8 +136,7 @@ class MmapSnapshot {
   void UpdateGauges(obs::Registry* registry = nullptr) const;
 
   /// Full-payload checksum verification: recomputes the corpus fingerprint
-  /// (faulting every page it needs) against the header's, and checks that
-  /// the x/y shadow columns mirror the pool.
+  /// (faulting every page it needs) against the header's.
   Status Verify() const;
 
  private:

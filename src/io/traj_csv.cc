@@ -1,5 +1,6 @@
 #include "io/traj_csv.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -50,6 +51,17 @@ Result<Dataset> ReadTrajectoryCsv(const std::string& path,
     double x = 0, y = 0;
     if (std::sscanf(line.c_str(), "%d,%d,%lf,%lf", &id, &seq, &x, &y) != 4) {
       return Status::InvalidArgument("malformed row at line " +
+                                     std::to_string(line_no) + " of " + path);
+    }
+    // %lf accepts "nan", "inf" and overflowing literals such as 1e400; no
+    // cost model is defined on them. A negative id would also collide with
+    // the -1 "no trajectory yet" sentinel and merge into the next one.
+    if (!std::isfinite(x) || !std::isfinite(y)) {
+      return Status::InvalidArgument("non-finite coordinate at line " +
+                                     std::to_string(line_no) + " of " + path);
+    }
+    if (id < 0) {
+      return Status::InvalidArgument("negative traj_id at line " +
                                      std::to_string(line_no) + " of " + path);
     }
     if (id != current_id) {

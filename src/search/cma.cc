@@ -187,10 +187,10 @@ namespace {
 /// CmaAbandonRule, over a suffix floor filled per candidate (floor_), and
 /// (c) the two SIMD axes of the recurrence:
 ///
-///  - RunCols (one candidate): the row scan is serial in j — the rolling
+///  - Run (one candidate): the row scan is serial in j — the rolling
 ///    G-minimum and the start pointers chain left to right — but the
 ///    substitution kernel is not, so for the WED family it is precomputed
-///    per row over the candidate's SoA columns (CmaWedRowsVec). For DTW
+///    per row over a column copy of the candidate (CmaWedRowsVec). For DTW
 ///    and Fréchet that precompute measured no faster than the scalar rows
 ///    (bench_micro), so their single candidates run CmaDtwRows /
 ///    CmaFrechetRows.
@@ -228,6 +228,8 @@ class CmaPlan final : public QueryRun {
     // Fixed checkout order — rebinding reuses the same vectors.
     sub_row_ = arena_.Doubles();
     ins_row_ = arena_.Doubles();
+    cx_ = arena_.Doubles();
+    cy_ = arena_.Doubles();
     bx_ = arena_.Doubles();
     by_ = arena_.Doubles();
     bins_ = arena_.Doubles();
@@ -268,6 +270,7 @@ class CmaPlan final : public QueryRun {
     const CmaAbandonRule rule = floor_.Fill(data, cutoff, sfx_->data());
     bool complete = true;
     int rows = 0;
+    int vec_end = 0;  // per row, columns whose substitutions ran in lanes
     switch (spec_.kind) {
       case DistanceKind::kDtw:
         complete = CmaDtwRows(m, n, EuclideanSub{query_, data}, cutoff, rule,
@@ -281,47 +284,25 @@ class CmaPlan final : public QueryRun {
       default:
         complete = VisitWedCosts(
             spec_, query_, data, [&](const auto& costs) {
+              if constexpr (simd::BatchCosts<std::decay_t<decltype(costs)>>) {
+                if (vec_) {  // implies kExact, so effective_cutoff == cutoff
+                  // Substitutions run one data lane group at a time; the
+                  // n % kLanes tail of each row stays scalar.
+                  vec_end = n - n % simd::kLanes;
+                  return CmaWedRowsVec(m, n, costs, cutoff, rule, &c_prev_,
+                                       &c_cur_, &s_prev_, &s_cur_, sub_row_,
+                                       ins_row_, cx_, cy_, &rows);
+                }
+              }
               return CmaWedRows(m, n, costs, variant_, effective_cutoff, rule,
                                 &c_prev_, &c_cur_, &s_prev_, &s_cur_, &rows);
             });
     }
-    cells_.scalar_cells +=
-        static_cast<uint64_t>(rows) * static_cast<uint64_t>(n);
-    if (!complete) return SearchResult{};  // nothing below the cutoff exists
-    return PickBestFromRow(c_cur_, s_cur_);
-  }
-
-  SearchResult RunCols(TrajectoryView data, PointCols cols,
-                       double cutoff) override {
-    if (!vec_ || cols.empty() || spec_.kind == DistanceKind::kDtw ||
-        spec_.kind == DistanceKind::kFrechet) {
-      return Run(data, cutoff);
-    }
-    const int m = static_cast<int>(query_.size());
-    const int n = static_cast<int>(data.size());
-    TRAJ_CHECK(m >= 1 && n >= 1);
-    int rows = 0;
-    const CmaAbandonRule rule = floor_.Fill(data, cutoff, sfx_->data());
-    const bool complete = VisitWedCosts(
-        spec_, query_, data, [&](const auto& costs) {
-          using C = std::decay_t<decltype(costs)>;
-          if constexpr (simd::BatchCosts<C>) {
-            return CmaWedRowsVec(m, n, costs, cols, cutoff, rule, &c_prev_,
-                                 &c_cur_, &s_prev_, &s_cur_, sub_row_,
-                                 ins_row_, &rows);
-          } else {
-            TRAJ_CHECK(false && "vec dispatch on scalar-only costs");
-            return true;
-          }
-        });
-    // Substitutions ran one data lane group at a time; the n % kLanes tail
-    // of each row stays scalar, so the split sums to the scalar row size.
-    const int vec_end = n - n % simd::kLanes;
     cells_.vector_cells +=
         static_cast<uint64_t>(rows) * static_cast<uint64_t>(vec_end);
     cells_.scalar_cells +=
         static_cast<uint64_t>(rows) * static_cast<uint64_t>(n - vec_end);
-    if (!complete) return SearchResult{};
+    if (!complete) return SearchResult{};  // nothing below the cutoff exists
     return PickBestFromRow(c_cur_, s_cur_);
   }
 
@@ -679,6 +660,8 @@ class CmaPlan final : public QueryRun {
   DpArena arena_;
   std::vector<double>* sub_row_ = nullptr;
   std::vector<double>* ins_row_ = nullptr;
+  std::vector<double>* cx_ = nullptr;  // one candidate's columns (Run)
+  std::vector<double>* cy_ = nullptr;
   std::vector<double>* bx_ = nullptr;
   std::vector<double>* by_ = nullptr;
   std::vector<double>* bins_ = nullptr;

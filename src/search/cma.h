@@ -275,24 +275,26 @@ bool CmaWedRows(int m, int n, const Costs& costs, CmaWedVariant variant,
 ///
 /// CMA's row recurrence is serial in j (the rolling G-minimum and the start
 /// pointers), but the dominant per-cell work — the substitution kernel, a
-/// sqrt for ERP — depends only on (i, j). With the candidate's SoA
-/// coordinate columns at hand, each row's substitutions are evaluated one
-/// lane group of *data* points at a time (Costs::SubData; scalar tail via
-/// Sub, same IEEE ops), and the insertion costs once per candidate instead
-/// of once per row. The scan itself is untouched, so cells, start pointers
-/// and the abandon row are bit-identical to CmaWedRows with
+/// sqrt for ERP — depends only on (i, j). The candidate's coordinates
+/// (costs.d) are first copied into the column scratch *xs/*ys, O(n) against
+/// the O(mn) rows; then each row's substitutions are evaluated one lane
+/// group of *data* points at a time (Costs::SubData; scalar tail via Sub,
+/// same IEEE ops), and the insertion costs once per candidate instead of
+/// once per row. The scan itself is untouched, so cells, start pointers and
+/// the abandon row are bit-identical to CmaWedRows with
 /// CmaWedVariant::kExact. Cross-candidate lane parallelism — which also
 /// vectorizes the scan — lives in CmaPlan::RunBatch (cma.cc).
 template <typename Costs>
   requires simd::BatchCosts<Costs>
-bool CmaWedRowsVec(int m, int n, const Costs& costs, PointCols cols,
-                   double cutoff, const CmaAbandonRule& rule,
-                   std::vector<double>* c_prev,
+bool CmaWedRowsVec(int m, int n, const Costs& costs, double cutoff,
+                   const CmaAbandonRule& rule, std::vector<double>* c_prev,
                    std::vector<double>* c_cur, std::vector<int>* s_prev,
                    std::vector<int>* s_cur, std::vector<double>* sub_row,
-                   std::vector<double>* ins_row, int* rows_out = nullptr) {
+                   std::vector<double>* ins_row, std::vector<double>* xs,
+                   std::vector<double>* ys, int* rows_out = nullptr) {
   TRAJ_CHECK(m >= 1 && n >= 1);
-  TRAJ_CHECK(!cols.empty());
+  TRAJ_CHECK(costs.d.size() == static_cast<size_t>(n));
+  const PointCols cols = CopyCols(costs.d, xs, ys);
   c_prev->resize(static_cast<size_t>(n));
   c_cur->assign(static_cast<size_t>(n), 0);
   s_prev->resize(static_cast<size_t>(n));

@@ -48,6 +48,8 @@ class ExactSWedPlan final : public QueryRun {
     }
     if constexpr (kHasInsCache) {
       ins_store_ = arena_.Doubles();
+      dx_ = arena_.Doubles();
+      dy_ = arena_.Doubles();
       costs_.ins_cache = nullptr;
     }
     dp_.emplace(static_cast<int>(query.size()), costs_, &arena_);
@@ -66,22 +68,14 @@ class ExactSWedPlan final : public QueryRun {
 
   SearchResult Run(TrajectoryView data, double cutoff) override {
     costs_.d = data;
-    if constexpr (kHasInsCache) costs_.ins_cache = nullptr;
-    return Sweep(static_cast<int>(data.size()), cutoff);
-  }
-
-  SearchResult RunCols(TrajectoryView data, PointCols cols,
-                       double cutoff) override {
-    // Data-side SoA consumer: ERP's Ins(j) is a gap distance recomputed for
-    // every one of ExactS's n start sweeps; with the candidate's columns at
-    // hand, precompute it vectorized once per candidate. Values are
-    // identical either way (same per-element IEEE ops), so this stays inside
-    // the bit-identity gate; gated on the batched/vectorized dispatch so the
-    // scalar dispatch path remains the untouched oracle.
+    // ERP's Ins(j) is a gap distance recomputed for every one of ExactS's n
+    // start sweeps; under vector dispatch it is precomputed once per
+    // candidate instead. Values are identical either way (same per-element
+    // IEEE ops), so this stays inside the bit-identity gate; the scalar
+    // dispatch path remains the untouched oracle.
     if constexpr (kHasInsCache) {
-      if (!cols.empty() && (BatchActive() || dp_->vectorized())) {
-        FillInsCache(cols, static_cast<int>(data.size()));
-        costs_.d = data;
+      if (BatchActive() || dp_->vectorized()) {
+        FillInsCache(data);
         costs_.ins_cache = ins_store_->data();
         const SearchResult result =
             Sweep(static_cast<int>(data.size()), cutoff);
@@ -89,7 +83,7 @@ class ExactSWedPlan final : public QueryRun {
         return result;
       }
     }
-    return Run(data, cutoff);
+    return Sweep(static_cast<int>(data.size()), cutoff);
   }
 
   simd::CellCounts TakeSimdStats() override {
@@ -128,9 +122,14 @@ class ExactSWedPlan final : public QueryRun {
     return ExactSWithDp(*dp_, n, cutoff);
   }
 
-  void FillInsCache(PointCols cols, int n)
+  /// Copies the candidate into column scratch (O(n) against the sweeps'
+  /// O(mn^2)) and computes every gap distance from it, one lane group at a
+  /// time.
+  void FillInsCache(TrajectoryView data)
     requires(kHasInsCache)
   {
+    const PointCols cols = CopyCols(data, dx_, dy_);
+    const int n = static_cast<int>(data.size());
     ins_store_->resize(static_cast<size_t>(n));
     double* out = ins_store_->data();
     const simd::VecD gx = simd::VecD::Broadcast(costs_.gap.x);
@@ -152,6 +151,8 @@ class ExactSWedPlan final : public QueryRun {
   Costs costs_;
   DpArena arena_;
   std::vector<double>* ins_store_ = nullptr;
+  std::vector<double>* dx_ = nullptr;  // candidate columns for the cache
+  std::vector<double>* dy_ = nullptr;
   std::optional<WedColumnDp<Costs>> dp_;
   std::optional<std::conditional_t<kBatchable, WedBatchDp<Costs>, NoBatch>>
       batch_;

@@ -110,7 +110,7 @@ void SearchPipeline::Evaluate(const View& data, TrajectoryView query,
   // cannot enter the final top-K no matter when the cutoff tightened) but
   // not under the sampled KPF estimate, whose prune decisions depend on how
   // tight the heap was at check time. There every survivor runs in a window
-  // of one, which RunWindow evaluates exactly as RunCols would, so sampled
+  // of one, which RunWindow evaluates exactly as Run would, so sampled
   // KPF keeps its sequential semantics.
   const bool sound_bound =
       bound == nullptr || options_.use_osf || options_.sample_rate >= 1.0;
@@ -286,7 +286,7 @@ void SearchPipeline::Evaluate(const View& data, TrajectoryView query,
           }
         }
         state.batch_items[static_cast<size_t>(state.batch_pending)] =
-            QueryRun::RunBatchItem{trajectory, data.cols(id)};
+            QueryRun::RunBatchItem{trajectory, {}};
         state.batch_ids[static_cast<size_t>(state.batch_pending)] = id;
         if (++state.batch_pending == window) flush(run.get(), &state);
       }

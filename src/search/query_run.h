@@ -55,21 +55,11 @@ class QueryRun {
   /// prior Bind and a non-empty candidate.
   virtual SearchResult Run(TrajectoryView data, double cutoff = kNoCutoff) = 0;
 
-  /// Run(), with the candidate's structure-of-arrays coordinate columns when
-  /// the corpus has them (Dataset::cols / DeltaView::cols). Plans whose
-  /// kernels can exploit data-side columns (e.g. the ExactS/ERP insertion
-  /// cache) override this; results are identical to Run() by contract, so
-  /// the default simply forwards.
-  virtual SearchResult RunCols(TrajectoryView data, PointCols cols,
-                               double cutoff = kNoCutoff) {
-    (void)cols;
-    return Run(data, cutoff);
-  }
-
-  /// One candidate of a batched run: the trajectory view plus its SoA
-  /// coordinate columns (empty when the corpus has none).
+  /// One candidate of a batched run.
   struct RunBatchItem {
     TrajectoryView data;
+    /// Read by no kernel; kept only so perfbench/src/replay.cc, which still
+    /// fills it, builds. Delete with that caller.
     PointCols cols;
   };
 
@@ -83,14 +73,12 @@ class QueryRun {
   /// Evaluates `count` candidates (1 <= count <= batch_width()) under the
   /// same cutoff, writing results[i] for items[i]. Each result obeys the
   /// single-candidate cutoff contract, and is identical to what
-  /// RunCols(items[i].data, items[i].cols, cutoff) would return — batching
-  /// changes throughput, never values. The default is that sequential loop;
-  /// batched plans override it with their lane-parallel kernel.
+  /// Run(items[i].data, cutoff) would return — batching changes throughput,
+  /// never values. The default is that sequential loop; batched plans
+  /// override it with their lane-parallel kernel.
   virtual void RunBatch(const RunBatchItem* items, int count, double cutoff,
                         SearchResult* results) {
-    for (int i = 0; i < count; ++i) {
-      results[i] = RunCols(items[i].data, items[i].cols, cutoff);
-    }
+    for (int i = 0; i < count; ++i) results[i] = Run(items[i].data, cutoff);
   }
 
   /// Where RunWindow reads the live cutoff and hands each result back.

@@ -34,6 +34,15 @@
 // and Min orders NaN differently per ISA (AVX2 returns the second operand,
 // NEON returns NaN), so the scan checks its lanes for NaN itself.
 //
+// LoadXY's lane order depends on the ISA: AVX2 yields points 0 2 1 3, NEON
+// points 0 1, the scalar build point 0. x and y always share the order, so
+// a lanewise point kernel is right, but lane l is not point l. Use it only
+// where the result does not depend on which lane holds which point — an
+// order-free reduction like the KPF min-scan. Never Store its lanes as
+// per-point results (e.g. out[j..j+kLanes) for points j..j+kLanes); kernels
+// that need point j in lane j - j0 copy the points into columns first
+// (CopyCols in distance/dp.h) and Load those.
+//
 // Dispatch is one switch: when Enabled(), every stepper with a vector
 // kernel (the WED column stepper and all batch kernels) and the KPF scan
 // use it.
@@ -101,7 +110,8 @@ struct VecD {
   /// Deinterleaving load of kLanes AoS (x, y) pairs starting at `p`: two
   /// unaligned loads and one unpack each. The lanes come out in the order
   /// 0, 2, 1, 3 — the same order in `x` and `y`, which is all a lanewise
-  /// point kernel followed by a cross-lane min needs.
+  /// point kernel followed by a cross-lane min needs (see the lane-order
+  /// note at the top of this file).
   static void LoadXY(const double* p, VecD* x, VecD* y) {
     const __m256d a = _mm256_loadu_pd(p);      // x0 y0 x1 y1
     const __m256d b = _mm256_loadu_pd(p + 4);  // x2 y2 x3 y3
@@ -141,7 +151,8 @@ struct VecD {
     return {vbslq_f64(mask, x.v, y.v)};
   }
 
-  /// Deinterleaving load of kLanes AoS (x, y) pairs starting at `p`.
+  /// Deinterleaving load of kLanes AoS (x, y) pairs starting at `p`, in
+  /// point order 0, 1 (unlike AVX2; see the lane-order note at the top).
   static void LoadXY(const double* p, VecD* x, VecD* y) {
     const float64x2x2_t xy = vld2q_f64(p);
     x->v = xy.val[0];

@@ -242,7 +242,7 @@ TEST_F(BatchKernelTest, ExactSBatchRefillsLanesAcrossWidths) {
 
 /// End-to-end plan identity across lane clamps: results from a batched plan
 /// must be bit-identical to scalar dispatch for every clamp width, for both
-/// RunCols (per candidate) and RunBatch (cross-candidate lanes).
+/// Run (per candidate) and RunBatch (cross-candidate lanes).
 void ExpectPlanBatchIdentity(Algorithm algorithm, const DistanceSpec& spec,
                              const std::string& label) {
   Rng rng(20250810);
@@ -262,7 +262,7 @@ void ExpectPlanBatchIdentity(Algorithm algorithm, const DistanceSpec& spec,
     EXPECT_EQ(plan->batch_width(), 1) << label;
     for (int id = 0; id < dataset.size(); ++id) {
       want[static_cast<size_t>(id)] =
-          plan->RunCols(dataset[id], dataset.cols(id), kNoCutoff);
+          plan->Run(dataset[id], kNoCutoff);
     }
   }
 
@@ -276,15 +276,15 @@ void ExpectPlanBatchIdentity(Algorithm algorithm, const DistanceSpec& spec,
     // Per-candidate path.
     for (int id = 0; id < dataset.size(); ++id) {
       const SearchResult got =
-          plan->RunCols(dataset[id], dataset.cols(id), kNoCutoff);
+          plan->Run(dataset[id], kNoCutoff);
       ExpectSameBits(got.distance, want[static_cast<size_t>(id)].distance,
-                     tag + " runcols id=" + std::to_string(id));
+                     tag + " run id=" + std::to_string(id));
       EXPECT_EQ(got.range, want[static_cast<size_t>(id)].range) << tag;
     }
     // Cross-candidate batches (full lanes, then a ragged final batch).
     std::vector<QueryRun::RunBatchItem> items;
     for (int id = 0; id < dataset.size(); ++id) {
-      items.push_back({dataset[id].View(), dataset.cols(id)});
+      items.push_back({dataset[id].View(), {}});
     }
     std::vector<SearchResult> got(items.size());
     for (size_t begin = 0; begin < items.size();) {
@@ -345,11 +345,11 @@ TEST_F(BatchKernelTest, CmaBatchCutoffsMatchSequentialAbandons) {
     if (width <= 1) continue;
     // A mid-range cutoff: some candidates abandon (per-lane row-floor
     // crossings), others complete — both paths must match the sequential
-    // RunCols results exactly, and lane abandons must be recorded.
+    // Run results exactly, and lane abandons must be recorded.
     std::vector<double> full(static_cast<size_t>(dataset.size()));
     for (int id = 0; id < dataset.size(); ++id) {
       full[static_cast<size_t>(id)] =
-          plan->RunCols(dataset[id], dataset.cols(id), kNoCutoff).distance;
+          plan->Run(dataset[id], kNoCutoff).distance;
     }
     std::vector<double> sorted = full;
     std::sort(sorted.begin(), sorted.end());
@@ -358,11 +358,11 @@ TEST_F(BatchKernelTest, CmaBatchCutoffsMatchSequentialAbandons) {
     std::vector<SearchResult> want(static_cast<size_t>(dataset.size()));
     for (int id = 0; id < dataset.size(); ++id) {
       want[static_cast<size_t>(id)] =
-          plan->RunCols(dataset[id], dataset.cols(id), cutoff);
+          plan->Run(dataset[id], cutoff);
     }
     std::vector<QueryRun::RunBatchItem> items;
     for (int id = 0; id < dataset.size(); ++id) {
-      items.push_back({dataset[id].View(), dataset.cols(id)});
+      items.push_back({dataset[id].View(), {}});
     }
     (void)plan->TakeSimdStats();
     std::vector<SearchResult> got(items.size());
@@ -442,11 +442,12 @@ uint64_t Cells(const simd::CellCounts& c) {
 }
 
 // The suffix floor must keep every CMA path exact below the cutoff and make
-// them all abandon at the same row: the scalar rows (Run), the column rows
-// (RunCols), the lane kernel (RunBatch, RunWindow with refills) at every
-// lane clamp. Cutoffs sit on every distinct full distance and its nextafter
-// neighbours, where an unsound floor (one that rounds above what the DP
-// computes) would abandon a run that ties or beats the cutoff.
+// them all abandon at the same row: the scalar rows (Run under scalar
+// dispatch), the column rows (Run under vector dispatch), the lane kernel
+// (RunBatch, RunWindow with refills) at every lane clamp. Cutoffs sit on
+// every distinct full distance and its nextafter neighbours, where an
+// unsound floor (one that rounds above what the DP computes) would abandon
+// a run that ties or beats the cutoff.
 TEST_F(BatchKernelTest, CmaSuffixFloorExactAndSameAbandonRowOnEveryPath) {
   Rng rng(20261018);
   const std::vector<Trajectory> corpus = SuffixFloorCorpus(&rng);
@@ -526,15 +527,15 @@ TEST_F(BatchKernelTest, CmaSuffixFloorExactAndSameAbandonRowOnEveryPath) {
           std::unique_ptr<QueryRun> plan = searcher.Bind(queries[qi]);
           const std::string at = "lanes=" + std::to_string(lanes);
           for (int id = 0; id < size; ++id) {
-            expect_same(plan->RunCols(dataset[id], dataset.cols(id), cutoff),
-                        id, at + " runcols");
+            expect_same(plan->Run(dataset[id], cutoff),
+                        id, at + " run");
             EXPECT_EQ(Cells(plan->TakeSimdStats()),
                       want_cells[static_cast<size_t>(id)])
-                << tag << " " << at << " runcols cells id=" << id;
+                << tag << " " << at << " run cells id=" << id;
           }
           std::vector<QueryRun::RunBatchItem> items;
           for (int id = 0; id < size; ++id) {
-            items.push_back({dataset[id].View(), dataset.cols(id)});
+            items.push_back({dataset[id].View(), {}});
           }
           // Per-candidate abandon rows in the lane kernel: each candidate
           // beside itself.
@@ -730,7 +731,7 @@ TEST_F(BatchKernelTest, CmaWindowReadsTheCutoffWhenEachLaneRefills) {
   const Trajectory query = RandomWalk(&rng, 9);
   std::vector<QueryRun::RunBatchItem> items;
   for (int id = 0; id < dataset.size(); ++id) {
-    items.push_back({dataset[id].View(), dataset.cols(id)});
+    items.push_back({dataset[id].View(), {}});
   }
   for (const DistanceSpec& spec : testing::PaperGpsSpecs()) {
     auto made = MakeSearcher(Algorithm::kCma, spec);

@@ -162,5 +162,57 @@ TEST(CsvTest, MalformedRowIsInvalidArgument) {
   std::remove(path.c_str());
 }
 
+/// Writes `body` under the CSV header and returns the loader's result.
+Result<Dataset> ReadCsvBody(const std::string& name, const std::string& body) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  {
+    FILE* f = fopen(path.c_str(), "w");
+    EXPECT_NE(f, nullptr);
+    if (f == nullptr) return Status::IoError("cannot write " + path);
+    fputs(("traj_id,seq,x,y\n" + body).c_str(), f);
+    fclose(f);
+  }
+  Result<Dataset> r = ReadTrajectoryCsv(path, "csv");
+  std::remove(path.c_str());
+  return r;
+}
+
+TEST(CsvTest, NonFiniteCoordinateIsInvalidArgumentNamingTheLine) {
+  // %lf parses all three; none is a coordinate any cost model accepts.
+  for (const char* bad : {"nan", "inf", "-inf", "1e400"}) {
+    for (const bool in_x : {true, false}) {
+      const std::string value(bad);
+      const std::string row = in_x ? "0,1," + value + ",2.0\n"
+                                   : "0,1,1.0," + value + "\n";
+      const Result<Dataset> r =
+          ReadCsvBody("traj_nonfinite.csv", "0,0,1.0,2.0\n" + row);
+      ASSERT_FALSE(r.ok()) << bad;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
+      EXPECT_NE(r.status().message().find("line 3"), std::string::npos)
+          << r.status().ToString();
+    }
+  }
+  // The largest finite double still loads.
+  const Result<Dataset> ok =
+      ReadCsvBody("traj_finite.csv", "0,0,1.7976931348623157e308,-2.0\n");
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok.value()[0][0].x, 1.7976931348623157e308);
+}
+
+TEST(CsvTest, NegativeTrajectoryIdIsInvalidArgumentNamingTheLine) {
+  // traj_id -1 equals the reader's "no trajectory yet" sentinel; accepted,
+  // its points would be merged into the trajectory that follows.
+  for (const char* body : {"-1,0,1.0,2.0\n0,0,3.0,4.0\n",
+                           "0,0,1.0,2.0\n-1,0,3.0,4.0\n",
+                           "0,0,1.0,2.0\n-7,0,3.0,4.0\n"}) {
+    const Result<Dataset> r = ReadCsvBody("traj_negative.csv", body);
+    ASSERT_FALSE(r.ok()) << body;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << body;
+    const std::string line = body[0] == '-' ? "line 2" : "line 3";
+    EXPECT_NE(r.status().message().find(line), std::string::npos)
+        << r.status().ToString();
+  }
+}
+
 }  // namespace
 }  // namespace trajsearch

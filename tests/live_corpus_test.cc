@@ -14,6 +14,8 @@
 
 #include <atomic>
 #include <cstdio>
+#include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -154,12 +156,6 @@ TEST(LiveDatasetTest, PinnedViewSurvivesTableRegrowthAndAdoptBase) {
     const TrajectoryRef ref = pinned[id];
     EXPECT_EQ(ref.id(), id);
     ExpectSamePoints(ref.View(), pinned_trajs[static_cast<size_t>(i)].View());
-    const PointCols cols = pinned.cols(id);
-    ASSERT_FALSE(cols.empty());
-    for (size_t p = 0; p < ref.View().size(); ++p) {
-      EXPECT_EQ(cols.x[p], ref.View()[p].x);
-      EXPECT_EQ(cols.y[p], ref.View()[p].y);
-    }
   }
   EXPECT_TRUE(pinned[8].View().empty());
   // The later generations read the same trajectories under the same ids.
@@ -167,6 +163,74 @@ TEST(LiveDatasetTest, PinnedViewSurvivesTableRegrowthAndAdoptBase) {
   for (int id = 3; id < 8; ++id) {
     ExpectSamePoints(now[id].View(), pinned[id].View());
   }
+}
+
+TEST(LiveDatasetTest, CompactionKeepsSurvivorsInPlace) {
+  Rng rng(29);
+  Dataset base("reuse");
+  base.Add(RandomWalk(&rng, 10));
+  LiveDataset live(std::move(base));
+  // 1,000 points each, so several trajectories share a chunk.
+  std::vector<Trajectory> trajs;
+  const auto append = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      trajs.push_back(RandomWalk(&rng, 1000));
+      live.Append(trajs.back());
+    }
+  };
+  const auto expect_all_intact = [&](const CorpusView& view) {
+    ASSERT_EQ(view.size(), 1 + static_cast<int>(trajs.size()));
+    for (int id = 1; id < view.size(); ++id) {
+      ExpectSamePoints(view[id].View(),
+                       trajs[static_cast<size_t>(id - 1)].View());
+    }
+  };
+
+  // Four trajectories fill a 4,096-point chunk. The compactor pins ids
+  // 1-6; ids 7-11 race it and survive the swap, 7 and 8 in the chunk they
+  // share with compacted 5 and 6, 9-11 in the chunk the writer is filling.
+  append(6);
+  std::optional<CorpusView> pinned = live.View();
+  auto merged = std::make_shared<const Dataset>(LiveDataset::Merge(*pinned));
+  append(5);
+  std::set<const Point*> compacted, survivors;
+  {
+    const CorpusView before = live.View();
+    for (int id = 1; id <= 6; ++id) compacted.insert(before[id].View().data());
+    for (int id = 7; id <= 11; ++id) survivors.insert(before[id].View().data());
+  }
+  live.AdoptBase(merged, 6);
+  {
+    const CorpusView after = live.View();
+    ASSERT_EQ(after.delta_size(), 5);
+    for (int id = 7; id <= 11; ++id) {
+      EXPECT_EQ(survivors.count(after[id].View().data()), 1u) << id;
+    }
+    expect_all_intact(after);
+  }
+
+  // The writer goes on filling the survivors' last chunk (id 12) and then
+  // fresh ones. The pinned view still holds the retired table, so the
+  // chunks it points into stay allocated and its points intact.
+  append(8);
+  {
+    const CorpusView now = live.View();
+    for (int id = 12; id <= 19; ++id) {
+      EXPECT_EQ(compacted.count(now[id].View().data()), 0u) << id;
+      EXPECT_EQ(survivors.count(now[id].View().data()), 0u) << id;
+    }
+    expect_all_intact(now);
+  }
+  for (int id = 1; id <= 6; ++id) {
+    ExpectSamePoints((*pinned)[id].View(),
+                     trajs[static_cast<size_t>(id - 1)].View());
+  }
+
+  // Dropping the last view of the retired table releases the chunk that
+  // held only compacted trajectories; the chunks survivors share stay.
+  pinned.reset();
+  append(8);
+  expect_all_intact(live.View());
 }
 
 TEST(LiveDatasetTest, AdoptBaseKeepsAppendsThatRacedTheCompactor) {

@@ -202,8 +202,9 @@ TEST(PlanAllocTest, BatchedRunsDoNotAllocateInSteadyState) {
   //
   // Every pass runs twice: under kNoCutoff and under the query's median
   // full distance, where about half the runs abandon (CMA: the suffix
-  // floor is filled per candidate and lanes retire and refill). RunCols
-  // and RunWindow (one window of the whole set) are audited the same way.
+  // floor is filled per candidate and lanes retire and refill). Run (which
+  // copies each candidate into column scratch under vector dispatch) and
+  // RunWindow (one window of the whole set) are audited the same way.
   Rng rng(99123);
   std::vector<Trajectory> queries;
   for (int i = 0; i < 3; ++i) queries.push_back(RandomWalk(&rng, 8 + i * 3));
@@ -235,7 +236,7 @@ TEST(PlanAllocTest, BatchedRunsDoNotAllocateInSteadyState) {
 
       std::vector<QueryRun::RunBatchItem> items;
       for (int id = 0; id < dataset.size(); ++id) {
-        items.push_back({dataset[id].View(), dataset.cols(id)});
+        items.push_back({dataset[id].View(), {}});
       }
       std::vector<SearchResult> results(items.size());
       std::vector<double> medians;
@@ -243,7 +244,7 @@ TEST(PlanAllocTest, BatchedRunsDoNotAllocateInSteadyState) {
         plan->Bind(q);
         std::vector<double> full;
         for (const QueryRun::RunBatchItem& item : items) {
-          full.push_back(plan->RunCols(item.data, item.cols).distance);
+          full.push_back(plan->Run(item.data).distance);
         }
         std::sort(full.begin(), full.end());
         medians.push_back(full[full.size() / 2]);
@@ -257,7 +258,7 @@ TEST(PlanAllocTest, BatchedRunsDoNotAllocateInSteadyState) {
           begin += static_cast<size_t>(count);
         }
         for (const QueryRun::RunBatchItem& item : items) {
-          (void)plan->RunCols(item.data, item.cols, cutoff);
+          (void)plan->Run(item.data, cutoff);
         }
         Sink sink(cutoff, results.data());
         plan->RunWindow(items.data(), static_cast<int>(items.size()), &sink);
@@ -266,7 +267,7 @@ TEST(PlanAllocTest, BatchedRunsDoNotAllocateInSteadyState) {
         for (size_t qi = 0; qi < queries.size(); ++qi) {
           plan->Bind(queries[qi]);
           // Full width first, then every shrinking batch size down to 1
-          // (the width-1 batches route through the sequential RunCols
+          // (the width-1 batches route through the sequential Run
           // fallback, which has its own scratch).
           for (int width = std::max(1, plan->batch_width()); width >= 1;
                --width) {
@@ -391,7 +392,7 @@ TEST(SnapshotLoadAllocTest, LiveSaveLoadDoesNotOverAllocate) {
 
 TEST(SnapshotLoadAllocTest, MmapOpenAllocationCountIsCorpusSizeIndependent) {
   // Zero-copy serving means *zero payload allocations*: MmapSnapshot::Open
-  // borrows the offsets table, point pool, shadow columns, and grid index
+  // borrows the offsets table, point pool and grid index
   // straight from the mapping, so its heap traffic is a small constant
   // (the MappedFile object, Status/Result plumbing, section bookkeeping) no
   // matter how large the corpus is. An accidental copy of any section

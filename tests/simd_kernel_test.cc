@@ -3,9 +3,8 @@
 // return values, SweepLowerBound after every step (the one-ulp-exact
 // early-abandon contract), and every column cell — across ragged query
 // lengths that exercise full lane groups, tail lanes, and all-tail columns.
-// Also gates the structure-of-arrays plumbing the kernels read: Dataset /
-// LiveDataset coordinate columns must mirror the AoS point storage exactly,
-// on static corpora, live deltas, and across compaction re-homing.
+// Also gates the ExactS/ERP insertion cache, which vector dispatch fills
+// from a column copy of each candidate: Run must match scalar dispatch.
 
 #include <gtest/gtest.h>
 
@@ -17,9 +16,7 @@
 #include <vector>
 
 #include "core/dataset.h"
-#include "core/live_dataset.h"
 #include "distance/dp.h"
-#include "io/snapshot_v4.h"
 #include "search/searcher.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
@@ -180,92 +177,8 @@ TEST_F(SimdKernelTest, CellCountersAccountForEveryCell) {
   EXPECT_EQ(drained.scalar_cells, 0u);
 }
 
-TEST_F(SimdKernelTest, DatasetColumnsMirrorThePool) {
-  Rng rng(5);
-  Dataset dataset("soa");
-  std::vector<Trajectory> source;
-  for (int i = 0; i < 6; ++i) {
-    source.push_back(RandomWalk(&rng, 8 + i * 3));
-    dataset.Add(source.back());
-  }
-  for (int id = 0; id < dataset.size(); ++id) {
-    const TrajectoryRef traj = dataset[id];
-    const PointCols cols = dataset.cols(id);
-    ASSERT_FALSE(cols.empty());
-    for (int k = 0; k < traj.size(); ++k) {
-      ExpectSameBits(cols.x[k], traj.points()[static_cast<size_t>(k)].x,
-                     "x id=" + std::to_string(id));
-      ExpectSameBits(cols.y[k], traj.points()[static_cast<size_t>(k)].y,
-                     "y id=" + std::to_string(id));
-    }
-  }
-
-  // The snapshot round trip (shadow-column sections written, then copied
-  // into owned columns by the heap loader) must keep the same columns.
-  const std::string path = ::testing::TempDir() + "/soa_cols.snap";
-  ASSERT_TRUE(WriteSnapshotV4(dataset, path).ok());
-  const Result<Dataset> loaded = ReadSnapshot(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  for (int id = 0; id < loaded.value().size(); ++id) {
-    const TrajectoryRef traj = loaded.value()[id];
-    const PointCols cols = loaded.value().cols(id);
-    for (int k = 0; k < traj.size(); ++k) {
-      ExpectSameBits(cols.x[k], traj.points()[static_cast<size_t>(k)].x,
-                     "snap x id=" + std::to_string(id));
-      ExpectSameBits(cols.y[k], traj.points()[static_cast<size_t>(k)].y,
-                     "snap y id=" + std::to_string(id));
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST_F(SimdKernelTest, LiveCorpusColumnsSurviveAppendsAndCompaction) {
-  Rng rng(6);
-  Dataset base("live-soa");
-  for (int i = 0; i < 4; ++i) base.Add(RandomWalk(&rng, 10));
-  LiveDataset live(std::move(base));
-  std::vector<Trajectory> appended;
-  for (int i = 0; i < 5; ++i) {
-    appended.push_back(RandomWalk(&rng, 7 + i));
-    live.Append(appended.back());
-  }
-
-  auto expect_cols_match = [](const CorpusView& view, const std::string& tag) {
-    for (int id = 0; id < view.size(); ++id) {
-      const TrajectoryRef traj = view[id];
-      const PointCols cols = view.cols(id);
-      ASSERT_FALSE(cols.empty()) << tag << " id=" << id;
-      for (int k = 0; k < traj.size(); ++k) {
-        ExpectSameBits(cols.x[k], traj.points()[static_cast<size_t>(k)].x,
-                       tag + " x id=" + std::to_string(id));
-        ExpectSameBits(cols.y[k], traj.points()[static_cast<size_t>(k)].y,
-                       tag + " y id=" + std::to_string(id));
-      }
-    }
-  };
-
-  expect_cols_match(live.View(), "delta");
-
-  // Compact exactly the delta the compactor pinned; trajectories appended
-  // while the "rebuild" was in flight survive and are re-homed into fresh
-  // chunks, which must carry their columns with them.
-  const CorpusView pinned = live.View();
-  for (int i = 0; i < 2; ++i) live.Append(RandomWalk(&rng, 11));  // racers
-  Dataset merged = LiveDataset::Merge(pinned);
-  live.AdoptBase(std::make_shared<const Dataset>(std::move(merged)),
-                 pinned.delta_size());
-  const CorpusView after = live.View();
-  EXPECT_EQ(after.delta_size(), 2);  // the racers survived the swap
-  expect_cols_match(after, "post-compaction");
-
-  // Fresh appends after the swap land in new chunks with columns.
-  live.Append(RandomWalk(&rng, 9));
-  expect_cols_match(live.View(), "post-compaction append");
-}
-
 TEST_F(SimdKernelTest, ErpInsCachePathBitIdenticalToRecomputation) {
   if (simd::kLanes == 1) GTEST_SKIP() << "built without SIMD lanes";
-  SimdModeGuard guard(true);
   Rng rng(7);
   Dataset dataset("erp-cache");
   for (int i = 0; i < 8; ++i) dataset.Add(RandomWalk(&rng, 20 + i));
@@ -273,11 +186,19 @@ TEST_F(SimdKernelTest, ErpInsCachePathBitIdenticalToRecomputation) {
 
   auto searcher = MakeSearcher(Algorithm::kExactS, DistanceSpec::Erp(Point{5.0, 5.0}));
   ASSERT_TRUE(searcher.ok());
-  std::unique_ptr<QueryRun> plan = searcher.value()->Bind(query);
+  // Dispatch is captured at Bind: the scalar plan recomputes every gap
+  // distance, the vector plan reads the per-candidate cache.
+  std::unique_ptr<QueryRun> plain_plan;
+  {
+    SimdModeGuard off(false);
+    plain_plan = searcher.value()->Bind(query);
+  }
+  SimdModeGuard on(true);
+  std::unique_ptr<QueryRun> cached_plan = searcher.value()->Bind(query);
   for (int id = 0; id < dataset.size(); ++id) {
     const TrajectoryRef traj = dataset[id];
-    const SearchResult plain = plan->Run(traj, kNoCutoff);
-    const SearchResult cached = plan->RunCols(traj, dataset.cols(id), kNoCutoff);
+    const SearchResult plain = plain_plan->Run(traj, kNoCutoff);
+    const SearchResult cached = cached_plan->Run(traj, kNoCutoff);
     ExpectSameBits(plain.distance, cached.distance,
                    "erp ins-cache id=" + std::to_string(id));
     EXPECT_EQ(plain.range, cached.range) << "id=" << id;

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "core/fingerprint.h"
 #include "gen/taxi.h"
@@ -59,7 +62,7 @@ constexpr std::streamoff kTrajectoryCountField = 16;
 constexpr std::streamoff kPointCountField = 24;
 
 /// Writes `dataset` as a pooled snapshot without the grid section, so the
-/// file's last payload is the y column.
+/// file's last payload is the pool.
 void WritePooled(const Dataset& dataset, const std::string& path) {
   V4WriteOptions options;
   options.include_grid = false;
@@ -287,11 +290,11 @@ TEST(SnapshotTest, TruncatedPayloadIsIoError) {
   const Dataset original = GenerateTaxiDataset(PortoProfile(5));
   const std::string path = TempPath("truncpayload.snap");
   WritePooled(original, path);
-  // Cut into the y column, the last payload (the file ends with alignment
+  // Cut into the pool, the last payload (the file ends with alignment
   // padding, which a shorter cut would merely trim).
-  const SnapshotSectionInfo ys = Section(path, kV4SectionYs);
-  ASSERT_GT(ys.length, 64u);
-  Truncate(path, static_cast<std::streamoff>(ys.offset + ys.length - 64));
+  const SnapshotSectionInfo pool = Section(path, kV4SectionPool);
+  ASSERT_GT(pool.length, 64u);
+  Truncate(path, static_cast<std::streamoff>(pool.offset + pool.length - 64));
   const Result<Dataset> r = ReadSnapshot(path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
@@ -308,24 +311,6 @@ TEST(SnapshotTest, FlippedPayloadByteFailsChecksum) {
   const Result<Dataset> r = ReadSnapshot(path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotTest, FlippedShadowColumnByteFailsVerify) {
-  // The checksum covers the pool; a damaged shadow column must still be
-  // caught, or the vector kernels would read other coordinates than the
-  // scalar ones.
-  const Dataset original = GenerateTaxiDataset(PortoProfile(5));
-  const std::string path = TempPath("colflip.snap");
-  WritePooled(original, path);
-  const SnapshotSectionInfo xs = Section(path, kV4SectionXs);
-  Corrupt(path, static_cast<std::streamoff>(xs.offset + 3));
-  const Result<Dataset> r = ReadSnapshot(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  Result<MmapSnapshot> mapped = MmapSnapshot::Open(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_FALSE(mapped.value().Verify().ok());
   std::remove(path.c_str());
 }
 
@@ -364,12 +349,109 @@ TEST(SnapshotTest, ProbeReportsVersionAndShapeWithoutLoading) {
   EXPECT_EQ(info.base_points, original.point_count());
   EXPECT_TRUE(info.page_aligned);
   EXPECT_FALSE(info.compressed);
-  // Offsets, pool and both shadow columns; no grid was asked for.
-  ASSERT_EQ(info.sections.size(), 4u);
+  // Offsets and pool; no grid was asked for, and no point is stored twice.
+  ASSERT_EQ(info.sections.size(), 2u);
   EXPECT_EQ(info.sections[0].type, kV4SectionOffsets);
   EXPECT_EQ(info.sections[1].type, kV4SectionPool);
-  EXPECT_EQ(info.sections[2].type, kV4SectionXs);
-  EXPECT_EQ(info.sections[3].type, kV4SectionYs);
+  EXPECT_EQ(info.sections[1].length, original.point_count() * sizeof(Point));
+  std::remove(path.c_str());
+}
+
+/// Rewrites a freshly written pooled file into the layout every file had
+/// before the x/y shadow columns were retired: the section table lists
+/// offsets, pool, x column (type 3), y column (type 4), then the rest, and
+/// the two columns are page-aligned payloads mirroring the pool.
+void AddRetiredShadowSections(const std::string& path) {
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  const auto load = [&](size_t at, auto* value) {
+    ASSERT_LE(at + sizeof(*value), bytes.size());
+    std::memcpy(value, bytes.data() + at, sizeof(*value));
+  };
+  uint32_t name_length = 0, section_count = 0;
+  uint64_t point_count = 0;
+  load(kNameLengthField, &name_length);
+  load(kPointCountField, &point_count);
+  const size_t table = 40 + name_length;  // {count, flags}, then entries
+  load(table, &section_count);
+  struct Entry {
+    uint32_t type = 0, reserved = 0;
+    uint64_t offset = 0, length = 0;
+  };
+  static_assert(sizeof(Entry) == 24);
+  std::vector<Entry> entries(section_count);
+  uint64_t pool_offset = 0, first_payload = bytes.size();
+  for (uint32_t i = 0; i < section_count; ++i) {
+    load(table + 8 + i * sizeof(Entry), &entries[i]);
+    if (entries[i].type == kV4SectionPool) pool_offset = entries[i].offset;
+    first_payload = std::min(first_payload, entries[i].offset);
+  }
+  ASSERT_NE(pool_offset, 0u);
+  // The grown table must still end before the first payload.
+  ASSERT_LE(table + 8 + (section_count + 2) * sizeof(Entry), first_payload);
+
+  const std::string pool =
+      bytes.substr(pool_offset, point_count * sizeof(Point));
+  const auto append_column = [&](uint32_t type, size_t field) {
+    bytes.resize((bytes.size() + kV4PageSize - 1) / kV4PageSize * kV4PageSize);
+    const Entry entry{type, 0, bytes.size(), point_count * sizeof(double)};
+    for (uint64_t i = 0; i < point_count; ++i) {
+      bytes.append(pool, i * sizeof(Point) + field, sizeof(double));
+    }
+    return entry;
+  };
+  const Entry xs = append_column(kV4SectionXs, 0);
+  const Entry ys = append_column(kV4SectionYs, sizeof(double));
+  bytes.resize((bytes.size() + kV4PageSize - 1) / kV4PageSize * kV4PageSize);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].type == kV4SectionPool) {
+      entries.insert(entries.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                     {xs, ys});
+      break;
+    }
+  }
+  section_count = static_cast<uint32_t>(entries.size());
+  std::memcpy(bytes.data() + table, &section_count, sizeof(section_count));
+  std::memcpy(bytes.data() + table + 8, entries.data(),
+              entries.size() * sizeof(Entry));
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(SnapshotTest, FilesWithRetiredShadowColumnsStillRead) {
+  const Dataset original = GenerateTaxiDataset(PortoProfile(30));
+  const std::string path = TempPath("shadowed.snap");
+  ASSERT_TRUE(WriteSnapshotV4(original, path).ok());  // with the grid
+  AddRetiredShadowSections(path);
+
+  const Result<SnapshotInfo> probed = ProbeSnapshot(path);
+  ASSERT_TRUE(probed.ok()) << probed.status().ToString();
+  ASSERT_EQ(probed.value().sections.size(), 5u);
+  EXPECT_EQ(probed.value().sections[2].type, kV4SectionXs);
+  EXPECT_EQ(probed.value().sections[3].type, kV4SectionYs);
+  EXPECT_EQ(probed.value().sections[4].type, kV4SectionGrid);
+
+  Result<MmapSnapshot> mapped = MmapSnapshot::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_TRUE(mapped.value().Verify().ok());
+  EXPECT_NE(mapped.value().grid(), nullptr);
+  const Result<Dataset> loaded = ReadSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  for (const Dataset* read : {&mapped.value().dataset(), &loaded.value()}) {
+    EXPECT_EQ(read->name(), original.name());
+    ASSERT_EQ(read->size(), original.size());
+    for (int id = 0; id < original.size(); ++id) {
+      ASSERT_EQ((*read)[id].size(), original[id].size());
+      for (int i = 0; i < original[id].size(); ++i) {
+        EXPECT_EQ((*read)[id][i], original[id][i]);
+      }
+    }
+    EXPECT_EQ(Fingerprint(*read), Fingerprint(original));
+  }
   std::remove(path.c_str());
 }
 

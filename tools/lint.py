@@ -76,7 +76,7 @@ SRC_ONLY_PREFIX = "src/"
 # naked-new: arena/pool files that legitimately place raw allocations
 # (ownership is the surrounding container's contract, not a smart pointer).
 NAKED_NEW_ALLOW = {
-    "src/core/live_dataset.h",  # DeltaChunk SoA arena blocks
+    "src/core/live_dataset.h",  # DeltaTable entry array
     "src/obs/trace.h",          # ring Slot array (unique_ptr member)
     "src/obs/trace.cc",
 }
