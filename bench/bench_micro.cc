@@ -275,8 +275,8 @@ BENCHMARK(BM_ExactSMultiSweepWedBatched)
 
 /// CMA three-way: scalar rows (Run under scalar dispatch), data-dimension
 /// vectorized rows (Run under vector dispatch: each call copies the
-/// candidate into column scratch, then CmaWedRowsVec), and cross-candidate
-/// lanes (RunBatch over kLanes candidates).
+/// candidate into column scratch, then CmaWedRows over the CmaRowCosts
+/// adapter), and cross-candidate lanes (RunBatch over kLanes candidates).
 /// One "iteration" evaluates kLanes candidates so the three variants do the
 /// same work. The third argument picks the distance (0 = DTW, 1 = ERP);
 /// the column variant exists for the WED family only, so it runs ERP. The

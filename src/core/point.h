@@ -60,11 +60,6 @@ struct BoundingBox {
     if (p.y > max_y) max_y = p.y;
   }
 
-  /// True if the box contains p (inclusive).
-  bool Contains(const Point& p) const {
-    return p.x >= min_x && p.x <= max_x && p.y >= min_y && p.y <= max_y;
-  }
-
   double Width() const { return max_x - min_x; }
   double Height() const { return max_y - min_y; }
   /// Center point of the box (used as the default ERP gap point g).

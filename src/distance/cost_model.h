@@ -35,10 +35,12 @@ namespace trajsearch {
 /// correctly rounded IEEE operations as the scalar Sub, so results are
 /// bit-identical.
 ///
-/// The batch kernels (multi-sweep ExactS, lane-parallel CMA in
-/// distance/dp.h / search/cma.h) walk the transpose: one query index against
-/// a lane group of *data* points, one independent sweep or candidate per
-/// lane. For those the cost models expose
+/// The batch kernels walk the transpose: one query index against a lane
+/// group of *data* points. WedBatchDp and SubOnlyBatchDp (distance/dp.h)
+/// hold one independent sweep per lane (multi-sweep ExactS, the PSS/RLS
+/// suffix sweeps), the CMA lane kernel one candidate per lane, and CMA's
+/// CmaRowCosts adapter (search/cma.h) one row's run of consecutive data
+/// points of a single candidate. For those the cost models expose
 ///
 ///   simd::VecD SubData(int i, simd::VecD dx, simd::VecD dy) const;
 ///
@@ -213,8 +215,8 @@ struct EuclideanSub {
   }
 };
 
-/// \brief Indirection over a substitution functor. The DTW/Fréchet column
-/// steppers copy their functor by value; a query plan instead hands them a
+/// \brief Indirection over a substitution functor. The substitution-only
+/// steppers (SubOnlyColumnDp, SubOnlyBatchDp) copy their functor by value; a query plan instead hands them a
 /// SubRef to a plan-owned functor so rebinding the underlying trajectory
 /// views (new query at Bind, new data trajectory per Run) is visible to an
 /// already-constructed stepper. Forwards the batch kernel when the

@@ -14,44 +14,30 @@ std::string_view ToString(DistanceKind kind) {
 }
 
 double Dtw(TrajectoryView q, TrajectoryView d) {
-  return DtwDistanceT(static_cast<int>(q.size()), static_cast<int>(d.size()),
-                      EuclideanSub{q, d});
+  return FullDistance(DistanceSpec::Dtw(), q, d);
 }
 
 double Edr(TrajectoryView q, TrajectoryView d, double epsilon) {
-  return WedDistanceT(static_cast<int>(q.size()), static_cast<int>(d.size()),
-                      EdrCosts{q, d, epsilon});
+  return FullDistance(DistanceSpec::Edr(epsilon), q, d);
 }
 
 double Erp(TrajectoryView q, TrajectoryView d, Point gap) {
-  return WedDistanceT(static_cast<int>(q.size()), static_cast<int>(d.size()),
-                      ErpCosts{q, d, gap});
+  return FullDistance(DistanceSpec::Erp(gap), q, d);
 }
 
 double Frechet(TrajectoryView q, TrajectoryView d) {
-  return FrechetDistanceT(static_cast<int>(q.size()),
-                          static_cast<int>(d.size()), EuclideanSub{q, d});
+  return FullDistance(DistanceSpec::Frechet(), q, d);
 }
 
 double Wed(TrajectoryView q, TrajectoryView d, const WedCostFns& fns) {
-  return WedDistanceT(static_cast<int>(q.size()), static_cast<int>(d.size()),
-                      CustomWedCosts{q, d, &fns});
+  return FullDistance(DistanceSpec::Wed(&fns), q, d);
 }
 
 double FullDistance(const DistanceSpec& spec, TrajectoryView q,
                     TrajectoryView d) {
-  const int m = static_cast<int>(q.size());
   const int n = static_cast<int>(d.size());
-  switch (spec.kind) {
-    case DistanceKind::kDtw:
-      return DtwDistanceT(m, n, EuclideanSub{q, d});
-    case DistanceKind::kFrechet:
-      return FrechetDistanceT(m, n, EuclideanSub{q, d});
-    default:
-      return VisitWedCosts(spec, q, d, [&](const auto& costs) {
-        return WedDistanceT(m, n, costs);
-      });
-  }
+  return VisitColumnDp(spec, q, d,
+                       [n](auto& dp) { return SweepDistance(dp, n); });
 }
 
 }  // namespace trajsearch

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string_view>
+#include <type_traits>
 
 #include "distance/cost_model.h"
 #include "distance/dp.h"
@@ -71,42 +72,57 @@ auto VisitWedCosts(const DistanceSpec& spec, TrajectoryView q,
   }
 }
 
+/// Calls f(c) with c = std::integral_constant<SubCombine, ...> for a
+/// substitution-only distance: kMax for kFrechet, kSum for kDtw.
+template <typename F>
+auto VisitSubCombine(DistanceKind kind, F&& f) {
+  TRAJ_CHECK(kind == DistanceKind::kDtw || kind == DistanceKind::kFrechet);
+  if (kind == DistanceKind::kFrechet) {
+    return f(std::integral_constant<SubCombine, SubCombine::kMax>{});
+  }
+  return f(std::integral_constant<SubCombine, SubCombine::kSum>{});
+}
+
+/// Builds the column stepper of `spec` over the pair (q, d) and returns
+/// f(stepper): SubOnlyColumnDp over Euclidean costs for DTW and Fréchet,
+/// WedColumnDp over the spec's cost object for the WED family.
+template <typename F>
+auto VisitColumnDp(const DistanceSpec& spec, TrajectoryView q,
+                   TrajectoryView d, F&& f) {
+  const int m = static_cast<int>(q.size());
+  if (spec.IsWedFamily()) {
+    return VisitWedCosts(spec, q, d, [&](const auto& costs) {
+      WedColumnDp<std::decay_t<decltype(costs)>> dp(m, costs);
+      return f(dp);
+    });
+  }
+  return VisitSubCombine(spec.kind, [&](auto combine) {
+    SubOnlyColumnDp<EuclideanSub, decltype(combine)::value> dp(
+        m, EuclideanSub{q, d});
+    return f(dp);
+  });
+}
+
 /// \name Full-trajectory distances (whole query vs whole data trajectory)
 /// These are the classic O(mn) dynamic programs (Equations 2 and 3 and the
-/// discrete Fréchet recurrence), implemented on top of the column steppers.
+/// discrete Fréchet recurrence): one sweep of a column stepper.
 /// @{
+
+/// dist(query, data[0..n-1]) from a fresh sweep of `dp` over n >= 1 points.
+template <typename ColumnDp>
+double SweepDistance(ColumnDp& dp, int n) {
+  TRAJ_CHECK(n >= 1);
+  dp.Reset();
+  double v = 0;
+  for (int j = 0; j < n; ++j) v = dp.Extend(j);
+  return v;
+}
 
 /// WED distance with an arbitrary index-cost object.
 template <typename Costs>
 double WedDistanceT(int m, int n, const Costs& costs) {
-  TRAJ_CHECK(m >= 1 && n >= 1);
   WedColumnDp<Costs> dp(m, costs);
-  dp.Reset();
-  double v = 0;
-  for (int j = 0; j < n; ++j) v = dp.Extend(j);
-  return v;
-}
-
-/// DTW distance with an arbitrary substitution functor.
-template <typename SubFn>
-double DtwDistanceT(int m, int n, SubFn sub) {
-  TRAJ_CHECK(m >= 1 && n >= 1);
-  DtwColumnDp<SubFn> dp(m, sub);
-  dp.Reset();
-  double v = 0;
-  for (int j = 0; j < n; ++j) v = dp.Extend(j);
-  return v;
-}
-
-/// Discrete Fréchet distance with an arbitrary substitution functor.
-template <typename SubFn>
-double FrechetDistanceT(int m, int n, SubFn sub) {
-  TRAJ_CHECK(m >= 1 && n >= 1);
-  FrechetColumnDp<SubFn> dp(m, sub);
-  dp.Reset();
-  double v = 0;
-  for (int j = 0; j < n; ++j) v = dp.Extend(j);
-  return v;
+  return SweepDistance(dp, n);
 }
 
 /// @}

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <type_traits>
 #include <vector>
 
 #include "core/trajectory.h"
@@ -26,8 +27,6 @@ class DpArena {
  public:
   /// Hands out the next pooled double vector (empty content, old capacity).
   std::vector<double>* Doubles() { return Next(&double_pool_, &next_double_); }
-  /// Hands out the next pooled int vector.
-  std::vector<int>* Ints() { return Next(&int_pool_, &next_int_); }
   /// Hands out the next pooled point vector (reversed-trajectory scratch for
   /// the POS/PSS/RLS suffix plans).
   std::vector<Point>* Points() { return Next(&point_pool_, &next_point_); }
@@ -37,7 +36,6 @@ class DpArena {
   /// pointers: a stepper built after Rewind may reuse the same storage.
   void Rewind() {
     next_double_ = 0;
-    next_int_ = 0;
     next_point_ = 0;
   }
 
@@ -51,10 +49,8 @@ class DpArena {
   }
 
   std::deque<std::vector<double>> double_pool_;
-  std::deque<std::vector<int>> int_pool_;
   std::deque<std::vector<Point>> point_pool_;
   size_t next_double_ = 0;
-  size_t next_int_ = 0;
   size_t next_point_ = 0;
 };
 
@@ -83,7 +79,8 @@ inline PointCols FillCols(TrajectoryView points, DpArena* arena) {
   return CopyCols(points, xs, ys);
 }
 
-/// The three column steppers below incrementally compute
+/// The two column steppers below (WedColumnDp, and SubOnlyColumnDp for DTW
+/// and Fréchet) incrementally compute
 /// dist(query, data[start..j]) for a fixed start and growing end j, in O(m)
 /// per step. They are the shared engine behind the full-trajectory distance
 /// functions, the ExactS baseline (Algorithm 1: one sweep per start), the
@@ -105,8 +102,9 @@ inline PointCols FillCols(TrajectoryView points, DpArena* arena) {
 /// comes from the arena instead of a fresh heap allocation, so plans that
 /// rebuild their steppers at Bind time reuse the same memory.
 ///
-/// SIMD dispatch (WED stepper only): when the cost object models
-/// simd::VectorizedCosts (it has query coordinate columns bound) and
+/// SIMD dispatch (WED stepper only; ExactS runs the batch stepper instead, so
+/// the POS/PSS/RLS forward scans are this path's only callers): when the
+/// cost object models simd::VectorizedCosts (it has query columns bound) and
 /// simd::Enabled() is true at construction — i.e. at plan Bind — Extend runs
 /// a vectorized column sweep. The sweep splits the recurrence into a vector
 /// pass over the previous column (the diag/up terms and the substitution
@@ -117,8 +115,8 @@ inline PointCols FillCols(TrajectoryView points, DpArena* arena) {
 /// paths return bit-identical distances and SweepLowerBound values, and
 /// early abandoning fires on exactly the same Extend. The scalar loop is
 /// kept verbatim as the identity oracle. DTW and Fréchet cells are a single
-/// min-chain, so that split does not pay for them; their column steppers are
-/// scalar, and their vector path is the batch steppers further down.
+/// min-chain, so that split does not pay for them; their column stepper is
+/// scalar, and their vector path is the batch stepper further down.
 
 /// \brief Column stepper for WED-family distances (Equation 2).
 template <typename Costs>
@@ -294,15 +292,46 @@ class WedColumnDp {
   simd::CellCounts cells_;
 };
 
-/// \brief Column stepper for DTW (Equation 3: boundary rows accumulate
-/// substitution costs; interior cells take the min of the three
-/// predecessors plus sub). Scalar only: this is the identity oracle, and the
-/// vector path for DTW is the batch stepper (DtwBatchDp), whose lanes hold
-/// independent sweeps instead of splitting one column's serial chain.
-template <typename SubFn>
-class DtwColumnDp {
+/// \brief How a substitution-only recurrence folds a cell's cheapest
+/// predecessor `reach` with its substitution cost `sub`: DTW adds them
+/// (Equation 3; the paper's Eq. 8 in CMA), the discrete Fréchet distance
+/// takes their maximum (Eq. 9). Everything else about the two recurrences
+/// is the same minimum over three predecessors, so every DP layer keeps one
+/// stepper with the combine as a template parameter.
+enum class SubCombine { kSum, kMax };
+
+/// The cell combine, scalar. Fréchet's `reach > sub ? reach : sub` drops a
+/// NaN `reach` and keeps a NaN `sub` (see CmaAbandonRule on NaN cells).
+template <SubCombine kCombine>
+inline double CombineCell(double reach, double sub) {
+  if constexpr (kCombine == SubCombine::kMax) {
+    return reach > sub ? reach : sub;
+  } else {
+    return reach + sub;
+  }
+}
+
+/// The cell combine, lanewise: the same correctly rounded op per lane.
+template <SubCombine kCombine>
+inline simd::VecD CombineCell(simd::VecD reach, simd::VecD sub) {
+  if constexpr (kCombine == SubCombine::kMax) {
+    return simd::VecD::Max(reach, sub);
+  } else {
+    return reach + sub;
+  }
+}
+
+/// \brief Column stepper for the substitution-only distances: boundary rows
+/// accumulate substitution costs, and each interior cell combines the
+/// minimum of its three predecessors with its substitution cost (sum for
+/// DTW, max for Fréchet; see SubCombine). Scalar only: this is the identity
+/// oracle, and the vector path is the batch stepper (SubOnlyBatchDp), whose
+/// lanes hold independent sweeps instead of splitting one column's serial
+/// chain.
+template <typename SubFn, SubCombine kCombine>
+class SubOnlyColumnDp {
  public:
-  DtwColumnDp(int m, SubFn sub, DpArena* arena = nullptr)
+  SubOnlyColumnDp(int m, SubFn sub, DpArena* arena = nullptr)
       : m_(m),
         sub_(sub),
         col_store_(arena != nullptr ? arena->Doubles() : &owned_col_) {
@@ -311,8 +340,8 @@ class DtwColumnDp {
   }
 
   // Owned storage is self-referenced via col_store_; construct in place.
-  DtwColumnDp(const DtwColumnDp&) = delete;
-  DtwColumnDp& operator=(const DtwColumnDp&) = delete;
+  SubOnlyColumnDp(const SubOnlyColumnDp&) = delete;
+  SubOnlyColumnDp& operator=(const SubOnlyColumnDp&) = delete;
 
   /// Start a new sweep over an empty data range.
   void Reset() {
@@ -321,7 +350,7 @@ class DtwColumnDp {
     for (double& c : *col_store_) c = kDpInfinity;
   }
 
-  /// Appends data point j; returns dtw(query, data[start..j]).
+  /// Appends data point j; returns dist(query, data[start..j]).
   double Extend(int j) {
     double* col = col_store_->data();
     double diag = first_ ? 0.0 : kDpInfinity;  // virtual (empty, empty) corner
@@ -329,10 +358,10 @@ class DtwColumnDp {
     double col_min = kDpInfinity;
     for (int x = 0; x < m_; ++x) {
       const double up = col[x];
-      double best = diag;
-      if (up < best) best = up;
-      if (new_left < best) best = new_left;
-      const double value = best + sub_(x, j);
+      double reach = diag;
+      if (up < reach) reach = up;
+      if (new_left < reach) reach = new_left;
+      const double value = CombineCell<kCombine>(reach, sub_(x, j));
       diag = up;
       col[x] = value;
       new_left = value;
@@ -344,7 +373,8 @@ class DtwColumnDp {
     return col[m_ - 1];
   }
 
-  /// A value no future cell of this sweep can beat (before the first Extend
+  /// A value no future cell of this sweep can beat: a cell is never below
+  /// its cheapest predecessor under either combine (before the first Extend
   /// the virtual corner is still reachable, so the bound is 0).
   double SweepLowerBound() const { return first_ ? 0.0 : col_min_; }
 
@@ -367,77 +397,10 @@ class DtwColumnDp {
   simd::CellCounts cells_;
 };
 
-/// \brief Column stepper for the discrete Fréchet distance (max-of-mins
-/// recurrence). Scalar only, like DtwColumnDp; FrechetBatchDp is the vector
-/// path.
 template <typename SubFn>
-class FrechetColumnDp {
- public:
-  FrechetColumnDp(int m, SubFn sub, DpArena* arena = nullptr)
-      : m_(m),
-        sub_(sub),
-        col_store_(arena != nullptr ? arena->Doubles() : &owned_col_) {
-    TRAJ_CHECK(m >= 1);
-    col_store_->resize(static_cast<size_t>(m));
-  }
-
-  // Owned storage is self-referenced via col_store_; construct in place.
-  FrechetColumnDp(const FrechetColumnDp&) = delete;
-  FrechetColumnDp& operator=(const FrechetColumnDp&) = delete;
-
-  /// Start a new sweep over an empty data range.
-  void Reset() {
-    first_ = true;
-    col_min_ = kDpInfinity;
-    for (double& c : *col_store_) c = kDpInfinity;
-  }
-
-  /// Appends data point j; returns frechet(query, data[start..j]).
-  double Extend(int j) {
-    double* col = col_store_->data();
-    double diag_prev = first_ ? 0.0 : kDpInfinity;
-    double new_left = kDpInfinity;
-    double col_min = kDpInfinity;
-    for (int x = 0; x < m_; ++x) {
-      const double up = col[x];
-      double reach = diag_prev;
-      if (up < reach) reach = up;
-      if (new_left < reach) reach = new_left;
-      const double s = sub_(x, j);
-      const double value = reach > s ? reach : s;
-      diag_prev = up;
-      col[x] = value;
-      new_left = value;
-      if (value < col_min) col_min = value;
-    }
-    cells_.scalar_cells += static_cast<uint64_t>(m_);
-    first_ = false;
-    col_min_ = col_min;
-    return col[m_ - 1];
-  }
-
-  /// A value no future cell of this sweep can beat (max-recurrence cells
-  /// also never drop below the minimum reachable predecessor).
-  double SweepLowerBound() const { return first_ ? 0.0 : col_min_; }
-
-  double Cell(int x) const { return (*col_store_)[static_cast<size_t>(x)]; }
-  int query_size() const { return m_; }
-
-  simd::CellCounts TakeCellCounts() {
-    const simd::CellCounts taken = cells_;
-    cells_ = simd::CellCounts{};
-    return taken;
-  }
-
- private:
-  int m_;
-  SubFn sub_;
-  std::vector<double> owned_col_;
-  std::vector<double>* col_store_;
-  double col_min_ = kDpInfinity;
-  bool first_ = true;
-  simd::CellCounts cells_;
-};
+using DtwColumnDp = SubOnlyColumnDp<SubFn, SubCombine::kSum>;
+template <typename SubFn>
+using FrechetColumnDp = SubOnlyColumnDp<SubFn, SubCombine::kMax>;
 
 /// The batch steppers below are the second SIMD axis: instead of putting a
 /// lane group of query indices in a vector (the WED column stepper above), they
@@ -579,11 +542,12 @@ class WedBatchDp {
   simd::CellCounts cells_;
 };
 
-/// \brief Batch stepper for DTW: kLanes independent DTW sweeps.
-template <typename SubFn>
-class DtwBatchDp {
+/// \brief Batch stepper for the substitution-only distances: kLanes
+/// independent SubOnlyColumnDp sweeps, one per lane.
+template <typename SubFn, SubCombine kCombine>
+class SubOnlyBatchDp {
  public:
-  DtwBatchDp(int m, SubFn sub, DpArena* arena = nullptr)
+  SubOnlyBatchDp(int m, SubFn sub, DpArena* arena = nullptr)
       : m_(m), sub_(sub),
         col_store_(arena != nullptr ? arena->Doubles() : &owned_col_) {
     TRAJ_CHECK(m >= 1);
@@ -593,8 +557,8 @@ class DtwBatchDp {
     last_.fill(kDpInfinity);
   }
 
-  DtwBatchDp(const DtwBatchDp&) = delete;
-  DtwBatchDp& operator=(const DtwBatchDp&) = delete;
+  SubOnlyBatchDp(const SubOnlyBatchDp&) = delete;
+  SubOnlyBatchDp& operator=(const SubOnlyBatchDp&) = delete;
 
   void ResetLane(int l) {
     double* col = col_store_->data();
@@ -615,82 +579,10 @@ class DtwBatchDp {
     VecD col_min = VecD::Broadcast(kDpInfinity);
     for (int x = 0; x < m_; ++x) {
       const VecD up = VecD::Load(col + x * kW);
-      VecD best = VecD::Min(diag, up);
-      best = VecD::Min(best, new_left);
-      const VecD value = best + sub_.SubData(x, dxv, dyv);
-      diag = up;
-      value.Store(col + x * kW);
-      new_left = value;
-      col_min = VecD::Min(col_min, value);
-    }
-    VecD::Broadcast(kDpInfinity).Store(boundary_diag_.data());
-    col_min.Store(col_min_.data());
-    new_left.Store(last_.data());
-    cells_.vector_cells +=
-        static_cast<uint64_t>(m_) * static_cast<uint64_t>(live);
-  }
-
-  double LaneResult(int l) const { return last_[static_cast<size_t>(l)]; }
-  double LaneBound(int l) const { return col_min_[static_cast<size_t>(l)]; }
-  void CountLaneAbandon() { ++cells_.lane_abandons; }
-
-  int query_size() const { return m_; }
-  simd::CellCounts TakeCellCounts() {
-    const simd::CellCounts taken = cells_;
-    cells_ = simd::CellCounts{};
-    return taken;
-  }
-
- private:
-  static constexpr int kW = simd::kLanes;
-  int m_;
-  SubFn sub_;
-  std::vector<double> owned_col_;
-  std::vector<double>* col_store_;
-  std::array<double, kW> boundary_diag_;
-  std::array<double, kW> col_min_;
-  std::array<double, kW> last_;
-  simd::CellCounts cells_;
-};
-
-/// \brief Batch stepper for the discrete Fréchet distance: kLanes
-/// independent max-of-mins sweeps.
-template <typename SubFn>
-class FrechetBatchDp {
- public:
-  FrechetBatchDp(int m, SubFn sub, DpArena* arena = nullptr)
-      : m_(m), sub_(sub),
-        col_store_(arena != nullptr ? arena->Doubles() : &owned_col_) {
-    TRAJ_CHECK(m >= 1);
-    col_store_->assign(static_cast<size_t>(m) * kW, kDpInfinity);
-    boundary_diag_.fill(0.0);
-    col_min_.fill(kDpInfinity);
-    last_.fill(kDpInfinity);
-  }
-
-  FrechetBatchDp(const FrechetBatchDp&) = delete;
-  FrechetBatchDp& operator=(const FrechetBatchDp&) = delete;
-
-  void ResetLane(int l) {
-    double* col = col_store_->data();
-    for (int x = 0; x < m_; ++x) col[x * kW + l] = kDpInfinity;
-    boundary_diag_[static_cast<size_t>(l)] = 0.0;
-  }
-
-  void Extend(const double* sx, const double* sy, const double* /*ins*/,
-              int live) {
-    using simd::VecD;
-    double* col = col_store_->data();
-    const VecD dxv = VecD::Load(sx);
-    const VecD dyv = VecD::Load(sy);
-    VecD diag = VecD::Load(boundary_diag_.data());
-    VecD new_left = VecD::Broadcast(kDpInfinity);
-    VecD col_min = VecD::Broadcast(kDpInfinity);
-    for (int x = 0; x < m_; ++x) {
-      const VecD up = VecD::Load(col + x * kW);
       VecD reach = VecD::Min(diag, up);
       reach = VecD::Min(reach, new_left);
-      const VecD value = VecD::Max(reach, sub_.SubData(x, dxv, dyv));
+      const VecD value =
+          CombineCell<kCombine>(reach, sub_.SubData(x, dxv, dyv));
       diag = up;
       value.Store(col + x * kW);
       new_left = value;
@@ -726,24 +618,9 @@ class FrechetBatchDp {
   simd::CellCounts cells_;
 };
 
-/// Maps a column-stepper template to its batch-stepper sibling (used by the
-/// scan plans' Kind bundles to derive their batched suffix sweeps).
-template <template <typename> class ColumnDp>
-struct BatchDpFor;
-template <>
-struct BatchDpFor<WedColumnDp> {
-  template <typename C>
-  using type = WedBatchDp<C>;
-};
-template <>
-struct BatchDpFor<DtwColumnDp> {
-  template <typename C>
-  using type = DtwBatchDp<C>;
-};
-template <>
-struct BatchDpFor<FrechetColumnDp> {
-  template <typename C>
-  using type = FrechetBatchDp<C>;
-};
+template <typename SubFn>
+using DtwBatchDp = SubOnlyBatchDp<SubFn, SubCombine::kSum>;
+template <typename SubFn>
+using FrechetBatchDp = SubOnlyBatchDp<SubFn, SubCombine::kMax>;
 
 }  // namespace trajsearch

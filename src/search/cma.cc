@@ -13,16 +13,15 @@ SearchResult CmaSearch(const DistanceSpec& spec, TrajectoryView query,
                        TrajectoryView data, CmaWedVariant variant) {
   const int m = static_cast<int>(query.size());
   const int n = static_cast<int>(data.size());
-  switch (spec.kind) {
-    case DistanceKind::kDtw:
-      return CmaDtwSearch(m, n, EuclideanSub{query, data});
-    case DistanceKind::kFrechet:
-      return CmaFrechetSearch(m, n, EuclideanSub{query, data});
-    default:
-      return VisitWedCosts(spec, query, data, [&](const auto& costs) {
-        return CmaWedSearch(m, n, costs, variant);
-      });
+  if (spec.IsWedFamily()) {
+    return VisitWedCosts(spec, query, data, [&](const auto& costs) {
+      return CmaWedSearch(m, n, costs, variant);
+    });
   }
+  return VisitSubCombine(spec.kind, [&](auto combine) {
+    return CmaSubOnlySearch<decltype(combine)::value>(m, n,
+                                                      EuclideanSub{query, data});
+  });
 }
 
 void CmaSuffixFloor::Bind(const DistanceSpec& spec, CmaWedVariant variant,
@@ -190,11 +189,11 @@ namespace {
 ///  - Run (one candidate): the row scan is serial in j — the rolling
 ///    G-minimum and the start pointers chain left to right — but the
 ///    substitution kernel is not, so for the WED family it is precomputed
-///    per row over a column copy of the candidate (CmaWedRowsVec). For DTW
-///    and Fréchet that precompute measured no faster than the scalar rows
-///    (bench_micro), so their single candidates run CmaDtwRows /
-///    CmaFrechetRows.
-///  - RunWindow / RunBatch (many candidates): one candidate per SIMD lane
+///    per row over a column copy of the candidate (CmaWedRows over the
+///    CmaRowCosts adapter). For DTW and Fréchet that precompute measured no
+///    faster than the scalar rows (bench_micro), so their single candidates
+///    run CmaSubOnlyRows.
+///  - RunWindow (many candidates): one candidate per SIMD lane
 ///    (LaneKernel). Every per-cell operation of the scalar recurrence —
 ///    including the serial-in-j parts — runs lanewise over lane-interleaved
 ///    rows (cell j of lane l at j*kLanes + l), because the lanes hold
@@ -211,8 +210,7 @@ namespace {
 ///    to the sink and restarts at row 0 with the next candidate of the
 ///    window, under the cutoff read at that moment. Rows run only as wide
 ///    as the longest live lane; the engines sort the window longest first,
-///    so that width shrinks as the window drains. RunBatch is the same
-///    kernel over at most batch_width() candidates and one cutoff.
+///    so that width shrinks as the window drains.
 ///
 /// All paths are bit-identical to the scalar oracle: same IEEE ops per cell
 /// per lane, a row-minimum fold that skips NaN cells like the scalar one,
@@ -271,32 +269,29 @@ class CmaPlan final : public QueryRun {
     bool complete = true;
     int rows = 0;
     int vec_end = 0;  // per row, columns whose substitutions ran in lanes
-    switch (spec_.kind) {
-      case DistanceKind::kDtw:
-        complete = CmaDtwRows(m, n, EuclideanSub{query_, data}, cutoff, rule,
+    if (spec_.IsWedFamily()) {
+      complete = VisitWedCosts(spec_, query_, data, [&](const auto& costs) {
+        using C = std::decay_t<decltype(costs)>;
+        if constexpr (simd::BatchCosts<C>) {
+          if (vec_) {  // implies kExact, so effective_cutoff == cutoff
+            // Substitutions run one data lane group at a time; the
+            // n % kLanes tail of each row stays scalar.
+            vec_end = n - n % simd::kLanes;
+            const CmaRowCosts<C> row_costs(costs, sub_row_, ins_row_, cx_,
+                                           cy_);
+            return CmaWedRows(m, n, row_costs, variant_, cutoff, rule,
                               &c_prev_, &c_cur_, &s_prev_, &s_cur_, &rows);
-        break;
-      case DistanceKind::kFrechet:
-        complete =
-            CmaFrechetRows(m, n, EuclideanSub{query_, data}, cutoff, rule,
-                           &c_prev_, &c_cur_, &s_prev_, &s_cur_, &rows);
-        break;
-      default:
-        complete = VisitWedCosts(
-            spec_, query_, data, [&](const auto& costs) {
-              if constexpr (simd::BatchCosts<std::decay_t<decltype(costs)>>) {
-                if (vec_) {  // implies kExact, so effective_cutoff == cutoff
-                  // Substitutions run one data lane group at a time; the
-                  // n % kLanes tail of each row stays scalar.
-                  vec_end = n - n % simd::kLanes;
-                  return CmaWedRowsVec(m, n, costs, cutoff, rule, &c_prev_,
-                                       &c_cur_, &s_prev_, &s_cur_, sub_row_,
-                                       ins_row_, cx_, cy_, &rows);
-                }
-              }
-              return CmaWedRows(m, n, costs, variant_, effective_cutoff, rule,
-                                &c_prev_, &c_cur_, &s_prev_, &s_cur_, &rows);
-            });
+          }
+        }
+        return CmaWedRows(m, n, costs, variant_, effective_cutoff, rule,
+                          &c_prev_, &c_cur_, &s_prev_, &s_cur_, &rows);
+      });
+    } else {
+      complete = VisitSubCombine(spec_.kind, [&](auto combine) {
+        return CmaSubOnlyRows<decltype(combine)::value>(
+            m, n, EuclideanSub{query_, data}, cutoff, rule, &c_prev_, &c_cur_,
+            &s_prev_, &s_cur_, &rows);
+      });
     }
     cells_.vector_cells +=
         static_cast<uint64_t>(rows) * static_cast<uint64_t>(vec_end);
@@ -307,31 +302,6 @@ class CmaPlan final : public QueryRun {
   }
 
   int batch_width() const override { return batch_width_; }
-
-  void RunBatch(const RunBatchItem* items, int count, double cutoff,
-                SearchResult* results) override {
-    if (count <= 1 || batch_width_ <= 1) {
-      QueryRun::RunBatch(items, count, cutoff, results);
-      return;
-    }
-    TRAJ_CHECK(count <= batch_width_);
-    // A batch that fits the lanes never refills, so every lane starts under
-    // the one cutoff.
-    class FixedCutoff final : public WindowSink {
-     public:
-      FixedCutoff(double cutoff, SearchResult* results)
-          : cutoff_(cutoff), results_(results) {}
-      double Cutoff() override { return cutoff_; }
-      void Done(int item, const SearchResult& result, double) override {
-        results_[item] = result;
-      }
-
-     private:
-      double cutoff_;
-      SearchResult* results_;
-    } sink(cutoff, results);
-    RunLanes(items, count, &sink);
-  }
 
   void RunWindow(const RunBatchItem* items, int count,
                  WindowSink* sink) override {

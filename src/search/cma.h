@@ -20,6 +20,13 @@ namespace trajsearch {
 /// matched by query[0]). The answer is min_j C[m-1][j] with start s at the
 /// argmin (Equation 6).
 ///
+/// Two row functions implement the recurrences: CmaWedRows (Equation 7, the
+/// WED family) and CmaSubOnlyRows (Equations 8 and 9, one template with the
+/// DTW sum or the Fréchet max as its SubCombine parameter). CmaRowCosts
+/// feeds CmaWedRows precomputed costs for the plan's single-candidate
+/// vector path; the plan's lane kernel (cma.cc) repeats their cell ops
+/// lanewise.
+///
 /// Early abandoning (used by the Bind/Run execution plans): all supported
 /// cost models are non-negative, so every cell of row i is bounded below by
 /// min(min_j C[i-1][j], del(query[0..i-1])) — the cheapest way into row i is
@@ -144,6 +151,13 @@ class CmaSuffixFloor {
   std::vector<double>* lb_ = nullptr;   // per query point cost floor
 };
 
+/// Lets a cost adapter (CmaRowCosts) prepare row i before CmaWedRows reads
+/// it; plain cost objects have nothing to prepare.
+template <typename Costs>
+void BeginCmaRow(const Costs& costs, int i) {
+  if constexpr (requires { costs.BeginRow(i); }) costs.BeginRow(i);
+}
+
 /// \brief Bounded-core CMA row recursion for WED-family distances
 /// (Equation 7 / §5.1) over caller-provided row scratch.
 ///
@@ -152,10 +166,10 @@ class CmaSuffixFloor {
 /// callers can hand in reused scratch. Returns true with the final row in
 /// (*c_cur, *s_cur); returns false if the run was abandoned because no cell
 /// of the final row can be < cutoff (`rule`, see the early-abandoning note
-/// above; all three Rows functions take it). With cutoff == kNoCutoff this
+/// above; both Rows functions take it). With cutoff == kNoCutoff this
 /// never abandons and (*c_cur, *s_cur) match the unbounded recursion
 /// exactly.
-/// The optional `rows_out` (all three Rows functions) reports how many DP
+/// The optional `rows_out` (both Rows functions) reports how many DP
 /// rows were actually computed — m when the run completes, the abandon row
 /// index otherwise — so execution plans can account DP cells exactly.
 template <typename Costs>
@@ -171,6 +185,7 @@ bool CmaWedRows(int m, int n, const Costs& costs, CmaWedVariant variant,
   s_cur->assign(static_cast<size_t>(n), 0);
 
   // Row i = 0: query[0] substituted with data[j]; start is j itself.
+  BeginCmaRow(costs, 0);
   double row_min = kDpInfinity;
   for (int j = 0; j < n; ++j) {
     const double v = costs.Sub(0, j);
@@ -194,6 +209,7 @@ bool CmaWedRows(int m, int n, const Costs& costs, CmaWedVariant variant,
       return false;
     }
     row_min = kDpInfinity;
+    BeginCmaRow(costs, i);
 
     // j = 0 (paper case 2): either delete query[i] (query[i-1] stays matched
     // to data[0]) or substitute query[i] after deleting the whole prefix.
@@ -270,116 +286,65 @@ bool CmaWedRows(int m, int n, const Costs& costs, CmaWedVariant variant,
   return true;
 }
 
-/// \brief CmaWedRows (kExact variant), with the per-row substitution costs
-/// and the per-candidate insertion costs precomputed into caller scratch.
+/// \brief Cost adapter that runs CmaWedRows (kExact) over precomputed
+/// costs, for cost models with a SubData kernel.
 ///
 /// CMA's row recurrence is serial in j (the rolling G-minimum and the start
 /// pointers), but the dominant per-cell work — the substitution kernel, a
-/// sqrt for ERP — depends only on (i, j). The candidate's coordinates
-/// (costs.d) are first copied into the column scratch *xs/*ys, O(n) against
-/// the O(mn) rows; then each row's substitutions are evaluated one lane
-/// group of *data* points at a time (Costs::SubData; scalar tail via Sub,
-/// same IEEE ops), and the insertion costs once per candidate instead of
-/// once per row. The scan itself is untouched, so cells, start pointers and
-/// the abandon row are bit-identical to CmaWedRows with
-/// CmaWedVariant::kExact. Cross-candidate lane parallelism — which also
-/// vectorizes the scan — lives in CmaPlan::RunBatch (cma.cc).
+/// sqrt for ERP — depends only on (i, j). So the adapter copies the
+/// candidate's coordinates (costs.d) into the column scratch *xs/*ys and
+/// evaluates its insertion costs once per candidate, O(n) against the O(mn)
+/// rows; then, as CmaWedRows begins row i, it evaluates that row's
+/// substitutions one lane group of *data* points at a time (SubData; scalar
+/// tail via Sub, same IEEE ops) and Del(i) once. The scan is CmaWedRows'
+/// own and only the cost lookups differ, so cells, start pointers and the
+/// abandon row are bit-identical to CmaWedRows over `costs`.
+/// Cross-candidate lane parallelism — which also vectorizes the scan —
+/// lives in the CMA plan's RunWindow (cma.cc).
 template <typename Costs>
   requires simd::BatchCosts<Costs>
-bool CmaWedRowsVec(int m, int n, const Costs& costs, double cutoff,
-                   const CmaAbandonRule& rule, std::vector<double>* c_prev,
-                   std::vector<double>* c_cur, std::vector<int>* s_prev,
-                   std::vector<int>* s_cur, std::vector<double>* sub_row,
-                   std::vector<double>* ins_row, std::vector<double>* xs,
-                   std::vector<double>* ys, int* rows_out = nullptr) {
-  TRAJ_CHECK(m >= 1 && n >= 1);
-  TRAJ_CHECK(costs.d.size() == static_cast<size_t>(n));
-  const PointCols cols = CopyCols(costs.d, xs, ys);
-  c_prev->resize(static_cast<size_t>(n));
-  c_cur->assign(static_cast<size_t>(n), 0);
-  s_prev->resize(static_cast<size_t>(n));
-  s_cur->assign(static_cast<size_t>(n), 0);
-  sub_row->resize(static_cast<size_t>(n));
-  ins_row->resize(static_cast<size_t>(n));
+class CmaRowCosts {
+ public:
+  CmaRowCosts(const Costs& costs, std::vector<double>* sub_row,
+              std::vector<double>* ins_row, std::vector<double>* xs,
+              std::vector<double>* ys)
+      : costs_(costs),
+        n_(static_cast<int>(costs.d.size())),
+        cols_(CopyCols(costs.d, xs, ys)) {
+    sub_row->resize(static_cast<size_t>(n_));
+    ins_row->resize(static_cast<size_t>(n_));
+    sub_ = sub_row->data();
+    ins_ = ins_row->data();
+    for (int j = 0; j < n_; ++j) ins_[j] = costs.Ins(j);
+  }
 
-  const int vec_end = n - n % simd::kLanes;
-  const auto fill_sub = [&](int i, double* out) {
+  /// Evaluates row i's substitutions and deletion cost.
+  void BeginRow(int i) const {
+    const int vec_end = n_ - n_ % simd::kLanes;
     for (int j = 0; j < vec_end; j += simd::kLanes) {
-      costs
-          .SubData(i, simd::VecD::Load(cols.x + j),
-                   simd::VecD::Load(cols.y + j))
-          .Store(out + j);
+      costs_
+          .SubData(i, simd::VecD::Load(cols_.x + j),
+                   simd::VecD::Load(cols_.y + j))
+          .Store(sub_ + j);
     }
-    for (int j = vec_end; j < n; ++j) out[j] = costs.Sub(i, j);
-  };
-  double* ins = ins_row->data();
-  for (int j = 0; j < n; ++j) ins[j] = costs.Ins(j);
-
-  double* sub = sub_row->data();
-  fill_sub(0, sub);
-  double row_min = kDpInfinity;
-  for (int j = 0; j < n; ++j) {
-    const double v = sub[j];
-    (*c_cur)[static_cast<size_t>(j)] = v;
-    (*s_cur)[static_cast<size_t>(j)] = j;
-    if (v < row_min) row_min = v;
+    for (int j = vec_end; j < n_; ++j) sub_[j] = costs_.Sub(i, j);
+    row_ = i;
+    del_row_ = costs_.Del(i);
   }
 
-  double del_prefix = 0;
-  for (int i = 1; i < m; ++i) {
-    std::swap(*c_prev, *c_cur);
-    std::swap(*s_prev, *s_cur);
-    del_prefix += costs.Del(i - 1);
-    if (rule.Abandons(i, row_min < del_prefix ? row_min : del_prefix,
-                      cutoff)) {
-      if (rows_out != nullptr) *rows_out = i;
-      return false;
-    }
-    row_min = kDpInfinity;
-    fill_sub(i, sub);
-    const double del_i = costs.Del(i);
-    {
-      const double via_del = (*c_prev)[0] + del_i;
-      const double via_sub = sub[0] + del_prefix;
-      const double v = via_del < via_sub ? via_del : via_sub;
-      (*c_cur)[0] = v;
-      (*s_cur)[0] = 0;
-      row_min = v;
-    }
-    double g = (*c_prev)[0];
-    int sg = (*s_prev)[0];
-    for (int j = 1; j < n; ++j) {
-      if (j > 1) {
-        const double extended = g + ins[j - 1];
-        const double fresh = (*c_prev)[static_cast<size_t>(j - 1)];
-        if (fresh <= extended) {
-          g = fresh;
-          sg = (*s_prev)[static_cast<size_t>(j - 1)];
-        } else {
-          g = extended;
-        }
-      }
-      const double sub_ij = sub[j];
-      double best = g + sub_ij;
-      int s = sg;
-      const double via_del = (*c_prev)[static_cast<size_t>(j)] + del_i;
-      if (via_del < best) {
-        best = via_del;
-        s = (*s_prev)[static_cast<size_t>(j)];
-      }
-      const double via_prefix = del_prefix + sub_ij;
-      if (via_prefix < best) {
-        best = via_prefix;
-        s = j;
-      }
-      (*c_cur)[static_cast<size_t>(j)] = best;
-      (*s_cur)[static_cast<size_t>(j)] = s;
-      if (best < row_min) row_min = best;
-    }
-  }
-  if (rows_out != nullptr) *rows_out = m;
-  return true;
-}
+  double Sub(int /*i*/, int j) const { return sub_[j]; }
+  double Ins(int j) const { return ins_[j]; }
+  double Del(int i) const { return i == row_ ? del_row_ : costs_.Del(i); }
+
+ private:
+  const Costs& costs_;
+  int n_;
+  PointCols cols_;
+  double* sub_;
+  double* ins_;
+  mutable int row_ = -1;
+  mutable double del_row_ = 0;
+};
 
 /// \brief CMA final row for WED-family distances (Equation 7 / §5.1).
 ///
@@ -425,15 +390,18 @@ SearchResult CmaWedSearch(int m, int n, const Costs& costs,
   return PickBestFromRow(c, s);
 }
 
-/// \brief Bounded-core CMA row recursion for DTW (Equation 8 / §5.2). Only
-/// substitution costs are needed; deletion/insertion costs are tied to the
-/// matched point. Same scratch/abandon contract as CmaWedRows.
-template <typename SubFn>
-bool CmaDtwRows(int m, int n, SubFn sub, double cutoff,
-                const CmaAbandonRule& rule, std::vector<double>* c_prev,
-                std::vector<double>* c_cur,
-                std::vector<int>* s_prev, std::vector<int>* s_cur,
-                int* rows_out = nullptr) {
+/// \brief Bounded-core CMA row recursion for the substitution-only
+/// distances: DTW (Equation 8 / §5.2, SubCombine::kSum) and the discrete
+/// Fréchet distance (Equation 9 / §5.3, kMax). Only substitution costs are
+/// needed; deletion/insertion costs are tied to the matched point. Each cell
+/// combines the cheapest of its diag/up/left predecessors, whose start
+/// pointer it carries, with its substitution cost. Same scratch/abandon
+/// contract as CmaWedRows.
+template <SubCombine kCombine, typename SubFn>
+bool CmaSubOnlyRows(int m, int n, SubFn sub, double cutoff,
+                    const CmaAbandonRule& rule, std::vector<double>* c_prev,
+                    std::vector<double>* c_cur, std::vector<int>* s_prev,
+                    std::vector<int>* s_cur, int* rows_out = nullptr) {
   TRAJ_CHECK(m >= 1 && n >= 1);
   c_prev->resize(static_cast<size_t>(n));
   c_cur->assign(static_cast<size_t>(n), 0);
@@ -448,93 +416,20 @@ bool CmaDtwRows(int m, int n, SubFn sub, double cutoff,
     if (v < row_min) row_min = v;
   }
   for (int i = 1; i < m; ++i) {
-    // DTW row i cells all derive from row i-1 plus non-negative subs.
+    // Row i cells never drop below the cheapest row i-1 predecessor: DTW
+    // adds a non-negative sub, Fréchet takes a max.
     if (rule.Abandons(i, row_min, cutoff)) {
       if (rows_out != nullptr) *rows_out = i;
       return false;
     }
     std::swap(*c_prev, *c_cur);
     std::swap(*s_prev, *s_cur);
-    double v0 = (*c_prev)[0] + sub(i, 0);
+    const double v0 = CombineCell<kCombine>((*c_prev)[0], sub(i, 0));
     (*c_cur)[0] = v0;
     (*s_cur)[0] = 0;
     row_min = v0;
     for (int j = 1; j < n; ++j) {
       // min over diag / up / left predecessors, carrying the start pointer.
-      double best = (*c_prev)[static_cast<size_t>(j - 1)];
-      int s = (*s_prev)[static_cast<size_t>(j - 1)];
-      if ((*c_prev)[static_cast<size_t>(j)] < best) {
-        best = (*c_prev)[static_cast<size_t>(j)];
-        s = (*s_prev)[static_cast<size_t>(j)];
-      }
-      if ((*c_cur)[static_cast<size_t>(j - 1)] < best) {
-        best = (*c_cur)[static_cast<size_t>(j - 1)];
-        s = (*s_cur)[static_cast<size_t>(j - 1)];
-      }
-      const double v = best + sub(i, j);
-      (*c_cur)[static_cast<size_t>(j)] = v;
-      (*s_cur)[static_cast<size_t>(j)] = s;
-      if (v < row_min) row_min = v;
-    }
-  }
-  if (rows_out != nullptr) *rows_out = m;
-  return true;
-}
-
-/// \brief CMA final row for DTW (Equation 8 / §5.2).
-template <typename SubFn>
-void CmaDtwFinalRow(int m, int n, SubFn sub, std::vector<double>* c_out,
-                    std::vector<int>* s_out) {
-  std::vector<double> c_prev;
-  std::vector<int> s_prev;
-  CmaDtwRows(m, n, sub, kNoCutoff, {}, &c_prev, c_out, &s_prev, s_out);
-}
-
-/// \brief CMA for DTW (Equation 8 / §5.2). Only substitution costs are
-/// needed; deletion/insertion costs are tied to the matched point.
-template <typename SubFn>
-SearchResult CmaDtwSearch(int m, int n, SubFn sub) {
-  std::vector<double> c;
-  std::vector<int> s;
-  CmaDtwFinalRow(m, n, sub, &c, &s);
-  return PickBestFromRow(c, s);
-}
-
-/// \brief Bounded-core CMA row recursion for the discrete Fréchet distance
-/// (Equation 9 / §5.3). Same scratch/abandon contract as CmaWedRows.
-template <typename SubFn>
-bool CmaFrechetRows(int m, int n, SubFn sub, double cutoff,
-                    const CmaAbandonRule& rule, std::vector<double>* c_prev,
-                    std::vector<double>* c_cur,
-                    std::vector<int>* s_prev, std::vector<int>* s_cur,
-                    int* rows_out = nullptr) {
-  TRAJ_CHECK(m >= 1 && n >= 1);
-  c_prev->resize(static_cast<size_t>(n));
-  c_cur->assign(static_cast<size_t>(n), 0);
-  s_prev->resize(static_cast<size_t>(n));
-  s_cur->assign(static_cast<size_t>(n), 0);
-
-  double row_min = kDpInfinity;
-  for (int j = 0; j < n; ++j) {
-    const double v = sub(0, j);
-    (*c_cur)[static_cast<size_t>(j)] = v;
-    (*s_cur)[static_cast<size_t>(j)] = j;
-    if (v < row_min) row_min = v;
-  }
-  for (int i = 1; i < m; ++i) {
-    // max-of-mins cells never drop below the cheapest row i-1 predecessor.
-    if (rule.Abandons(i, row_min, cutoff)) {
-      if (rows_out != nullptr) *rows_out = i;
-      return false;
-    }
-    std::swap(*c_prev, *c_cur);
-    std::swap(*s_prev, *s_cur);
-    const double s0 = sub(i, 0);
-    const double v0 = (*c_prev)[0] > s0 ? (*c_prev)[0] : s0;
-    (*c_cur)[0] = v0;
-    (*s_cur)[0] = 0;
-    row_min = v0;
-    for (int j = 1; j < n; ++j) {
       double reach = (*c_prev)[static_cast<size_t>(j - 1)];
       int s = (*s_prev)[static_cast<size_t>(j - 1)];
       if ((*c_prev)[static_cast<size_t>(j)] < reach) {
@@ -545,8 +440,7 @@ bool CmaFrechetRows(int m, int n, SubFn sub, double cutoff,
         reach = (*c_cur)[static_cast<size_t>(j - 1)];
         s = (*s_cur)[static_cast<size_t>(j - 1)];
       }
-      const double sij = sub(i, j);
-      const double v = reach > sij ? reach : sij;
+      const double v = CombineCell<kCombine>(reach, sub(i, j));
       (*c_cur)[static_cast<size_t>(j)] = v;
       (*s_cur)[static_cast<size_t>(j)] = s;
       if (v < row_min) row_min = v;
@@ -556,22 +450,30 @@ bool CmaFrechetRows(int m, int n, SubFn sub, double cutoff,
   return true;
 }
 
-/// \brief CMA final row for the discrete Fréchet distance (Equation 9).
-template <typename SubFn>
-void CmaFrechetFinalRow(int m, int n, SubFn sub, std::vector<double>* c_out,
+/// \brief CMA final row for DTW (kSum) or the discrete Fréchet distance
+/// (kMax).
+template <SubCombine kCombine, typename SubFn>
+void CmaSubOnlyFinalRow(int m, int n, SubFn sub, std::vector<double>* c_out,
                         std::vector<int>* s_out) {
   std::vector<double> c_prev;
   std::vector<int> s_prev;
-  CmaFrechetRows(m, n, sub, kNoCutoff, {}, &c_prev, c_out, &s_prev, s_out);
+  CmaSubOnlyRows<kCombine>(m, n, sub, kNoCutoff, {}, &c_prev, c_out, &s_prev,
+                           s_out);
 }
 
-/// \brief CMA for the discrete Fréchet distance (Equation 9 / §5.3).
-template <typename SubFn>
-SearchResult CmaFrechetSearch(int m, int n, SubFn sub) {
+/// \brief CMA for DTW (kSum) or the discrete Fréchet distance (kMax).
+template <SubCombine kCombine, typename SubFn>
+SearchResult CmaSubOnlySearch(int m, int n, SubFn sub) {
   std::vector<double> c;
   std::vector<int> s;
-  CmaFrechetFinalRow(m, n, sub, &c, &s);
+  CmaSubOnlyFinalRow<kCombine>(m, n, sub, &c, &s);
   return PickBestFromRow(c, s);
+}
+
+/// \brief CMA for DTW (Equation 8 / §5.2).
+template <typename SubFn>
+SearchResult CmaDtwSearch(int m, int n, SubFn sub) {
+  return CmaSubOnlySearch<SubCombine::kSum>(m, n, sub);
 }
 
 /// \brief Type-erased CMA over GPS trajectories: dispatches on the distance

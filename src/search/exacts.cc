@@ -12,25 +12,19 @@ namespace trajsearch {
 
 SearchResult ExactSSearch(const DistanceSpec& spec, TrajectoryView query,
                           TrajectoryView data) {
-  const int m = static_cast<int>(query.size());
   const int n = static_cast<int>(data.size());
-  switch (spec.kind) {
-    case DistanceKind::kDtw:
-      return ExactSDtwSearch(m, n, EuclideanSub{query, data});
-    case DistanceKind::kFrechet:
-      return ExactSFrechetSearch(m, n, EuclideanSub{query, data});
-    default:
-      return VisitWedCosts(spec, query, data, [&](const auto& costs) {
-        return ExactSWedSearch(m, n, costs);
-      });
-  }
+  return VisitColumnDp(spec, query, data,
+                       [n](auto& dp) { return ExactSWithDp(dp, n); });
 }
 
 namespace {
 
 /// ExactS plan for WED-family costs: the stepper (holding the query-sized
 /// column and deletion-prefix table) is built once per Bind; each Run only
-/// repoints the plan-owned cost object at the candidate trajectory.
+/// repoints the plan-owned cost object at the candidate trajectory. Vector
+/// dispatch runs the batch stepper (one start position per lane); the
+/// column stepper is the scalar path, when dispatch is off or the batch
+/// width is clamped to one lane.
 template <typename Costs>
 class ExactSWedPlan final : public QueryRun {
  public:
@@ -41,11 +35,6 @@ class ExactSWedPlan final : public QueryRun {
     costs_.q = query;
     costs_.d = TrajectoryView();
     arena_.Rewind();
-    // Query columns must be bound before the stepper is built: the stepper
-    // captures its SIMD dispatch (Enabled + cols_ready) at construction.
-    if constexpr (simd::VectorizedCosts<Costs>) {
-      costs_.qc = FillCols(query, &arena_);
-    }
     if constexpr (kHasInsCache) {
       ins_store_ = arena_.Doubles();
       dx_ = arena_.Doubles();
@@ -69,12 +58,12 @@ class ExactSWedPlan final : public QueryRun {
   SearchResult Run(TrajectoryView data, double cutoff) override {
     costs_.d = data;
     // ERP's Ins(j) is a gap distance recomputed for every one of ExactS's n
-    // start sweeps; under vector dispatch it is precomputed once per
+    // start sweeps; under batch dispatch it is precomputed once per
     // candidate instead. Values are identical either way (same per-element
     // IEEE ops), so this stays inside the bit-identity gate; the scalar
     // dispatch path remains the untouched oracle.
     if constexpr (kHasInsCache) {
-      if (BatchActive() || dp_->vectorized()) {
+      if (BatchActive()) {
         FillInsCache(data);
         costs_.ins_cache = ins_store_->data();
         const SearchResult result =
@@ -168,11 +157,9 @@ class ExactSWedPlan final : public QueryRun {
 /// left chain that makes a column split of DTW/Fréchet a wash vectorizes
 /// here. The scalar column stepper runs when dispatch is off or the batch
 /// width is clamped to one lane.
-template <template <typename> class Dp>
+template <SubCombine kCombine>
 class ExactSSubPlan final : public QueryRun {
  public:
-  explicit ExactSSubPlan(std::string_view name) : name_(name) {}
-
   void Bind(TrajectoryView query) override {
     TRAJ_CHECK(!query.empty());
     sub_.q = query;
@@ -210,16 +197,13 @@ class ExactSSubPlan final : public QueryRun {
     return counts;
   }
 
-  std::string_view name() const override { return name_; }
+  std::string_view name() const override { return "ExactS"; }
 
  private:
-  using BatchDp = typename BatchDpFor<Dp>::template type<SubRef<EuclideanSub>>;
-
-  std::string_view name_;
   EuclideanSub sub_;
   DpArena arena_;
-  std::optional<Dp<SubRef<EuclideanSub>>> dp_;
-  std::optional<BatchDp> batch_;
+  std::optional<SubOnlyColumnDp<SubRef<EuclideanSub>, kCombine>> dp_;
+  std::optional<SubOnlyBatchDp<SubRef<EuclideanSub>, kCombine>> batch_;
   int lanes_ = 1;
 };
 
@@ -228,9 +212,12 @@ class ExactSSubPlan final : public QueryRun {
 std::unique_ptr<QueryRun> MakeExactSRun(const DistanceSpec& spec) {
   switch (spec.kind) {
     case DistanceKind::kDtw:
-      return std::make_unique<ExactSSubPlan<DtwColumnDp>>("ExactS");
     case DistanceKind::kFrechet:
-      return std::make_unique<ExactSSubPlan<FrechetColumnDp>>("ExactS");
+      return VisitSubCombine(
+          spec.kind, [](auto combine) -> std::unique_ptr<QueryRun> {
+            return std::make_unique<
+                ExactSSubPlan<decltype(combine)::value>>();
+          });
     case DistanceKind::kEdr:
       return std::make_unique<ExactSWedPlan<EdrCosts>>(
           EdrCosts{{}, {}, spec.edr_epsilon});

@@ -11,10 +11,12 @@ namespace trajsearch {
 /// ExactS baseline (Wang et al. 2020; the paper's Algorithm 1): for every
 /// start position i it sweeps end positions with an incremental DP column,
 /// obtaining dist(query, data[i..j]) in O(m) per cell — O(mn^2) total.
-/// Exact for every distance function the library supports.
+/// Exact for every distance function the library supports. The plans run
+/// ExactSBatchWithDp (one start position per SIMD lane) under vector
+/// dispatch and ExactSWithDp over the scalar column steppers otherwise.
 
-/// \brief ExactS over an arbitrary column stepper (WedColumnDp, DtwColumnDp
-/// or FrechetColumnDp), with bound-aware early abandoning: a start's sweep
+/// \brief ExactS over an arbitrary column stepper (WedColumnDp or
+/// SubOnlyColumnDp), with bound-aware early abandoning: a start's sweep
 /// stops once the stepper's SweepLowerBound() proves every remaining cell is
 /// >= cutoff. Any result below the cutoff is identical to the unbounded
 /// scan; with cutoff == kNoCutoff this is the full Algorithm 1.
@@ -36,8 +38,8 @@ SearchResult ExactSWithDp(ColumnDp& dp, int n, double cutoff = kNoCutoff) {
   return result;
 }
 
-/// \brief Multi-sweep ExactS over a batch stepper (WedBatchDp, DtwBatchDp or
-/// FrechetBatchDp): up to `lanes` start positions of the same candidate run
+/// \brief Multi-sweep ExactS over a batch stepper (WedBatchDp or
+/// SubOnlyBatchDp): up to `lanes` start positions of the same candidate run
 /// concurrently, one per SIMD lane, each owning its own DP column. The
 /// `stage` callback fills the per-lane data staging buffers — stage(l, j,
 /// sx, sy, ins) must write data[j]'s coordinates into sx[l]/sy[l] and its
@@ -125,20 +127,6 @@ SearchResult ExactSBatchWithDp(BatchDp& dp, int n, double cutoff, int lanes,
 template <typename Costs>
 SearchResult ExactSWedSearch(int m, int n, const Costs& costs) {
   WedColumnDp<Costs> dp(m, costs);
-  return ExactSWithDp(dp, n);
-}
-
-/// \brief ExactS for DTW.
-template <typename SubFn>
-SearchResult ExactSDtwSearch(int m, int n, SubFn sub) {
-  DtwColumnDp<SubFn> dp(m, sub);
-  return ExactSWithDp(dp, n);
-}
-
-/// \brief ExactS for the discrete Fréchet distance.
-template <typename SubFn>
-SearchResult ExactSFrechetSearch(int m, int n, SubFn sub) {
-  FrechetColumnDp<SubFn> dp(m, sub);
   return ExactSWithDp(dp, n);
 }
 

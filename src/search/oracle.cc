@@ -23,23 +23,8 @@ SubtrajectoryOracle::SubtrajectoryOracle(const DistanceSpec& spec,
   const int m = static_cast<int>(query.size());
   const int n = static_cast<int>(data.size());
   TRAJ_CHECK(m >= 1 && n >= 1);
-  switch (spec.kind) {
-    case DistanceKind::kDtw: {
-      DtwColumnDp<EuclideanSub> dp(m, EuclideanSub{query, data});
-      CollectAll(dp, n, &distances_);
-      break;
-    }
-    case DistanceKind::kFrechet: {
-      FrechetColumnDp<EuclideanSub> dp(m, EuclideanSub{query, data});
-      CollectAll(dp, n, &distances_);
-      break;
-    }
-    default:
-      VisitWedCosts(spec, query, data, [&](const auto& costs) {
-        WedColumnDp<std::decay_t<decltype(costs)>> dp(m, costs);
-        CollectAll(dp, n, &distances_);
-      });
-  }
+  VisitColumnDp(spec, query, data,
+                [&](auto& dp) { CollectAll(dp, n, &distances_); });
   std::sort(distances_.begin(), distances_.end());
 }
 

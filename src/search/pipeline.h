@@ -59,7 +59,11 @@ void SearchPipeline::Run(const View& data, TrajectoryView query,
   IntervalTimer gbp_timer;
   gbp_timer.Start();
   const bool from_grid = collect(&scratch.candidates);
-  if (!from_grid) {
+  if (query.empty()) {
+    // An empty query matches nothing. No candidate survives, as with GBP on,
+    // so no plan ever runs against it.
+    scratch.candidates.clear();
+  } else if (!from_grid) {
     scratch.candidates.resize(static_cast<size_t>(data.size()));
     std::iota(scratch.candidates.begin(), scratch.candidates.end(), 0);
   }

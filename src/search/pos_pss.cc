@@ -56,21 +56,9 @@ SearchResult SplitSearch(const DistanceSpec& spec, TrajectoryView query,
   } else {
     suffix.assign(static_cast<size_t>(n) + 1, kDpInfinity);
   }
-  switch (spec.kind) {
-    case DistanceKind::kDtw: {
-      DtwColumnDp<EuclideanSub> dp(m, EuclideanSub{query, data});
-      return SplitScanT(dp, n, suffix, use_suffix);
-    }
-    case DistanceKind::kFrechet: {
-      FrechetColumnDp<EuclideanSub> dp(m, EuclideanSub{query, data});
-      return SplitScanT(dp, n, suffix, use_suffix);
-    }
-    default:
-      return VisitWedCosts(spec, query, data, [&](const auto& costs) {
-        WedColumnDp<std::decay_t<decltype(costs)>> dp(m, costs);
-        return SplitScanT(dp, n, suffix, use_suffix);
-      });
-  }
+  return VisitColumnDp(spec, query, data, [&](auto& dp) {
+    return SplitScanT(dp, n, suffix, use_suffix);
+  });
 }
 
 /// Bind-once POS/PSS plan over one cost kind (see scan_plans.h).
@@ -103,24 +91,20 @@ class SplitScanPlan final : public QueryRun {
     return use_suffix_ ? suffix_.batch_width : 1;
   }
 
-  void RunBatch(const RunBatchItem* items, int count, double cutoff,
-                SearchResult* results) override {
-    if (!use_suffix_ || suffix_.batch_width <= 1 || count <= 1) {
-      QueryRun::RunBatch(items, count, cutoff, results);
+  void RunWindow(const RunBatchItem* items, int count,
+                 WindowSink* sink) override {
+    if (!use_suffix_) {
+      QueryRun::RunWindow(items, count, sink);
       return;
     }
-    thread_local std::vector<TrajectoryView> views;
-    views.clear();
-    for (int i = 0; i < count; ++i) views.push_back(items[i].data);
-    suffix_.ComputeBatch(views.data(), count);
-    for (int i = 0; i < count; ++i) {
-      const TrajectoryView data = items[i].data;
-      main_.SetData(data);
-      results[i] =
-          SplitScanT(*main_.dp, static_cast<int>(data.size()),
-                     *suffix_.batch_suffix[static_cast<size_t>(i)],
-                     /*use_suffix=*/true);
-    }
+    suffix_.RunWindow(
+        items, count, sink,
+        [this](TrajectoryView data, double cutoff) { return Run(data, cutoff); },
+        [this](TrajectoryView data, const std::vector<double>& suffix) {
+          main_.SetData(data);
+          return SplitScanT(*main_.dp, static_cast<int>(data.size()), suffix,
+                            /*use_suffix=*/true);
+        });
   }
 
   simd::CellCounts TakeSimdStats() override {
@@ -144,30 +128,6 @@ class SplitScanPlan final : public QueryRun {
   std::vector<double> empty_suffix_;
 };
 
-std::unique_ptr<QueryRun> MakeSplitScanRun(const DistanceSpec& spec,
-                                           bool use_suffix) {
-  switch (spec.kind) {
-    case DistanceKind::kDtw:
-      return std::make_unique<SplitScanPlan<detail::SubKind<DtwColumnDp>>>(
-          EuclideanSub{}, use_suffix);
-    case DistanceKind::kFrechet:
-      return std::make_unique<SplitScanPlan<detail::SubKind<FrechetColumnDp>>>(
-          EuclideanSub{}, use_suffix);
-    case DistanceKind::kEdr:
-      return std::make_unique<SplitScanPlan<detail::WedKind<EdrCosts>>>(
-          EdrCosts{{}, {}, spec.edr_epsilon}, use_suffix);
-    case DistanceKind::kErp:
-      return std::make_unique<SplitScanPlan<detail::WedKind<ErpCosts>>>(
-          ErpCosts{{}, {}, spec.erp_gap}, use_suffix);
-    case DistanceKind::kWed:
-      TRAJ_CHECK(spec.wed != nullptr);
-      return std::make_unique<SplitScanPlan<detail::WedKind<CustomWedCosts>>>(
-          CustomWedCosts{{}, {}, spec.wed}, use_suffix);
-  }
-  TRAJ_CHECK(false && "unknown distance kind");
-  return nullptr;
-}
-
 }  // namespace
 
 std::vector<double> SuffixDistances(const DistanceSpec& spec,
@@ -182,29 +142,12 @@ std::vector<double> SuffixDistances(const DistanceSpec& spec,
   const std::vector<Point> rd = ReversedPoints(data);
   const TrajectoryView rqv(rq), rdv(rd);
   std::vector<double> out(static_cast<size_t>(n) + 1, kDpInfinity);
-  auto sweep = [&](auto& dp) {
+  VisitColumnDp(spec, rqv, rdv, [&](auto& dp) {
     dp.Reset();
     for (int j = 0; j < n; ++j) {
       out[static_cast<size_t>(n - 1 - j)] = dp.Extend(j);
     }
-  };
-  switch (spec.kind) {
-    case DistanceKind::kDtw: {
-      DtwColumnDp<EuclideanSub> dp(m, EuclideanSub{rqv, rdv});
-      sweep(dp);
-      break;
-    }
-    case DistanceKind::kFrechet: {
-      FrechetColumnDp<EuclideanSub> dp(m, EuclideanSub{rqv, rdv});
-      sweep(dp);
-      break;
-    }
-    default:
-      VisitWedCosts(spec, rqv, rdv, [&](const auto& costs) {
-        WedColumnDp<std::decay_t<decltype(costs)>> dp(m, costs);
-        sweep(dp);
-      });
-  }
+  });
   return out;
 }
 
@@ -219,11 +162,11 @@ SearchResult PssSearch(const DistanceSpec& spec, TrajectoryView query,
 }
 
 std::unique_ptr<QueryRun> MakePosRun(const DistanceSpec& spec) {
-  return MakeSplitScanRun(spec, /*use_suffix=*/false);
+  return detail::MakeScanPlan<SplitScanPlan>(spec, /*use_suffix=*/false);
 }
 
 std::unique_ptr<QueryRun> MakePssRun(const DistanceSpec& spec) {
-  return MakeSplitScanRun(spec, /*use_suffix=*/true);
+  return detail::MakeScanPlan<SplitScanPlan>(spec, /*use_suffix=*/true);
 }
 
 }  // namespace trajsearch

@@ -63,23 +63,12 @@ class QueryRun {
     PointCols cols;
   };
 
-  /// How many candidates one RunBatch call can evaluate together. Plans with
-  /// a cross-candidate SIMD kernel (CMA: one candidate per lane; PSS/RLS:
+  /// How many candidates a batched plan evaluates together. Plans with a
+  /// cross-candidate SIMD kernel (CMA: one candidate per lane; PSS/RLS:
   /// batched suffix sweeps) report their lane count — sampled at Bind, so it
-  /// reflects the dispatch mode the plan was compiled under. 1 means RunBatch
-  /// degenerates to a sequential loop and the engine may skip batching.
+  /// reflects the dispatch mode the plan was compiled under. 1 means the
+  /// plan has no batched kernel and the engine may skip batching.
   virtual int batch_width() const { return 1; }
-
-  /// Evaluates `count` candidates (1 <= count <= batch_width()) under the
-  /// same cutoff, writing results[i] for items[i]. Each result obeys the
-  /// single-candidate cutoff contract, and is identical to what
-  /// Run(items[i].data, cutoff) would return — batching changes throughput,
-  /// never values. The default is that sequential loop; batched plans
-  /// override it with their lane-parallel kernel.
-  virtual void RunBatch(const RunBatchItem* items, int count, double cutoff,
-                        SearchResult* results) {
-    for (int i = 0; i < count; ++i) results[i] = Run(items[i].data, cutoff);
-  }
 
   /// Where RunWindow reads the live cutoff and hands each result back.
   class WindowSink {
@@ -98,21 +87,36 @@ class QueryRun {
   /// Evaluates a window of `count` candidates (any count), each under the
   /// cutoff the sink reports when that candidate starts, and reports every
   /// result through sink->Done. Each result obeys the single-candidate
-  /// cutoff contract for its own cutoff. The default runs the window in
-  /// order, in RunBatch groups of batch_width() that read one cutoff per
-  /// group; the CMA plan instead refills a lane with the next item as soon
-  /// as the lane's candidate finishes or abandons.
+  /// cutoff contract for its own cutoff, and equals Run under that cutoff —
+  /// batching changes throughput, never values. The default runs each item
+  /// through Run in order. PSS/RLS run groups of batch_width() that read one
+  /// cutoff per group; the CMA plan refills a lane with the next item as
+  /// soon as the lane's candidate finishes or abandons.
   virtual void RunWindow(const RunBatchItem* items, int count,
                          WindowSink* sink) {
-    const int width = batch_width();
-    TRAJ_CHECK(width >= 1 && width <= simd::kLanes);
-    SearchResult results[simd::kLanes];
-    for (int begin = 0; begin < count; begin += width) {
-      const int group = count - begin < width ? count - begin : width;
+    for (int i = 0; i < count; ++i) {
       const double cutoff = sink->Cutoff();
-      RunBatch(items + begin, group, cutoff, results);
-      for (int i = 0; i < group; ++i) sink->Done(begin + i, results[i], cutoff);
+      sink->Done(i, Run(items[i].data, cutoff), cutoff);
     }
+  }
+
+  /// RunWindow under one fixed cutoff, writing results[i] for items[i].
+  void RunBatch(const RunBatchItem* items, int count, double cutoff,
+                SearchResult* results) {
+    class FixedCutoff final : public WindowSink {
+     public:
+      FixedCutoff(double cutoff, SearchResult* results)
+          : cutoff_(cutoff), results_(results) {}
+      double Cutoff() override { return cutoff_; }
+      void Done(int item, const SearchResult& result, double) override {
+        results_[item] = result;
+      }
+
+     private:
+      double cutoff_;
+      SearchResult* results_;
+    } sink(cutoff, results);
+    RunWindow(items, count, &sink);
   }
 
   /// Drains the DP-cell dispatch counters accumulated by this plan's column

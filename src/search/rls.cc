@@ -107,24 +107,10 @@ SearchResult RlsScan(const DistanceSpec& spec, RlsPolicy* policy,
   const std::vector<double> suffix = SuffixDistances(spec, query, data);
   const double reward_scale = RewardScale(suffix);
   RlsScanScratch scratch;
-  switch (spec.kind) {
-    case DistanceKind::kDtw: {
-      DtwColumnDp<EuclideanSub> dp(m, EuclideanSub{query, data});
-      return RlsScanT(dp, n, suffix, policy, learn, rng, reward_scale,
-                      &scratch);
-    }
-    case DistanceKind::kFrechet: {
-      FrechetColumnDp<EuclideanSub> dp(m, EuclideanSub{query, data});
-      return RlsScanT(dp, n, suffix, policy, learn, rng, reward_scale,
-                      &scratch);
-    }
-    default:
-      return VisitWedCosts(spec, query, data, [&](const auto& costs) {
-        WedColumnDp<std::decay_t<decltype(costs)>> dp(m, costs);
-        return RlsScanT(dp, n, suffix, policy, learn, rng, reward_scale,
-                        &scratch);
-      });
-  }
+  return VisitColumnDp(spec, query, data, [&](auto& dp) {
+    return RlsScanT(dp, n, suffix, policy, learn, rng, reward_scale,
+                    &scratch);
+  });
 }
 
 /// Bind-once RLS/RLS-Skip plan over one cost kind (see scan_plans.h).
@@ -152,20 +138,14 @@ class RlsPlan final : public QueryRun {
   /// evolving DP value) then replay per candidate against the lane tables.
   int batch_width() const override { return suffix_.batch_width; }
 
-  void RunBatch(const RunBatchItem* items, int count, double cutoff,
-                SearchResult* results) override {
-    if (suffix_.batch_width <= 1 || count <= 1) {
-      QueryRun::RunBatch(items, count, cutoff, results);
-      return;
-    }
-    thread_local std::vector<TrajectoryView> views;
-    views.clear();
-    for (int i = 0; i < count; ++i) views.push_back(items[i].data);
-    suffix_.ComputeBatch(views.data(), count);
-    for (int i = 0; i < count; ++i) {
-      results[i] = RunScan(items[i].data,
-                           *suffix_.batch_suffix[static_cast<size_t>(i)]);
-    }
+  void RunWindow(const RunBatchItem* items, int count,
+                 WindowSink* sink) override {
+    suffix_.RunWindow(
+        items, count, sink,
+        [this](TrajectoryView data, double cutoff) { return Run(data, cutoff); },
+        [this](TrajectoryView data, const std::vector<double>& suffix) {
+          return RunScan(data, suffix);
+        });
   }
 
   simd::CellCounts TakeSimdStats() override {
@@ -180,7 +160,7 @@ class RlsPlan final : public QueryRun {
 
  private:
   /// The policy scan plus the true-distance re-sweep, over a caller-supplied
-  /// suffix table (size n+1) — shared by Run and RunBatch.
+  /// suffix table (size n+1) — shared by Run and RunWindow.
   SearchResult RunScan(TrajectoryView data, const std::vector<double>& suffix) {
     const int n = static_cast<int>(data.size());
     main_.SetData(data);
@@ -250,26 +230,7 @@ SearchResult RlsSearch(const DistanceSpec& spec, const RlsPolicy& policy,
 
 std::unique_ptr<QueryRun> MakeRlsRun(const DistanceSpec& spec,
                                      const RlsPolicy& policy) {
-  switch (spec.kind) {
-    case DistanceKind::kDtw:
-      return std::make_unique<RlsPlan<detail::SubKind<DtwColumnDp>>>(
-          EuclideanSub{}, policy);
-    case DistanceKind::kFrechet:
-      return std::make_unique<RlsPlan<detail::SubKind<FrechetColumnDp>>>(
-          EuclideanSub{}, policy);
-    case DistanceKind::kEdr:
-      return std::make_unique<RlsPlan<detail::WedKind<EdrCosts>>>(
-          EdrCosts{{}, {}, spec.edr_epsilon}, policy);
-    case DistanceKind::kErp:
-      return std::make_unique<RlsPlan<detail::WedKind<ErpCosts>>>(
-          ErpCosts{{}, {}, spec.erp_gap}, policy);
-    case DistanceKind::kWed:
-      TRAJ_CHECK(spec.wed != nullptr);
-      return std::make_unique<RlsPlan<detail::WedKind<CustomWedCosts>>>(
-          CustomWedCosts{{}, {}, spec.wed}, policy);
-  }
-  TRAJ_CHECK(false && "unknown distance kind");
-  return nullptr;
+  return detail::MakeScanPlan<RlsPlan>(spec, policy);
 }
 
 }  // namespace trajsearch

@@ -1,10 +1,13 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "distance/distance.h"
+#include "search/query_run.h"
 #include "util/check.h"
 
 namespace trajsearch::detail {
@@ -34,12 +37,11 @@ struct WedKind {
 };
 
 /// Substitution-only kind (DTW / Fréchet) over Euclidean point costs.
-template <template <typename> class DpT>
+template <SubCombine kCombine>
 struct SubKind {
   using Costs = EuclideanSub;
-  using Stepper = DpT<SubRef<EuclideanSub>>;
-  using BatchStepper =
-      typename BatchDpFor<DpT>::template type<SubRef<EuclideanSub>>;
+  using Stepper = SubOnlyColumnDp<SubRef<EuclideanSub>, kCombine>;
+  using BatchStepper = SubOnlyBatchDp<SubRef<EuclideanSub>, kCombine>;
 
   static void Emplace(std::optional<Stepper>* dp, int m, const Costs& costs,
                       DpArena* arena) {
@@ -50,6 +52,35 @@ struct SubKind {
     dp->emplace(m, SubRef<EuclideanSub>{&costs}, arena);
   }
 };
+
+/// Builds Plan<Kind> for the cost kind of `spec`, passing the kind's
+/// prototype costs and then `args` to its constructor (the POS/PSS and RLS
+/// plan factories).
+template <template <typename> class Plan, typename... Args>
+std::unique_ptr<QueryRun> MakeScanPlan(const DistanceSpec& spec,
+                                       const Args&... args) {
+  switch (spec.kind) {
+    case DistanceKind::kDtw:
+    case DistanceKind::kFrechet:
+      return VisitSubCombine(
+          spec.kind, [&](auto combine) -> std::unique_ptr<QueryRun> {
+            return std::make_unique<Plan<SubKind<decltype(combine)::value>>>(
+                EuclideanSub{}, args...);
+          });
+    case DistanceKind::kEdr:
+      return std::make_unique<Plan<WedKind<EdrCosts>>>(
+          EdrCosts{{}, {}, spec.edr_epsilon}, args...);
+    case DistanceKind::kErp:
+      return std::make_unique<Plan<WedKind<ErpCosts>>>(
+          ErpCosts{{}, {}, spec.erp_gap}, args...);
+    case DistanceKind::kWed:
+      TRAJ_CHECK(spec.wed != nullptr);
+      return std::make_unique<Plan<WedKind<CustomWedCosts>>>(
+          CustomWedCosts{{}, {}, spec.wed}, args...);
+  }
+  TRAJ_CHECK(false && "unknown distance kind");
+  return nullptr;
+}
 
 /// Per-query state of the forward prefix scan: plan-owned costs (query view
 /// fixed at Bind, data view repointed per candidate) plus the stepper built
@@ -141,6 +172,34 @@ struct SuffixState {
       suffix[n - 1 - j] = dp->Extend(static_cast<int>(j));
     }
     return suffix;
+  }
+
+  /// The scan plans' RunWindow: groups of batch_width candidates, one
+  /// cutoff read per group. A group of one runs single(data, cutoff) (the
+  /// plan's Run); a larger group computes its suffix tables together
+  /// (ComputeBatch) and then scan(data, table) per candidate.
+  template <typename Single, typename Scan>
+  void RunWindow(const QueryRun::RunBatchItem* items, int count,
+                 QueryRun::WindowSink* sink, Single&& single, Scan&& scan) {
+    for (int begin = 0; begin < count; begin += batch_width) {
+      const int group = std::min(batch_width, count - begin);
+      const double cutoff = sink->Cutoff();
+      if (group == 1) {
+        sink->Done(begin, single(items[begin].data, cutoff), cutoff);
+        continue;
+      }
+      std::array<TrajectoryView, simd::kLanes> views;
+      for (int i = 0; i < group; ++i) {
+        views[static_cast<size_t>(i)] = items[begin + i].data;
+      }
+      ComputeBatch(views.data(), group);
+      for (int i = 0; i < group; ++i) {
+        sink->Done(begin + i,
+                   scan(items[begin + i].data,
+                        *batch_suffix[static_cast<size_t>(i)]),
+                   cutoff);
+      }
+    }
   }
 
   /// Compute() for up to batch_width candidates at once: one multi-sweep

@@ -52,17 +52,15 @@ std::vector<SearchResult> CmaThresholdSearch(const DistanceSpec& spec,
   const int n = static_cast<int>(data.size());
   std::vector<double> c;
   std::vector<int> s;
-  switch (spec.kind) {
-    case DistanceKind::kDtw:
-      CmaDtwFinalRow(m, n, EuclideanSub{query, data}, &c, &s);
-      break;
-    case DistanceKind::kFrechet:
-      CmaFrechetFinalRow(m, n, EuclideanSub{query, data}, &c, &s);
-      break;
-    default:
-      VisitWedCosts(spec, query, data, [&](const auto& costs) {
-        CmaWedFinalRow(m, n, costs, CmaWedVariant::kExact, &c, &s);
-      });
+  if (spec.IsWedFamily()) {
+    VisitWedCosts(spec, query, data, [&](const auto& costs) {
+      CmaWedFinalRow(m, n, costs, CmaWedVariant::kExact, &c, &s);
+    });
+  } else {
+    VisitSubCombine(spec.kind, [&](auto combine) {
+      CmaSubOnlyFinalRow<decltype(combine)::value>(
+          m, n, EuclideanSub{query, data}, &c, &s);
+    });
   }
   return SelectDisjoint(c, s, tau);
 }

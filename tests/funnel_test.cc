@@ -214,6 +214,81 @@ TEST(FunnelTest, LiveCorpusMatrixTelescopesExactly) {
   }
 }
 
+/// The funnel row of `algorithm` telescopes and counts `queries` folds.
+void ExpectTelescopingFunnel(const obs::Registry& registry,
+                             Algorithm algorithm, uint64_t queries,
+                             const std::string& context) {
+  const obs::RegistrySnapshot snap = registry.Snapshot();
+  const std::vector<obs::FunnelRow> funnels = obs::ExtractFunnels(snap);
+  ASSERT_EQ(funnels.size(), 1u) << context;
+  EXPECT_TRUE(funnels.front().Consistent()) << context;
+  EXPECT_GE(snap.counter("engine." + std::string(ToString(algorithm)) +
+                         ".funnel.queries"),
+            queries)
+      << context;
+}
+
+TEST(FunnelTest, EmptyQueryFindsNothingWithGbpOnOrOff) {
+  // An empty query has no subtrajectory to match. Every algorithm must
+  // return no hits for it, with GBP on (the grid yields no candidates) and
+  // off (the identity scan would hand every trajectory to a plan bound to
+  // an empty query), on an engine and on a service whose delta is not
+  // empty, and the funnel must still telescope.
+  const FunnelFixture f = MakeFixture();
+  constexpr int kBase = 30;
+  Dataset dataset("funnel-empty-query");
+  for (const Trajectory& t : f.corpus) dataset.Add(t);
+
+  for (const Algorithm algorithm : kAllAlgorithms) {
+    for (const DistanceSpec& spec : testing::PaperGpsSpecs()) {
+      if (!Supports(algorithm, spec.kind)) continue;
+      for (const bool gbp : {true, false}) {
+        const std::string context =
+            std::string(ToString(algorithm)) + "/" +
+            std::string(ToString(spec.kind)) + (gbp ? " gbp" : " no-gbp");
+        EngineOptions engine_options =
+            MatrixEngineOptions(algorithm, spec, f.cell);
+        engine_options.use_gbp = gbp;
+
+        obs::Registry registry;
+        EngineOptions options = engine_options;
+        options.metrics = &registry;
+        const SearchEngine engine(&dataset, options);
+        QueryStats stats;
+        EXPECT_TRUE(engine.Query(TrajectoryView(), &stats).empty())
+            << "engine " << context;
+        EXPECT_EQ(stats.candidates_after_gbp, 0) << "engine " << context;
+        EXPECT_EQ(stats.searched, 0) << "engine " << context;
+        // The engine still answers the next, non-empty query.
+        EXPECT_FALSE(engine.Query(f.queries[0]).empty())
+            << "engine " << context;
+        ExpectTelescopingFunnel(registry, algorithm, 2, "engine " + context);
+
+        ServiceOptions service_options;
+        service_options.engine = engine_options;
+        service_options.shards = 2;
+        service_options.compact_delta_trajectories = 0;
+        Dataset base("funnel-empty-query-live");
+        for (int i = 0; i < kBase; ++i) {
+          base.Add(f.corpus[static_cast<size_t>(i)]);
+        }
+        QueryService service(std::move(base), service_options);
+        std::vector<TrajectoryView> appended;
+        for (size_t i = kBase; i < f.corpus.size(); ++i) {
+          appended.push_back(f.corpus[i].View());
+        }
+        service.AppendBatch(appended);
+        EXPECT_TRUE(service.Submit(TrajectoryView()).empty())
+            << "service " << context;
+        EXPECT_FALSE(service.Submit(f.queries[0]).empty())
+            << "service " << context;
+        ExpectTelescopingFunnel(service.metrics(), algorithm, 2,
+                                "service " + context);
+      }
+    }
+  }
+}
+
 TEST(FunnelTest, SimdDispatchLeavesTheFunnelUnchanged) {
   // The `engine.<Algorithm>.simd.*` kernel counters live outside the funnel
   // namespace: funnel extraction must still see exactly one row, and the
