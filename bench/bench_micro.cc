@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the §4.2/§5 complexity claims:
 // CMA kernels are O(mn) per pair while ExactS is O(mn^2) — the per-pair
 // time ratio must grow linearly with the data length n. Also covers the
-// exact O(mn) competitors (Spring for DTW, GB for Fréchet).
+// exact O(mn) competitors (Spring for DTW, GB for Fréchet), the KPF bound,
+// and the open-to-ready costs: the grid build and the corpus bounding box.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +15,7 @@
 #include "distance/cost_model.h"
 #include "distance/dp.h"
 #include "gen/taxi.h"
+#include "prune/grid_index.h"
 #include "prune/key_point_filter.h"
 #include "search/cma.h"
 #include "search/exacts.h"
@@ -412,6 +414,41 @@ void BM_KpfLowerBoundPlan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KpfLowerBoundPlan)->ArgsProduct({{64, 512}, {0, 1}});
+
+// Open-to-ready costs over workload-sized corpora. Arg 0 selects the corpus:
+// 0 = one of xian-batch's two shards (4k Xi'an-like trajectories, ~1.6M
+// points), 1 = porto-interactive's corpus plus one compaction's appends (51k
+// Porto-like, ~3.4M points). Generated once per process.
+const Dataset& BuildCorpus(int which) {
+  static const Dataset xian = GenerateTaxiDataset(XianProfile(4000));
+  static const Dataset porto = GenerateTaxiDataset(PortoProfile(51000));
+  return which == 0 ? xian : porto;
+}
+
+// The counting CSR grid build, run at every open without a prebuilt grid
+// and at every compaction.
+void BM_GridIndexBuild(benchmark::State& state) {
+  const Dataset& corpus = BuildCorpus(static_cast<int>(state.range(0)));
+  const double cell = DefaultCellSize(corpus.Bounds());
+  for (auto _ : state) {
+    const GridIndex grid(corpus, cell);
+    benchmark::DoNotOptimize(grid.posting_ids().data());
+  }
+  state.counters["points"] = static_cast<double>(corpus.point_count());
+}
+BENCHMARK(BM_GridIndexBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// The corpus bounding box (DefaultCellSize's input at service start) over
+// ~3.4M points: arg 1 = 0 forces the Extend loop, 1 the startup dispatch.
+void BM_DatasetBounds(benchmark::State& state) {
+  const Dataset& corpus = BuildCorpus(1);
+  const bool dispatch = simd::Enabled();
+  simd::SetEnabled(state.range(0) != 0);
+  for (auto _ : state) benchmark::DoNotOptimize(corpus.Bounds());
+  simd::SetEnabled(dispatch);
+  state.counters["points"] = static_cast<double>(corpus.point_count());
+}
+BENCHMARK(BM_DatasetBounds)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace trajsearch

@@ -2,7 +2,70 @@
 
 #include <algorithm>
 
+#include "util/simd.h"
+
 namespace trajsearch {
+
+namespace {
+
+/// Bounding box of `n` pool points: the BoundingBox::Extend loop, or on
+/// AVX2 under vector dispatch one vector pass over the same bytes. Two AoS
+/// points fill a VecD as x0 y0 x1 y1, so lanes 0 and 2 fold x and lanes 1
+/// and 3 fold y. Min(p, acc) is MINPD's `p < acc ? p : acc` and Max(p, acc)
+/// its `p > acc ? p : acc`: the compares Extend makes, so a NaN coordinate
+/// leaves the box untouched on both paths and every extreme is the same
+/// value. The one difference: the lanes see the points in another order, so
+/// when a box edge is 0 the vector pass may return -0.0 where Extend returns
+/// +0.0 or the reverse. Width(), Height() and DefaultCellSize() read the
+/// same either way. NEON's fmin/fmax propagate NaN, so NEON (and the scalar
+/// build) keeps the Extend loop.
+BoundingBox PoolBounds(const Point* points, size_t n) {
+  BoundingBox box;
+  size_t i = 0;
+#if defined(TRAJSEARCH_SIMD_AVX2)
+  if (simd::Enabled() && n >= 2) {
+    using simd::VecD;
+    const double lo_init[4] = {box.min_x, box.min_y, box.min_x, box.min_y};
+    const double hi_init[4] = {box.max_x, box.max_y, box.max_x, box.max_y};
+    // Two accumulator pairs, so consecutive min/max do not wait on each
+    // other.
+    VecD lo0 = VecD::Load(lo_init);
+    VecD hi0 = VecD::Load(hi_init);
+    VecD lo1 = lo0;
+    VecD hi1 = hi0;
+    const double* xy = &points[0].x;
+    for (; i + 4 <= n; i += 4) {
+      const VecD a = VecD::Load(xy + 2 * i);
+      const VecD b = VecD::Load(xy + 2 * i + 4);
+      lo0 = VecD::Min(a, lo0);
+      hi0 = VecD::Max(a, hi0);
+      lo1 = VecD::Min(b, lo1);
+      hi1 = VecD::Max(b, hi1);
+    }
+    if (i + 2 <= n) {
+      const VecD a = VecD::Load(xy + 2 * i);
+      lo0 = VecD::Min(a, lo0);
+      hi0 = VecD::Max(a, hi0);
+      i += 2;
+    }
+    double lo[4];
+    double hi[4];
+    VecD::Min(lo1, lo0).Store(lo);
+    VecD::Max(hi1, hi0).Store(hi);
+    // Min lanes fold into the mins only, max lanes into the maxes only.
+    for (int lane = 0; lane < 4; lane += 2) {
+      if (lo[lane] < box.min_x) box.min_x = lo[lane];
+      if (lo[lane + 1] < box.min_y) box.min_y = lo[lane + 1];
+      if (hi[lane] > box.max_x) box.max_x = hi[lane];
+      if (hi[lane + 1] > box.max_y) box.max_y = hi[lane + 1];
+    }
+  }
+#endif
+  for (; i < n; ++i) box.Extend(points[i]);
+  return box;
+}
+
+}  // namespace
 
 Dataset::Dataset(const Dataset& other)
     : name_(other.name_),
@@ -111,7 +174,7 @@ DatasetStats Dataset::Stats() const {
     stats.min_length = std::min(stats.min_length, length(id));
     stats.max_length = std::max(stats.max_length, length(id));
   }
-  for (const Point& p : pool()) stats.bounds.Extend(p);
+  stats.bounds = Bounds();
   stats.mean_length =
       empty() ? 0
               : static_cast<double>(stats.point_count) /
@@ -120,9 +183,7 @@ DatasetStats Dataset::Stats() const {
 }
 
 BoundingBox Dataset::Bounds() const {
-  BoundingBox box;
-  for (const Point& p : pool()) box.Extend(p);
-  return box;
+  return PoolBounds(pool_data_, pool_size_);
 }
 
 size_t DatasetView::point_count() const {
@@ -135,15 +196,10 @@ size_t DatasetView::point_count() const {
 BoundingBox DatasetView::Bounds() const {
   // The viewed trajectories are contiguous in the pool, so this is one flat
   // scan of the covered pool range.
-  BoundingBox box;
-  if (count_ == 0) return box;
-  const std::span<const uint64_t> offsets = dataset_->offsets();
-  const std::span<const Point> pool = dataset_->pool();
-  const size_t lo = static_cast<size_t>(offsets[static_cast<size_t>(begin_)]);
-  const size_t hi =
-      static_cast<size_t>(offsets[static_cast<size_t>(begin_ + count_)]);
-  for (size_t i = lo; i < hi; ++i) box.Extend(pool[i]);
-  return box;
+  if (count_ == 0) return BoundingBox{};
+  const size_t lo = static_cast<size_t>(
+      dataset_->offsets()[static_cast<size_t>(begin_)]);
+  return PoolBounds(dataset_->pool().data() + lo, point_count());
 }
 
 }  // namespace trajsearch

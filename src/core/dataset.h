@@ -19,8 +19,9 @@ struct DatasetStats {
   int min_length = 0;
   int max_length = 0;
   BoundingBox bounds;
-  /// True for a borrowed (mapped) dataset: storage is spans over an
-  /// external owner (e.g. an mmap'd snapshot), not heap vectors.
+  /// True for a borrowed dataset: storage is spans over an external owner
+  /// (an mmap'd snapshot, or the decoded pool of a compressed one), not the
+  /// dataset's own vectors.
   bool borrowed = false;
   /// Bytes held by the contiguous point pool (capacity excluded).
   size_t pool_bytes = 0;
@@ -98,11 +99,12 @@ class Dataset {
                           std::vector<uint64_t> offsets);
 
   /// Borrows an already-laid-out corpus without copying: spans over the AoS
-  /// pool and the offset table — typically the page-aligned sections of a
-  /// mapped snapshot. `keepalive` owns the storage (shared by copies of this
-  /// dataset) and is released when the last borrower is destroyed. The spans
-  /// must satisfy the same invariants FromPool checks; callers loading
-  /// untrusted bytes validate first and fail soft.
+  /// pool and the offset table — the page-aligned sections of a mapped
+  /// snapshot, or the decoded pool of a compressed one. `keepalive` owns the
+  /// storage (shared by copies of this dataset) and is released when the
+  /// last borrower is destroyed. The spans must satisfy the same invariants
+  /// FromPool checks; callers loading untrusted bytes validate first and
+  /// fail soft.
   static Dataset FromMapped(std::string name, std::span<const Point> pool,
                             std::span<const uint64_t> offsets,
                             std::shared_ptr<const void> keepalive);
@@ -165,7 +167,9 @@ class Dataset {
   /// Computes summary statistics over all trajectories.
   DatasetStats Stats() const;
 
-  /// Bounding box over all points.
+  /// Bounding box over all points: one pass over the pool, vectorized on
+  /// AVX2. Extremes equal the BoundingBox::Extend loop's, NaN skipped; only
+  /// the sign of a zero extreme may differ from it.
   BoundingBox Bounds() const;
 
  private:

@@ -145,8 +145,11 @@ Status DecodeColumns(const CompressedColumnsView& view,
   }
 
   // Exactly-sized output buffer: one allocation, audited by the
-  // zero-over-allocation test on the mmap load path.
-  pool->resize(point_count);
+  // zero-over-allocation test on the mmap load path. Points are appended
+  // in pool order, so the buffer is written once rather than zero-filled
+  // first.
+  pool->clear();
+  pool->reserve(point_count);
   size_t exception_cursor = 0;
   for (size_t t = 0; t < traj_count; ++t) {
     const uint8_t mode = view.modes[t];
@@ -180,7 +183,7 @@ Status DecodeColumns(const CompressedColumnsView& view,
         y = view.ry[exception_cursor];
         ++exception_cursor;
       }
-      (*pool)[i] = Point{x, y};
+      pool->push_back(Point{x, y});
     }
   }
   if (!view.store_residuals && exception_cursor != view.rx.size()) {

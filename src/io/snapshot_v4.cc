@@ -463,15 +463,23 @@ Result<MmapSnapshot> MmapSnapshot::Open(const std::string& path,
     at += point_count * sizeof(int32_t);
     view.modes = SpanAt<uint8_t>(base, at, traj_count);
 
-    // Decode into exactly-sized heap columns; the offsets table is copied
-    // (it is (T+1) words) so the decoded dataset owns all its storage and
-    // releases the mapping-independent corpus to callers like compaction.
-    std::vector<Point> pool;
-    TRAJ_RETURN_NOT_OK(DecodeColumns(view, offsets, &pool));
-    std::vector<uint64_t> owned_offsets(offsets.begin(), offsets.end());
-    snapshot.dataset_ = Dataset::FromPool(std::move(prelude.name),
-                                          std::move(pool),
-                                          std::move(owned_offsets));
+    // Decode into exactly-sized vectors that one shared keepalive owns, and
+    // serve them borrowed like the mapped tier: a copy of the dataset (a
+    // QueryService takes its corpus by value) then shares the decoded pool
+    // instead of duplicating it. The offsets table is copied too (it is
+    // (T+1) words), so the decoded corpus does not pin the mapping.
+    struct DecodedCorpus {
+      std::vector<Point> pool;
+      std::vector<uint64_t> offsets;
+    };
+    auto decoded = std::make_shared<DecodedCorpus>();
+    TRAJ_RETURN_NOT_OK(DecodeColumns(view, offsets, &decoded->pool));
+    decoded->offsets = std::vector<uint64_t>(offsets.begin(), offsets.end());
+    const std::span<const Point> pool = decoded->pool;
+    const std::span<const uint64_t> decoded_offsets = decoded->offsets;
+    snapshot.dataset_ =
+        Dataset::FromMapped(std::move(prelude.name), pool, decoded_offsets,
+                            std::move(decoded));
   } else {
     // Files written before the shadow columns were retired also carry x/y
     // column sections (types 3 and 4); like any section this reader does
@@ -577,12 +585,9 @@ Result<Dataset> ReadSnapshot(const std::string& path) {
   MmapSnapshot snapshot = opened.MoveValue();
   TRAJ_RETURN_NOT_OK(snapshot.Verify());
   const Dataset& served = snapshot.dataset();
-  if (!served.borrowed()) {
-    // Compressed tier: Open already decoded into owned storage.
-    return served;
-  }
-  // Deep-copy the mapped corpus into owned, exactly-sized vectors so the
-  // returned dataset outlives the mapping.
+  // Deep-copy the served corpus (mapped or decoded, both borrowed) into
+  // owned, exactly-sized vectors so the returned dataset is mutable and
+  // outlives the snapshot.
   std::vector<Point> pool(served.pool().begin(), served.pool().end());
   std::vector<uint64_t> offsets(served.offsets().begin(),
                                 served.offsets().end());

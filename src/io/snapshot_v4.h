@@ -33,7 +33,8 @@ namespace trajsearch {
 /// pool — so MmapSnapshot::Open serves it with zero copies:
 /// Dataset::FromMapped borrows the mapped sections directly. A *compressed*
 /// file replaces the pool with one encoded column section (see
-/// column_codec.h) that Open decodes into an exactly-sized heap pool.
+/// column_codec.h) that Open decodes into an exactly-sized heap pool, which
+/// the opened dataset then borrows the same way.
 /// Either kind may carry a prebuilt CSR grid-index section, served borrowed
 /// through GridIndex::FromParts. Readers skip section types they do not
 /// use, which is how files that still carry the retired x/y shadow columns
@@ -92,10 +93,11 @@ struct MmapOptions {
 /// bounds and alignment, offset-table monotonicity — which faults the index
 /// tables but never the point payload, so open cost is O(trajectories), not
 /// O(points). Payload integrity is the explicit Verify() call's job (it
-/// reads everything). dataset() borrows the mapping on the uncompressed
-/// tier (copying it is two words plus a refcount) and owns exactly-sized
-/// decoded columns on the compressed tier; either way the mapping lives
-/// until the last borrower — dataset copies included — is gone.
+/// reads everything). dataset() is borrowed on both tiers, so copying it is
+/// a few words plus a refcount: it borrows the mapping on the uncompressed
+/// tier and a shared, exactly-sized decoded pool on the compressed tier.
+/// Either storage lives until the last borrower — dataset copies included —
+/// is gone.
 class MmapSnapshot {
  public:
   /// An unopened snapshot (the Result<MmapSnapshot> placeholder); every
@@ -106,7 +108,8 @@ class MmapSnapshot {
                                    const MmapOptions& options = {});
 
   /// The served corpus. Copy it into a QueryService / LiveDataset freely:
-  /// a borrowed Dataset copy shares the mapping keepalive.
+  /// a borrowed Dataset copy shares the keepalive of the mapping or of the
+  /// decoded pool.
   const Dataset& dataset() const { return dataset_; }
 
   /// The prebuilt grid index section, or null if the file carries none.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "util/check.h"
 #include "util/stopwatch.h"
@@ -61,36 +62,98 @@ GridIndex::GridIndex(DatasetView data, double cell_size)
   TRAJ_CHECK(cell_size > 0);
   Stopwatch build_watch;
 
-  // Collect (cell, id) postings, then sort + dedupe into CSR. The temporary
-  // doubles the pool's footprint for the duration of the build only.
-  std::vector<std::pair<int64_t, int32_t>> entries;
-  entries.reserve(data.point_count());
-  for (int id = 0; id < data.size(); ++id) {
+  // Counting CSR build, linear in the points. Pass 1 numbers the distinct
+  // cells densely in first-seen order and counts each cell's postings: ids
+  // arrive in ascending order, so a per-cell last-id stamp dedupes
+  // (cell, id) exactly. `point_cell` (the one per-point temporary, 4 bytes
+  // a point) keeps the dense cell of each point that adds a posting, or -1,
+  // so the scatter pass neither re-derives keys nor re-hashes.
+  const int size = data.size();
+  std::vector<int32_t> point_cell(data.point_count());
+  // (key, dense cell) in first-seen order; sorted by key once pass 1 ends.
+  std::vector<std::pair<int64_t, int32_t>> dense;
+  std::vector<uint64_t> dense_count;
+  std::vector<int32_t> dense_last_id;
+  // Open-addressed key -> dense cell table (load factor <= 0.5).
+  std::vector<int64_t> table_key(1024);
+  std::vector<int32_t> table_cell(1024, -1);
+  size_t table_mask = table_key.size() - 1;
+  const auto find_or_insert = [&](int64_t key) -> size_t {
+    size_t h = HashKey(key) & table_mask;
+    while (table_cell[h] != -1) {
+      if (table_key[h] == key) return static_cast<size_t>(table_cell[h]);
+      h = (h + 1) & table_mask;
+    }
+    const size_t cell = dense.size();
+    table_key[h] = key;
+    table_cell[h] = static_cast<int32_t>(cell);
+    dense.emplace_back(key, static_cast<int32_t>(cell));
+    dense_count.push_back(0);
+    dense_last_id.push_back(-1);
+    if (dense.size() * 2 > table_key.size()) {
+      // Double and re-insert every key: O(cells) amortized.
+      table_key.assign(table_key.size() * 2, 0);
+      table_cell.assign(table_cell.size() * 2, -1);
+      table_mask = table_key.size() - 1;
+      for (const auto& [k, c] : dense) {
+        size_t g = HashKey(k) & table_mask;
+        while (table_cell[g] != -1) g = (g + 1) & table_mask;
+        table_key[g] = k;
+        table_cell[g] = c;
+      }
+    }
+    return cell;
+  };
+  size_t at = 0;
+  for (int id = 0; id < size; ++id) {
     int64_t last_key = 0;
     bool have_last = false;
     for (const Point& p : data[id].points()) {
       const int64_t key = CellKey(p.x, p.y, cell_size_);
-      // Consecutive points usually share a cell; skip the exact duplicates
-      // cheaply and leave the rest to the post-sort unique pass.
-      if (have_last && key == last_key) continue;
-      entries.emplace_back(key, static_cast<int32_t>(id));
-      last_key = key;
-      have_last = true;
+      int32_t posting = -1;
+      // Consecutive points usually share a cell: skip those without a
+      // table probe; the stamp catches non-consecutive revisits.
+      if (!have_last || key != last_key) {
+        const size_t cell = find_or_insert(key);
+        if (dense_last_id[cell] != id) {
+          dense_last_id[cell] = id;
+          ++dense_count[cell];
+          posting = static_cast<int32_t>(cell);
+        }
+        last_key = key;
+        have_last = true;
+      }
+      point_cell[at++] = posting;
     }
   }
-  std::sort(entries.begin(), entries.end());
-  entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
 
-  cell_offsets_.push_back(0);
-  ids_.reserve(entries.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (cell_keys_.empty() || cell_keys_.back() != entries[i].first) {
-      if (!cell_keys_.empty()) cell_offsets_.push_back(ids_.size());
-      cell_keys_.push_back(entries[i].first);
-    }
-    ids_.push_back(entries[i].second);
+  // Sort only the distinct keys, then prefix-sum their counts into the CSR
+  // offsets; each dense cell's count becomes its write cursor.
+  const size_t cells = dense.size();
+  std::sort(dense.begin(), dense.end());
+  cell_keys_.resize(cells);
+  cell_offsets_.resize(cells + 1);
+  std::vector<uint64_t>& cursor = dense_count;
+  uint64_t total = 0;
+  for (size_t c = 0; c < cells; ++c) {
+    const auto [key, cell] = dense[c];
+    cell_keys_[c] = key;
+    cell_offsets_[c] = total;
+    total += std::exchange(cursor[static_cast<size_t>(cell)], total);
   }
-  if (!cell_keys_.empty()) cell_offsets_.push_back(ids_.size());
+  cell_offsets_[cells] = total;
+
+  // Scatter ids in id order, so every cell's postings ascend exactly as a
+  // sort of the (cell, id) pairs would leave them.
+  ids_.resize(total);
+  at = 0;
+  for (int id = 0; id < size; ++id) {
+    const size_t end = at + static_cast<size_t>(data[id].size());
+    for (; at < end; ++at) {
+      const int32_t cell = point_cell[at];
+      if (cell >= 0) ids_[cursor[static_cast<size_t>(cell)]++] = id;
+    }
+  }
 
   // Slot table at load factor <= 0.5 (power-of-two size, linear probing).
   size_t slots = 16;

@@ -106,7 +106,8 @@ struct GridIndexStats {
 /// view pointers so the probe path is identical in both modes.
 class GridIndex {
  public:
-  /// Builds the inverted index in O(total points * log cells).
+  /// Builds the inverted index in O(total points + cells * log cells): a
+  /// counting pass, a sort of the distinct cell keys and a scatter pass.
   GridIndex(DatasetView data, double cell_size);
 
   /// An empty index (no cells, no slots): the FromParts target and the

@@ -32,7 +32,10 @@
 // min-scan: it puts consecutive *data points* in the lanes, read straight
 // from the AoS pool with the deinterleaving LoadXY. Its data may hold NaN,
 // and Min orders NaN differently per ISA (AVX2 returns the second operand,
-// NEON returns NaN), so the scan checks its lanes for NaN itself.
+// NEON returns NaN), so the scan checks its lanes for NaN itself. The
+// corpus bounding box (core/dataset.cc) folds two AoS points per vector
+// with Min/Max and relies on AVX2's second-operand rule to skip NaN, so it
+// runs only on AVX2.
 //
 // LoadXY's lane order depends on the ISA: AVX2 yields points 0 2 1 3, NEON
 // points 0 1, the scalar build point 0. x and y always share the order, so
@@ -44,8 +47,8 @@
 // (CopyCols in distance/dp.h) and Load those.
 //
 // Dispatch is one switch: when Enabled(), every stepper with a vector
-// kernel (the WED column stepper and all batch kernels) and the KPF scan
-// use it.
+// kernel (the WED column stepper and all batch kernels), the KPF scan and
+// the AVX2 bounding-box pass use it.
 //
 // Bit-identity contract: every lane operation here is a single correctly
 // rounded IEEE-754 double operation (add/sub/mul/sqrt/min/max/compare), so a

@@ -182,8 +182,13 @@ TEST(SnapshotV4Test, CompressedResidualTierIsBitExact) {
   const MmapSnapshot& snap = opened.value();
   EXPECT_TRUE(snap.compressed());
   EXPECT_TRUE(snap.compressed_residuals());
-  // Decoded columns are heap-owned (exactly sized), not borrowed.
-  EXPECT_FALSE(snap.dataset().borrowed());
+  // The decoded pool is served borrowed, like the mapped tier: a copy of
+  // the opened dataset shares it instead of duplicating the corpus.
+  EXPECT_TRUE(snap.dataset().borrowed());
+  const Dataset copy = snap.dataset();
+  EXPECT_TRUE(copy.borrowed());
+  EXPECT_EQ(copy.pool().data(), snap.dataset().pool().data());
+  EXPECT_EQ(copy.offsets().data(), snap.dataset().offsets().data());
   ExpectSameCorpus(snap.dataset(), original);
   EXPECT_TRUE(snap.Verify().ok());
   std::remove(path.c_str());
@@ -559,18 +564,25 @@ TEST(ColumnCodecTest, DecodeRejectsInconsistentShapes) {
 TEST(MmapSnapshotTest, DatasetCopyOutlivesTheSnapshot) {
   const Dataset original = GenerateTaxiDataset(PortoProfile(12));
   const std::string path = TempPath("v4_lifetime.snap");
-  ASSERT_TRUE(WriteSnapshotV4(original, path).ok());
+  for (const bool compress : {false, true}) {
+    V4WriteOptions options;
+    options.compress = compress;
+    options.codec.store_residuals = true;
+    ASSERT_TRUE(WriteSnapshotV4(original, path, options).ok());
 
-  Dataset copy;
-  {
-    Result<MmapSnapshot> opened = MmapSnapshot::Open(path);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    copy = opened.value().dataset();
-    EXPECT_TRUE(copy.borrowed());
+    Dataset copy;
+    {
+      Result<MmapSnapshot> opened = MmapSnapshot::Open(path);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      copy = opened.value().dataset();
+      EXPECT_TRUE(copy.borrowed());
+      EXPECT_EQ(copy.pool().data(), opened.value().dataset().pool().data());
+    }
+    // The MmapSnapshot (and its GridIndex) are gone; the copy's keepalive
+    // holds the mapping or the decoded pool. ASan/valgrind would flag any
+    // dangling access here.
+    ExpectSameCorpus(copy, original);
   }
-  // The MmapSnapshot (and its GridIndex) are gone; the copy's keepalive
-  // holds the mapping. ASan/valgrind would flag any dangling access here.
-  ExpectSameCorpus(copy, original);
   std::remove(path.c_str());
 }
 

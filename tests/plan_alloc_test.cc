@@ -16,8 +16,10 @@
 #include <vector>
 
 #include "core/live_dataset.h"
+#include "io/column_codec.h"
 #include "io/snapshot.h"
 #include "io/snapshot_v4.h"
+#include "prune/grid_index.h"
 #include "prune/key_point_filter.h"
 #include "search/engine.h"
 #include "search/searcher.h"
@@ -31,6 +33,8 @@ namespace {
 
 std::atomic<long long> g_allocations{0};
 std::atomic<long long> g_allocated_bytes{0};
+/// Largest single request since the last reset (see LargestAllocation).
+std::atomic<long long> g_largest_allocation{0};
 
 }  // namespace
 
@@ -43,6 +47,12 @@ __attribute__((noinline)) void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   g_allocated_bytes.fetch_add(static_cast<long long>(size),
                               std::memory_order_relaxed);
+  long long largest = g_largest_allocation.load(std::memory_order_relaxed);
+  while (static_cast<long long>(size) > largest &&
+         !g_largest_allocation.compare_exchange_weak(
+             largest, static_cast<long long>(size),
+             std::memory_order_relaxed)) {
+  }
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -90,6 +100,11 @@ long long AllocationCount() {
 
 long long AllocatedBytes() {
   return g_allocated_bytes.load(std::memory_order_relaxed);
+}
+
+/// Largest single operator-new request since the previous call.
+long long LargestAllocation() {
+  return g_largest_allocation.exchange(0, std::memory_order_relaxed);
 }
 
 class PlanAllocTest : public ::testing::TestWithParam<Algorithm> {};
@@ -451,11 +466,45 @@ TEST(SnapshotLoadAllocTest, CompressedDecodeDoesNotOverAllocate) {
 
   Result<MmapSnapshot> opened = MmapSnapshot::Open(path);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  // Open serves the decoded pool borrowed, and a borrowed dataset reports
+  // its bytes as its capacity, so the zero-slack audit reads the decoder's
+  // output itself.
   const DatasetStats stats = opened.value().dataset().Stats();
-  EXPECT_FALSE(stats.borrowed);
+  EXPECT_TRUE(stats.borrowed);
   EXPECT_EQ(stats.pool_capacity_bytes, stats.pool_bytes);
   EXPECT_EQ(stats.offsets_capacity_bytes, stats.offsets_bytes);
+  const CompressedColumns encoded = EncodeColumns(dataset, options.codec);
+  std::vector<Point> pool;
+  ASSERT_TRUE(DecodeColumns(encoded.View(), dataset.offsets(), &pool).ok());
+  EXPECT_EQ(pool.size(), dataset.point_count());
+  EXPECT_EQ(pool.capacity(), pool.size());
   std::remove(path.c_str());
+}
+
+// The counting grid build holds one 4-byte-a-point temporary besides its
+// O(cells) tables: no single allocation exceeds 4 bytes a point (the sort
+// build it replaced reserved a 16-byte (cell, id) pair per point), and all
+// it allocates beyond the index it returns stays within 4 bytes a point
+// plus a bounded number of bytes per cell.
+TEST(GridBuildAllocTest, BuildAllocatesNothingOfSixteenBytesAPoint) {
+  const testing::PortoWorkbench w = testing::MakePortoWorkbench(1);
+  const Dataset& corpus = w.corpus;
+  // A 16x16-cell grid over the box: real corpora have many points a cell
+  // (Porto's 3.4M points fill ~60k cells), this small one would not at the
+  // default 256x256.
+  const double cell = 16 * DefaultCellSize(corpus.Bounds());
+  const auto points = static_cast<long long>(corpus.point_count());
+  LargestAllocation();
+  const long long bytes_before = AllocatedBytes();
+  const GridIndex grid(corpus, cell);
+  const long long built_bytes = AllocatedBytes() - bytes_before;
+  const long long largest = LargestAllocation();
+  const auto cells = static_cast<long long>(grid.stats().cell_count);
+  ASSERT_GT(points, 8 * cells);
+  EXPECT_LE(largest, 4 * points);
+  const auto index_bytes = static_cast<long long>(grid.stats().index_bytes);
+  EXPECT_LE(built_bytes - index_bytes, 4 * points + 256 * cells + 16384)
+      << points << " points, " << cells << " cells";
 }
 
 TEST(PlanAllocTest, KpfBoundPlanLowerBoundDoesNotAllocate) {

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/dataset.h"
@@ -19,6 +23,7 @@
 #include "tests/legacy_baseline.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace trajsearch {
 namespace {
@@ -265,6 +270,99 @@ TEST(DatasetViewTest, RangeViewsCoverTheCorpusWithStableIds) {
   EXPECT_EQ(got.max_x, expected.max_x);
   EXPECT_EQ(got.min_y, expected.min_y);
   EXPECT_EQ(got.max_y, expected.max_y);
+}
+
+// Dataset::Bounds and DatasetView::Bounds run one vector pass over the pool
+// on AVX2 under vector dispatch, and the BoundingBox::Extend loop otherwise
+// (scalar dispatch, NEON, -DTRAJSEARCH_SIMD=OFF). Both return the same
+// extremes: NaN coordinates are skipped, +-inf and +-1e300 are ordinary
+// values. The sign of a zero extreme MAY differ: the lanes see the points
+// in another order, and of two equal zeros each path keeps the first it
+// saw, so one may return -0.0 where the other returns +0.0. Nothing reads
+// that sign: Width(), Height() and Center() compare equal, and
+// DefaultCellSize() — what shapes every grid and every written snapshot —
+// is bit-identical.
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Equal as values: == (so -0.0 matches +0.0), or both NaN (an infinite
+/// box has a NaN centre, and an all-infinite one a NaN width).
+bool SameValue(double a, double b) {
+  return a == b || (std::isnan(a) && std::isnan(b));
+}
+
+void ExpectSameBox(const BoundingBox& got, const BoundingBox& want,
+                   const std::string& context) {
+  const double got_edges[] = {got.min_x, got.min_y, got.max_x, got.max_y};
+  const double want_edges[] = {want.min_x, want.min_y, want.max_x,
+                               want.max_y};
+  for (int e = 0; e < 4; ++e) {
+    const bool zero_pair = got_edges[e] == 0 && want_edges[e] == 0;
+    EXPECT_TRUE(SameBits(got_edges[e], want_edges[e]) || zero_pair)
+        << context << " edge " << e << ": " << got_edges[e] << " vs "
+        << want_edges[e];
+  }
+  EXPECT_TRUE(SameValue(got.Width(), want.Width())) << context;
+  EXPECT_TRUE(SameValue(got.Height(), want.Height())) << context;
+  EXPECT_TRUE(SameValue(got.Center().x, want.Center().x)) << context;
+  EXPECT_TRUE(SameValue(got.Center().y, want.Center().y)) << context;
+  EXPECT_TRUE(SameBits(DefaultCellSize(got), DefaultCellSize(want)))
+      << context;
+}
+
+TEST(DatasetBoundsTest, VectorPassMatchesTheExtendLoop) {
+  const bool dispatch = simd::Enabled();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {nan, inf, -inf, 1e300, -1e300, 0.0, -0.0};
+  Rng rng(4242);
+  // mode 0: ordinary values; 1: a fifth special; 2: only zeros, NaN and
+  // one ordinary value, so zero extremes of both signs are common; 3: all
+  // NaN, so the box stays at its initial edges.
+  for (int mode = 0; mode < 4; ++mode) {
+    for (int length = 0; length <= 37; ++length) {
+      for (int pad = 0; pad < 4; ++pad) {
+        Dataset dataset("bounds");
+        // `pad` 1-point trajectories put the measured one at pool offset
+        // `pad`, so the vector loads start unaligned to a point pair too.
+        for (int i = 0; i < pad; ++i) dataset.Add(Trajectory{{-5.0, 9.0}});
+        std::vector<Point> points;
+        for (int i = 0; i < length; ++i) {
+          Point p{rng.Uniform(-3, 3), rng.Uniform(-3, 3)};
+          double* coords[] = {&p.x, &p.y};
+          for (double* c : coords) {
+            if (mode == 1 && rng.Uniform() < 0.2) {
+              *c = specials[rng.UniformInt(0, 6)];
+            } else if (mode == 2) {
+              const double pick[] = {0.0, -0.0, nan, *c};
+              *c = pick[rng.UniformInt(0, 3)];
+            } else if (mode == 3) {
+              *c = nan;
+            }
+          }
+          points.push_back(p);
+        }
+        dataset.Add(Trajectory(points));
+        BoundingBox view_want;
+        for (const Point& p : points) view_want.Extend(p);
+        BoundingBox all_want;
+        for (const Point& p : dataset.pool()) all_want.Extend(p);
+        const DatasetView view(dataset, pad, 1);
+        for (const bool vector : {false, true}) {
+          simd::SetEnabled(vector);
+          const std::string context =
+              "mode " + std::to_string(mode) + " length " +
+              std::to_string(length) + " pad " + std::to_string(pad) +
+              (vector ? " vector" : " scalar");
+          ExpectSameBox(view.Bounds(), view_want, context + " view");
+          ExpectSameBox(dataset.Bounds(), all_want, context + " dataset");
+          ExpectSameBox(dataset.Stats().bounds, all_want, context + " stats");
+        }
+      }
+    }
+  }
+  simd::SetEnabled(dispatch);
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "gen/taxi.h"
 #include "prune/grid_index.h"
@@ -162,6 +166,175 @@ TEST(GridIndexTest, TrajectoryContainingQueryAlwaysSurvives) {
   ASSERT_FALSE(counts.empty());
   EXPECT_EQ(counts.front().first, 0);
   EXPECT_EQ(counts.front().second, query.size());
+}
+
+// ---------------------------------------------------------------------------
+// Grid build identity: the counting CSR build against the sort-based build
+// it replaced.
+// ---------------------------------------------------------------------------
+
+/// The five serving arrays of a grid.
+struct GridArrays {
+  std::vector<int64_t> cell_keys;
+  std::vector<uint64_t> cell_offsets;
+  std::vector<int32_t> posting_ids;
+  std::vector<int64_t> slot_keys;
+  std::vector<int32_t> slot_cells;
+};
+
+GridArrays ArraysOf(const GridIndex& grid) {
+  return {{grid.cell_keys().begin(), grid.cell_keys().end()},
+          {grid.cell_offsets().begin(), grid.cell_offsets().end()},
+          {grid.posting_ids().begin(), grid.posting_ids().end()},
+          {grid.slot_keys().begin(), grid.slot_keys().end()},
+          {grid.slot_cells().begin(), grid.slot_cells().end()}};
+}
+
+/// The slot table's hash (splitmix64's finalizer), copied so the reference
+/// below stays the build the snapshot format was written with.
+uint64_t ReferenceHashKey(int64_t key) {
+  uint64_t x = static_cast<uint64_t>(key);
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  x ^= x >> 31;
+  return x;
+}
+
+/// The sort-based build, kept as the reference: every (cell, id) posting,
+/// sorted and deduplicated, laid out as CSR, then a linear-probing slot
+/// table at load factor <= 0.5 filled in ascending key order.
+GridArrays SortUniqueGrid(DatasetView data, double cell_size) {
+  std::vector<std::pair<int64_t, int32_t>> entries;
+  for (int id = 0; id < data.size(); ++id) {
+    for (const Point& p : data[id].points()) {
+      entries.emplace_back(CellKey(p.x, p.y, cell_size), id);
+    }
+  }
+  std::sort(entries.begin(), entries.end());
+  entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
+  GridArrays out;
+  out.cell_offsets.push_back(0);
+  for (const auto& [key, id] : entries) {
+    if (out.cell_keys.empty() || out.cell_keys.back() != key) {
+      if (!out.cell_keys.empty()) {
+        out.cell_offsets.push_back(out.posting_ids.size());
+      }
+      out.cell_keys.push_back(key);
+    }
+    out.posting_ids.push_back(id);
+  }
+  if (!out.cell_keys.empty()) {
+    out.cell_offsets.push_back(out.posting_ids.size());
+  }
+  size_t slots = 16;
+  while (slots < out.cell_keys.size() * 2) slots <<= 1;
+  out.slot_keys.assign(slots, 0);
+  out.slot_cells.assign(slots, -1);
+  for (size_t c = 0; c < out.cell_keys.size(); ++c) {
+    size_t h = ReferenceHashKey(out.cell_keys[c]) & (slots - 1);
+    while (out.slot_cells[h] != -1) h = (h + 1) & (slots - 1);
+    out.slot_keys[h] = out.cell_keys[c];
+    out.slot_cells[h] = static_cast<int32_t>(c);
+  }
+  return out;
+}
+
+void ExpectSameGrid(DatasetView data, double cell_size,
+                    const std::string& context) {
+  const GridIndex grid(data, cell_size);
+  const GridArrays built = ArraysOf(grid);
+  const GridArrays reference = SortUniqueGrid(data, cell_size);
+  EXPECT_EQ(built.cell_keys, reference.cell_keys) << context;
+  EXPECT_EQ(built.cell_offsets, reference.cell_offsets) << context;
+  EXPECT_EQ(built.posting_ids, reference.posting_ids) << context;
+  EXPECT_EQ(built.slot_keys, reference.slot_keys) << context;
+  EXPECT_EQ(built.slot_cells, reference.slot_cells) << context;
+  EXPECT_EQ(grid.stats().cell_count, reference.cell_keys.size()) << context;
+  EXPECT_EQ(grid.stats().entry_count, reference.posting_ids.size())
+      << context;
+}
+
+/// A random walk over a few cells that revisits them out of order, with
+/// empty and 1-point trajectories and, when `hostile`, NaN, +-inf, +-1e300
+/// and -0.0 coordinates (CellIndex saturates those into fixed cells).
+Dataset RevisitingCorpus(Rng* rng, int count, bool hostile) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {nan, inf, -inf, 1e300, -1e300, -0.0};
+  Dataset dataset("revisits");
+  for (int t = 0; t < count; ++t) {
+    const int length = static_cast<int>(rng->UniformInt(0, 40));
+    std::vector<Point> points;
+    double x = rng->Uniform(-3, 3);
+    double y = rng->Uniform(-3, 3);
+    for (int i = 0; i < length; ++i) {
+      // Short hops across a 6x6-cell area: cells recur, seldom in a row.
+      x = std::clamp(x + rng->Uniform(-1.5, 1.5), -3.0, 3.0);
+      y = std::clamp(y + rng->Uniform(-1.5, 1.5), -3.0, 3.0);
+      Point p{x, y};
+      if (hostile && rng->Uniform() < 0.1) {
+        p.x = specials[rng->UniformInt(0, 5)];
+      }
+      if (hostile && rng->Uniform() < 0.1) {
+        p.y = specials[rng->UniformInt(0, 5)];
+      }
+      points.push_back(p);
+    }
+    dataset.Add(Trajectory(std::move(points)));
+  }
+  return dataset;
+}
+
+TEST(GridBuildIdentityTest, CountingBuildMatchesSortUniqueBitForBit) {
+  // Degenerate corpora first: empty, all-empty trajectories, 1-point.
+  ExpectSameGrid(Dataset("empty"), 1.0, "empty dataset");
+  Dataset blanks("blanks");
+  for (int i = 0; i < 3; ++i) blanks.Add(Trajectory{});
+  ExpectSameGrid(blanks, 1.0, "empty trajectories");
+  Dataset singles("singles");
+  singles.Add(Trajectory{{0.5, 0.5}});
+  singles.Add(Trajectory{});
+  singles.Add(Trajectory{{0.5, 0.5}});
+  singles.Add(Trajectory{{-7.0, 2.0}});
+  ExpectSameGrid(singles, 1.0, "1-point trajectories");
+  // A -> B -> A: the revisit of A is not consecutive and adds no posting.
+  Dataset revisit("aba");
+  revisit.Add(Trajectory{{0.1, 0.1}, {1.5, 0.1}, {0.2, 0.3}, {0.2, 0.4}});
+  revisit.Add(Trajectory{{1.5, 0.1}, {0.1, 0.1}, {1.5, 0.2}});
+  ExpectSameGrid(revisit, 1.0, "non-consecutive revisit");
+  // Every special value alone, so each saturated cell gets a posting.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Dataset specials("specials");
+  specials.Add(Trajectory{{nan, nan}, {inf, -inf}, {1e300, -1e300},
+                          {nan, nan}, {-0.0, 0.0}, {-inf, inf}});
+  specials.Add(Trajectory{{-1e300, 1e300}, {nan, 2.0}, {nan, nan}});
+  ExpectSameGrid(specials, 0.5, "non-finite and huge coordinates");
+
+  for (const uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Rng rng(seed);
+    const bool hostile = seed % 2 == 0;
+    const Dataset corpus = RevisitingCorpus(&rng, 300, hostile);
+    const std::string context =
+        "seed " + std::to_string(seed) + (hostile ? " hostile" : "");
+    for (const double cell : {0.3, 1.0, 4.0}) {
+      ExpectSameGrid(corpus, cell, context + " cell " + std::to_string(cell));
+    }
+    // Shard views with begin_id() > 0 build over view-local ids.
+    for (const auto& [begin, count] :
+         std::vector<std::pair<int, int>>{{0, 97}, {97, 101}, {198, 102},
+                                          {150, 0}, {299, 1}}) {
+      ExpectSameGrid(DatasetView(corpus, begin, count), 1.0,
+                     context + " view " + std::to_string(begin) + "+" +
+                         std::to_string(count));
+    }
+  }
+  const Dataset porto = GenerateTaxiDataset(PortoProfile(400));
+  const double cell = DefaultCellSize(porto.Bounds());
+  ExpectSameGrid(porto, cell, "porto");
+  ExpectSameGrid(DatasetView(porto, 133, 200), cell, "porto shard");
 }
 
 // ---------------------------------------------------------------------------
