@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) for the §4.2/§5 complexity claims:
 // CMA kernels are O(mn) per pair while ExactS is O(mn^2) — the per-pair
 // time ratio must grow linearly with the data length n. Also covers the
-// exact O(mn) competitors (Spring for DTW, GB for Fréchet), the KPF bound,
-// and the open-to-ready costs: the grid build and the corpus bounding box.
+// exact O(mn) competitors (Spring for DTW, GB for Fréchet), the prune stage
+// (the KPF bound, GBP's candidate ordering), and the open-to-ready costs:
+// the grid build and the corpus bounding box.
 
 #include <benchmark/benchmark.h>
 
@@ -15,6 +16,7 @@
 #include "distance/cost_model.h"
 #include "distance/dp.h"
 #include "gen/taxi.h"
+#include "gen/workload.h"
 #include "prune/grid_index.h"
 #include "prune/key_point_filter.h"
 #include "search/cma.h"
@@ -449,6 +451,96 @@ void BM_DatasetBounds(benchmark::State& state) {
   state.counters["points"] = static_cast<double>(corpus.point_count());
 }
 BENCHMARK(BM_DatasetBounds)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// Porto-shaped prune inputs: 64 of porto-interactive's 30-50-point queries
+// sampled from the 51k Porto corpus above, its grid at the default cell and,
+// per query, the GBP candidates at perfbench's mu = 0.1 — what KPF bounds.
+struct PortoPrune {
+  std::vector<Trajectory> queries;
+  std::unique_ptr<GridIndex> grid;
+  std::vector<std::vector<int>> candidates;
+};
+
+const PortoPrune& PortoPruneInputs() {
+  static const PortoPrune inputs = [] {
+    const Dataset& corpus = BuildCorpus(1);
+    PortoPrune p;
+    WorkloadOptions options;
+    options.count = 64;
+    options.min_length = 30;
+    options.max_length = 50;
+    options.seed = 11;
+    p.queries = SampleQueries(corpus, options).queries;
+    p.grid = std::make_unique<GridIndex>(corpus,
+                                         DefaultCellSize(corpus.Bounds()));
+    for (const Trajectory& q : p.queries) {
+      p.candidates.emplace_back();
+      p.grid->OrderedCandidates(q, 0.1, &p.candidates.back());
+    }
+    return p;
+  }();
+  return inputs;
+}
+
+// GBP per query: close counts over every cell near the query, the mu
+// filter and the most-promising-first sort (the engine's candidate order).
+void BM_GridOrderedCandidates(benchmark::State& state) {
+  const PortoPrune& p = PortoPruneInputs();
+  std::vector<int> out;
+  size_t q = 0;
+  double candidates = 0;
+  for (auto _ : state) {
+    p.grid->OrderedCandidates(p.queries[q], 0.1, &out);
+    candidates += static_cast<double>(out.size());
+    q = (q + 1) % p.queries.size();
+  }
+  state.counters["candidates"] =
+      benchmark::Counter(candidates, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_GridOrderedCandidates)->Unit(benchmark::kMicrosecond);
+
+// KPF (DTW, r = 1) over one Porto query's GBP candidates per iteration,
+// abandoning at the full bound of rank candidates / 10: about nine in ten
+// candidates are pruned, as in porto-interactive's funnel (~945 of ~1,050).
+// Arg 0 = 1 selects the startup dispatch, 0 the scalar one.
+void BM_KpfLowerBoundPlanPorto(benchmark::State& state) {
+  const PortoPrune& p = PortoPruneInputs();
+  const Dataset& corpus = BuildCorpus(1);
+  const bool dispatch = simd::Enabled();
+  simd::SetEnabled(state.range(0) != 0);
+  std::vector<double> cutoffs;
+  KpfBoundPlan plan;
+  for (size_t q = 0; q < p.queries.size(); ++q) {
+    plan.Bind(DistanceSpec::Dtw(), p.queries[q], 1.0);
+    std::vector<double> full;
+    for (const int id : p.candidates[q]) {
+      full.push_back(plan.LowerBound(corpus[id]));
+    }
+    const size_t rank = full.size() / 10;
+    std::nth_element(full.begin(), full.begin() + rank, full.end());
+    cutoffs.push_back(full.empty() ? 0.0 : full[rank]);
+  }
+  size_t q = 0;
+  double bounded = 0;
+  for (auto _ : state) {
+    plan.Bind(DistanceSpec::Dtw(), p.queries[q], 1.0);
+    double sum = 0;
+    for (const int id : p.candidates[q]) {
+      sum += plan.LowerBound(corpus[id], cutoffs[q]);
+    }
+    benchmark::DoNotOptimize(sum);
+    bounded += static_cast<double>(p.candidates[q].size());
+    q = (q + 1) % p.queries.size();
+  }
+  simd::SetEnabled(dispatch);
+  state.counters["candidates"] =
+      benchmark::Counter(bounded, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_KpfLowerBoundPlanPorto)
+    ->Name("BM_KpfLowerBoundPlan/porto")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace trajsearch

@@ -76,7 +76,8 @@ Dataset::Dataset(const Dataset& other)
       pool_size_(other.pool_size_),
       offsets_data_(other.offsets_data_),
       offsets_size_(other.offsets_size_),
-      keepalive_(other.keepalive_) {
+      keepalive_(other.keepalive_),
+      bounds_(other.bounds_) {
   // A borrowed copy shares the keepalive and the source's views stay valid;
   // an owned copy got fresh vector buffers and must repoint at them.
   if (!borrowed_) SyncViews();
@@ -93,6 +94,7 @@ Dataset& Dataset::operator=(const Dataset& other) {
   offsets_data_ = other.offsets_data_;
   offsets_size_ = other.offsets_size_;
   keepalive_ = other.keepalive_;
+  bounds_ = other.bounds_;
   if (!borrowed_) SyncViews();
   return *this;
 }
@@ -137,7 +139,8 @@ Dataset Dataset::FromPool(std::string name, std::vector<Point> pool,
 
 Dataset Dataset::FromMapped(std::string name, std::span<const Point> pool,
                             std::span<const uint64_t> offsets,
-                            std::shared_ptr<const void> keepalive) {
+                            std::shared_ptr<const void> keepalive,
+                            std::optional<BoundingBox> bounds) {
   TRAJ_CHECK(!offsets.empty() && offsets.front() == 0 &&
              offsets.back() == pool.size());
   TRAJ_CHECK(std::is_sorted(offsets.begin(), offsets.end()));
@@ -149,6 +152,7 @@ Dataset Dataset::FromMapped(std::string name, std::span<const Point> pool,
   dataset.offsets_data_ = offsets.data();
   dataset.offsets_size_ = offsets.size();
   dataset.keepalive_ = std::move(keepalive);
+  dataset.bounds_ = bounds;
   return dataset;
 }
 
@@ -183,6 +187,7 @@ DatasetStats Dataset::Stats() const {
 }
 
 BoundingBox Dataset::Bounds() const {
+  if (bounds_.has_value()) return *bounds_;
   return PoolBounds(pool_data_, pool_size_);
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -104,10 +105,13 @@ class Dataset {
   /// storage (shared by copies of this dataset) and is released when the
   /// last borrower is destroyed. The spans must satisfy the same invariants
   /// FromPool checks; callers loading untrusted bytes validate first and
-  /// fail soft.
+  /// fail soft. `bounds`, when given, is the pool's bounding box as recorded
+  /// with it (a v4 grid section carries one): Bounds() then returns it
+  /// without reading the pool, and copies keep it.
   static Dataset FromMapped(std::string name, std::span<const Point> pool,
                             std::span<const uint64_t> offsets,
-                            std::shared_ptr<const void> keepalive);
+                            std::shared_ptr<const void> keepalive,
+                            std::optional<BoundingBox> bounds = std::nullopt);
 
   /// True when the storage is borrowed (FromMapped); such a dataset is
   /// immutable — grow it by compacting into an owned corpus first.
@@ -167,9 +171,10 @@ class Dataset {
   /// Computes summary statistics over all trajectories.
   DatasetStats Stats() const;
 
-  /// Bounding box over all points: one pass over the pool, vectorized on
-  /// AVX2. Extremes equal the BoundingBox::Extend loop's, NaN skipped; only
-  /// the sign of a zero extreme may differ from it.
+  /// Bounding box over all points: the box FromMapped was handed, else one
+  /// pass over the pool, vectorized on AVX2. Extremes equal the
+  /// BoundingBox::Extend loop's, NaN skipped; only the sign of a zero
+  /// extreme may differ from it.
   BoundingBox Bounds() const;
 
  private:
@@ -197,6 +202,8 @@ class Dataset {
   /// Owner of borrowed storage (e.g. the mapped snapshot file); shared by
   /// copies so the mapping lives exactly as long as its last borrower.
   std::shared_ptr<const void> keepalive_;
+  /// The recorded box of a borrowed pool (FromMapped), if it came with one.
+  std::optional<BoundingBox> bounds_;
 };
 
 /// \brief A contiguous range of a Dataset's trajectories.

@@ -20,6 +20,8 @@ constexpr char kMagic[8] = {'T', 'R', 'A', 'J', 'S', 'N', 'A', 'P'};
 constexpr uint64_t kHeaderBytes = 8 + 4 + 4 + 8 + 8 + 8;
 constexpr uint64_t kSectionEntryBytes = 4 + 4 + 8 + 8;
 constexpr uint64_t kGridHeaderBytes = 8 + 4 + 4 + 8 + 8 + 8;
+/// The corpus box a grid section may end with: min x, min y, max x, max y.
+constexpr uint64_t kGridBoundsBytes = 4 * 8;
 constexpr uint64_t kCompressedHeaderBytes = 4 + 4 + 8 + 8 + 8 + 8;
 /// A v4 file has at most one section of each known type.
 constexpr uint32_t kMaxSections = 16;
@@ -79,18 +81,24 @@ std::span<const T> SpanAt(const std::byte* base, uint64_t offset,
 
 /// Serialized grid-section shape (header fields, then the five arrays in
 /// descending alignment: cell_keys i64, cell_offsets u64, slot_keys i64,
-/// ids i32, slot_cells i32).
+/// ids i32, slot_cells i32, then — flag kV4GridFlagBounds — the corpus box).
 struct GridSectionShape {
   double cell_size = 0;
   int32_t dataset_size = 0;
+  uint32_t flags = 0;
   uint64_t cell_count = 0;
   uint64_t id_count = 0;
   uint64_t slot_count = 0;
 
-  uint64_t ExpectedLength() const {
+  /// Bytes up to the end of the five arrays: where the box starts.
+  uint64_t ArraysEnd() const {
     return kGridHeaderBytes + cell_count * sizeof(int64_t) +
            (cell_count + 1) * sizeof(uint64_t) + slot_count * sizeof(int64_t) +
            id_count * sizeof(int32_t) + slot_count * sizeof(int32_t);
+  }
+  uint64_t ExpectedLength() const {
+    return ArraysEnd() +
+           ((flags & kV4GridFlagBounds) != 0 ? kGridBoundsBytes : 0);
   }
 };
 
@@ -270,9 +278,11 @@ Status WriteSnapshotV4(const Dataset& dataset, const std::string& path,
   const Dataset& corpus = options.compress ? decoded : dataset;
 
   std::optional<GridIndex> grid;
+  BoundingBox bounds;
   if (options.include_grid && !corpus.empty()) {
+    bounds = corpus.Bounds();
     double cell = options.grid_cell;
-    if (cell <= 0) cell = DefaultCellSize(corpus.Bounds());
+    if (cell <= 0) cell = DefaultCellSize(bounds);
     grid.emplace(DatasetView(corpus), cell);
   }
 
@@ -295,6 +305,7 @@ Status WriteSnapshotV4(const Dataset& dataset, const std::string& path,
   }
   if (grid.has_value()) {
     GridSectionShape shape;
+    shape.flags = kV4GridFlagBounds;
     shape.cell_count = grid->cell_count();
     shape.id_count = grid->posting_ids().size();
     shape.slot_count = grid->slot_keys().size();
@@ -344,7 +355,7 @@ Status WriteSnapshotV4(const Dataset& dataset, const std::string& path,
       case kV4SectionGrid: {
         PutScalar(out, grid->cell_size());
         PutScalar(out, static_cast<int32_t>(grid->dataset_size()));
-        PutScalar(out, uint32_t{0});
+        PutScalar(out, kV4GridFlagBounds);
         PutScalar(out, static_cast<uint64_t>(grid->cell_count()));
         PutScalar(out, static_cast<uint64_t>(grid->posting_ids().size()));
         PutScalar(out, static_cast<uint64_t>(grid->slot_keys().size()));
@@ -358,6 +369,10 @@ Status WriteSnapshotV4(const Dataset& dataset, const std::string& path,
                  grid->posting_ids().size_bytes());
         PutBytes(out, grid->slot_cells().data(),
                  grid->slot_cells().size_bytes());
+        PutScalar(out, bounds.min_x);
+        PutScalar(out, bounds.min_y);
+        PutScalar(out, bounds.max_x);
+        PutScalar(out, bounds.max_y);
         break;
       }
       case kV4SectionCompressed: {
@@ -416,6 +431,71 @@ Result<MmapSnapshot> MmapSnapshot::Open(const std::string& path,
       !std::is_sorted(offsets.begin(), offsets.end())) {
     return Status::InvalidArgument(
         "snapshot offset table is not a valid pool layout: " + path);
+  }
+
+  if (const SectionEntry* entry = prelude.Find(kV4SectionGrid)) {
+    if (entry->length < kGridHeaderBytes) {
+      return Status::IoError("truncated grid index section: " + path);
+    }
+    GridSectionShape shape;
+    size_t cursor = static_cast<size_t>(entry->offset);
+    LoadScalar(base, size, &cursor, &shape.cell_size);
+    LoadScalar(base, size, &cursor, &shape.dataset_size);
+    LoadScalar(base, size, &cursor, &shape.flags);
+    LoadScalar(base, size, &cursor, &shape.cell_count);
+    LoadScalar(base, size, &cursor, &shape.id_count);
+    LoadScalar(base, size, &cursor, &shape.slot_count);
+    if (shape.cell_count > size || shape.id_count > size ||
+        shape.slot_count > size) {
+      // Same plausibility bound the prelude counts get: every grid array
+      // stores at least 4 bytes per entry, so any count beyond the file size
+      // is corruption — and unchecked it could wrap the ExpectedLength
+      // arithmetic below (e.g. cell_count + 2^61 multiplies back to the
+      // genuine length mod 2^64) and size spans far past the mapping.
+      return Status::IoError("grid index section counts exceed file size: " +
+                             path);
+    }
+    if (shape.dataset_size < 0 ||
+        static_cast<uint64_t>(shape.dataset_size) != traj_count ||
+        (shape.flags & ~kV4GridFlagBounds) != 0 ||
+        shape.ExpectedLength() != entry->length) {
+      return Status::InvalidArgument(
+          "grid index section disagrees with the header: " + path);
+    }
+    uint64_t at = entry->offset + kGridHeaderBytes;
+    const std::span<const int64_t> cell_keys =
+        SpanAt<int64_t>(base, at, shape.cell_count);
+    at += shape.cell_count * sizeof(int64_t);
+    const std::span<const uint64_t> cell_offsets =
+        SpanAt<uint64_t>(base, at, shape.cell_count + 1);
+    at += (shape.cell_count + 1) * sizeof(uint64_t);
+    const std::span<const int64_t> slot_keys =
+        SpanAt<int64_t>(base, at, shape.slot_count);
+    at += shape.slot_count * sizeof(int64_t);
+    const std::span<const int32_t> ids =
+        SpanAt<int32_t>(base, at, shape.id_count);
+    at += shape.id_count * sizeof(int32_t);
+    const std::span<const int32_t> slot_cells =
+        SpanAt<int32_t>(base, at, shape.slot_count);
+    Result<GridIndex> grid = GridIndex::FromParts(
+        shape.cell_size, shape.dataset_size, cell_keys, cell_offsets, ids,
+        slot_keys, slot_cells, file);
+    if (!grid.ok()) {
+      return Status::InvalidArgument("grid index section rejected (" +
+                                     grid.status().message() + "): " + path);
+    }
+    snapshot.grid_.emplace(grid.MoveValue());
+    if ((shape.flags & kV4GridFlagBounds) != 0) {
+      // The recorded corpus box: the service pins its GBP cell from it
+      // without reading the point payload. Verify() checks it.
+      BoundingBox box;
+      cursor = static_cast<size_t>(entry->offset + shape.ArraysEnd());
+      LoadScalar(base, size, &cursor, &box.min_x);
+      LoadScalar(base, size, &cursor, &box.min_y);
+      LoadScalar(base, size, &cursor, &box.max_x);
+      LoadScalar(base, size, &cursor, &box.max_y);
+      snapshot.bounds_ = box;
+    }
   }
 
   if (snapshot.compressed_) {
@@ -479,7 +559,7 @@ Result<MmapSnapshot> MmapSnapshot::Open(const std::string& path,
     const std::span<const uint64_t> decoded_offsets = decoded->offsets;
     snapshot.dataset_ =
         Dataset::FromMapped(std::move(prelude.name), pool, decoded_offsets,
-                            std::move(decoded));
+                            std::move(decoded), snapshot.bounds_);
   } else {
     // Files written before the shadow columns were retired also carry x/y
     // column sections (types 3 and 4); like any section this reader does
@@ -490,61 +570,7 @@ Result<MmapSnapshot> MmapSnapshot::Open(const std::string& path,
     snapshot.dataset_ = Dataset::FromMapped(
         std::move(prelude.name),
         SpanAt<Point>(base, pool_entry.value()->offset, point_count), offsets,
-        file);
-  }
-
-  if (const SectionEntry* entry = prelude.Find(kV4SectionGrid)) {
-    if (entry->length < kGridHeaderBytes) {
-      return Status::IoError("truncated grid index section: " + path);
-    }
-    GridSectionShape shape;
-    size_t cursor = static_cast<size_t>(entry->offset);
-    uint32_t pad = 0;
-    LoadScalar(base, size, &cursor, &shape.cell_size);
-    LoadScalar(base, size, &cursor, &shape.dataset_size);
-    LoadScalar(base, size, &cursor, &pad);
-    LoadScalar(base, size, &cursor, &shape.cell_count);
-    LoadScalar(base, size, &cursor, &shape.id_count);
-    LoadScalar(base, size, &cursor, &shape.slot_count);
-    if (shape.cell_count > size || shape.id_count > size ||
-        shape.slot_count > size) {
-      // Same plausibility bound the prelude counts get: every grid array
-      // stores at least 4 bytes per entry, so any count beyond the file size
-      // is corruption — and unchecked it could wrap the ExpectedLength
-      // arithmetic below (e.g. cell_count + 2^61 multiplies back to the
-      // genuine length mod 2^64) and size spans far past the mapping.
-      return Status::IoError("grid index section counts exceed file size: " +
-                             path);
-    }
-    if (shape.dataset_size < 0 ||
-        static_cast<uint64_t>(shape.dataset_size) != traj_count ||
-        shape.ExpectedLength() != entry->length) {
-      return Status::InvalidArgument(
-          "grid index section disagrees with the header: " + path);
-    }
-    uint64_t at = entry->offset + kGridHeaderBytes;
-    const std::span<const int64_t> cell_keys =
-        SpanAt<int64_t>(base, at, shape.cell_count);
-    at += shape.cell_count * sizeof(int64_t);
-    const std::span<const uint64_t> cell_offsets =
-        SpanAt<uint64_t>(base, at, shape.cell_count + 1);
-    at += (shape.cell_count + 1) * sizeof(uint64_t);
-    const std::span<const int64_t> slot_keys =
-        SpanAt<int64_t>(base, at, shape.slot_count);
-    at += shape.slot_count * sizeof(int64_t);
-    const std::span<const int32_t> ids =
-        SpanAt<int32_t>(base, at, shape.id_count);
-    at += shape.id_count * sizeof(int32_t);
-    const std::span<const int32_t> slot_cells =
-        SpanAt<int32_t>(base, at, shape.slot_count);
-    Result<GridIndex> grid = GridIndex::FromParts(
-        shape.cell_size, shape.dataset_size, cell_keys, cell_offsets, ids,
-        slot_keys, slot_cells, file);
-    if (!grid.ok()) {
-      return Status::InvalidArgument("grid index section rejected (" +
-                                     grid.status().message() + "): " + path);
-    }
-    snapshot.grid_.emplace(grid.MoveValue());
+        file, snapshot.bounds_);
   }
 
   if (options.willneed) {
@@ -566,6 +592,16 @@ void MmapSnapshot::UpdateGauges(obs::Registry* registry) const {
 Status MmapSnapshot::Verify() const {
   if (Fingerprint(dataset_) != fingerprint_) {
     return Status::InvalidArgument("snapshot checksum mismatch");
+  }
+  if (bounds_.has_value()) {
+    // The recorded box must be the one a scan of the served pool gives; ==
+    // treats the zero signs the scan orders may differ in as equal.
+    const BoundingBox scanned = DatasetView(dataset_).Bounds();
+    if (!(scanned.min_x == bounds_->min_x && scanned.min_y == bounds_->min_y &&
+          scanned.max_x == bounds_->max_x &&
+          scanned.max_y == bounds_->max_y)) {
+      return Status::InvalidArgument("snapshot corpus box mismatch");
+    }
   }
   if (grid_.has_value()) {
     // Open validates everything memory-safety-relevant (CSR bounds, slot

@@ -36,9 +36,15 @@ namespace trajsearch {
 /// column_codec.h) that Open decodes into an exactly-sized heap pool, which
 /// the opened dataset then borrows the same way.
 /// Either kind may carry a prebuilt CSR grid-index section, served borrowed
-/// through GridIndex::FromParts. Readers skip section types they do not
-/// use, which is how files that still carry the retired x/y shadow columns
-/// (types 3 and 4) open.
+/// through GridIndex::FromParts. Its 40-byte header (cell size, corpus
+/// size, a flags word, three array counts) precedes the five CSR arrays;
+/// with grid flag bit 0 (kV4GridFlagBounds) the section ends with the
+/// corpus bounding box — min x, min y, max x, max y as Dataset::Bounds() of
+/// the reconstructed corpus — which Open hands to the dataset, so pinning
+/// the GBP cell reads no point payload. Files whose grid flags are 0 (the
+/// word was reserved) open the same and scan for the box. Readers skip
+/// section types they do not use, which is how files that still carry the
+/// retired x/y shadow columns (types 3 and 4) open.
 enum : uint32_t {
   kV4SectionOffsets = 1,     ///< (traj_count + 1) x uint64 pool offsets
   kV4SectionPool = 2,        ///< point_count x Point, the AoS pool verbatim
@@ -55,6 +61,10 @@ inline constexpr uint64_t kV4PageSize = 4096;
 
 /// Flag bits of the v4 header's `flags` word.
 inline constexpr uint32_t kV4FlagCompressed = 1u << 0;
+
+/// Flag bits of the grid section header's `flags` word (written 0 before
+/// the box was recorded; unknown bits are rejected).
+inline constexpr uint32_t kV4GridFlagBounds = 1u << 0;
 
 struct V4WriteOptions {
   /// Write the compressed column tier instead of the pool section.
@@ -146,6 +156,8 @@ class MmapSnapshot {
   std::shared_ptr<MappedFile> file_;
   Dataset dataset_;
   std::optional<GridIndex> grid_;
+  /// The corpus box the grid section recorded, if it carries one.
+  std::optional<BoundingBox> bounds_;
   uint64_t fingerprint_ = 0;
   bool compressed_ = false;
   double resolution_ = 0;

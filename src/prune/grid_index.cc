@@ -1,6 +1,7 @@
 #include "prune/grid_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <utility>
 
@@ -13,23 +14,32 @@ namespace {
 
 /// Per-thread counting scratch, shared by every GridIndex on the thread.
 ///
-/// Tokens are monotonically increasing across queries, so arrays never need
-/// clearing between queries (a stale stamp can never equal a fresh token);
-/// they only grow to the largest dataset seen on the thread.
+/// Between calls every word and count is zero again (each call clears what
+/// it set), so nothing is cleared per query; the per-id arrays only grow to
+/// the largest dataset seen on the thread.
 struct GridScratch {
-  /// Token of the last query point that counted this id.
-  std::vector<uint64_t> point_stamp;
-  /// Base token of the query that last touched this id's counter.
-  std::vector<uint64_t> query_stamp;
+  /// Per id: the query-point mask of the current block (bit b set when
+  /// block point b has the id in one of its nine cells).
+  std::vector<uint64_t> words;
+  /// Per id: close count over the blocks so far.
   std::vector<int> counts;
+  /// Ids whose word went non-zero in the current block, and ids with a
+  /// non-zero count, each in first-touch order; sized to the dataset, so
+  /// appends are unconditional stores.
+  std::vector<int> block_ids;
   std::vector<int> touched;
-  uint64_t next_token = 1;
+  /// The block's distinct neighbour cells: an open-addressed key -> mask
+  /// table (mask 0 = empty slot) and the slots in use.
+  std::vector<int64_t> cell_keys;
+  std::vector<uint64_t> cell_masks;
+  std::vector<int> cell_slots;
 
   void EnsureSize(size_t n) {
-    if (point_stamp.size() < n) {
-      point_stamp.resize(n, 0);
-      query_stamp.resize(n, 0);
+    if (words.size() < n) {
+      words.resize(n, 0);
       counts.resize(n, 0);
+      block_ids.resize(n);
+      touched.resize(n);
     }
   }
 };
@@ -324,41 +334,87 @@ std::pair<const int32_t*, const int32_t*> GridIndex::CellRange(
   }
 }
 
-void GridIndex::CloseCounts(TrajectoryView query,
-                            std::vector<std::pair<int, int>>* out) const {
+void GridIndex::UnsortedCloseCounts(
+    TrajectoryView query, std::vector<std::pair<int, int>>* out) const {
+  // Query points per block: one bit of a mask word each.
+  constexpr size_t kBlock = 64;
+  // A power of two >= 2 * 9 * kBlock: a block's distinct neighbour cells
+  // fill the cell table at most half.
+  constexpr size_t kCellSlots = 2048;
+  constexpr size_t kCellMask = kCellSlots - 1;
   GridScratch& scratch = LocalScratch();
-  scratch.EnsureSize(static_cast<size_t>(dataset_size_));
-  scratch.touched.clear();
-  // One token per query point plus the base marking "this query".
-  const uint64_t base = scratch.next_token;
-  scratch.next_token += query.size() + 1;
-
-  for (size_t qi = 0; qi < query.size(); ++qi) {
-    const uint64_t token = base + 1 + qi;
-    const Point& p = query[qi];
-    for (const int64_t key : CloseCellKeys(p.x, p.y, cell_size_)) {
-      const auto [it, end] = CellRange(key);
-      for (const int32_t* id_ptr = it; id_ptr != end; ++id_ptr) {
-        const size_t id = static_cast<size_t>(*id_ptr);
-        if (scratch.point_stamp[id] == token) {
-          continue;  // this query point already counted for id
+  // One spare entry: the id lists store before they decide to advance.
+  scratch.EnsureSize(static_cast<size_t>(dataset_size_) + 1);
+  if (scratch.cell_masks.size() != kCellSlots) {
+    scratch.cell_keys.assign(kCellSlots, 0);
+    scratch.cell_masks.assign(kCellSlots, 0);
+    scratch.cell_slots.reserve(9 * kBlock);
+  }
+  uint64_t* words = scratch.words.data();
+  int* counts = scratch.counts.data();
+  int* block_ids = scratch.block_ids.data();
+  int* touched = scratch.touched.data();
+  int64_t* cell_keys = scratch.cell_keys.data();
+  uint64_t* cell_masks = scratch.cell_masks.data();
+  size_t touched_count = 0;
+  for (size_t begin = 0; begin < query.size(); begin += kBlock) {
+    const size_t end = std::min(query.size(), begin + kBlock);
+    // Group the block's 9 * (end - begin) neighbour keys by cell: each
+    // distinct cell gets the mask of the block points it neighbours.
+    scratch.cell_slots.clear();
+    for (size_t qi = begin; qi < end; ++qi) {
+      const uint64_t bit = uint64_t{1} << (qi - begin);
+      const Point& p = query[qi];
+      for (const int64_t key : CloseCellKeys(p.x, p.y, cell_size_)) {
+        size_t h = HashKey(key) & kCellMask;
+        while (cell_masks[h] != 0 && cell_keys[h] != key) {
+          h = (h + 1) & kCellMask;
         }
-        scratch.point_stamp[id] = token;
-        if (scratch.query_stamp[id] != base) {
-          scratch.query_stamp[id] = base;
-          scratch.counts[id] = 0;
-          scratch.touched.push_back(static_cast<int>(id));
+        if (cell_masks[h] == 0) {
+          cell_keys[h] = key;
+          scratch.cell_slots.push_back(static_cast<int>(h));
         }
-        ++scratch.counts[id];
+        cell_masks[h] |= bit;
       }
     }
+    // Visit each distinct cell's postings once, OR-ing its mask into the
+    // trajectory's word; a word going non-zero lists the id for the block.
+    size_t block_count = 0;
+    for (const int h : scratch.cell_slots) {
+      const uint64_t mask = cell_masks[h];
+      cell_masks[h] = 0;
+      const auto [it, stop] = CellRange(cell_keys[h]);
+      for (const int32_t* id_ptr = it; id_ptr != stop; ++id_ptr) {
+        const int32_t id = *id_ptr;
+        const uint64_t word = words[id];
+        block_ids[block_count] = id;
+        block_count += static_cast<size_t>(word == 0);
+        words[id] = word | mask;
+      }
+    }
+    // Each set bit is one block point close to the trajectory.
+    for (size_t i = 0; i < block_count; ++i) {
+      const int id = block_ids[i];
+      const int count = counts[id];
+      touched[touched_count] = id;
+      touched_count += static_cast<size_t>(count == 0);
+      counts[id] = count + std::popcount(words[id]);
+      words[id] = 0;
+    }
   }
-  std::sort(scratch.touched.begin(), scratch.touched.end());
   out->clear();
-  out->reserve(scratch.touched.size());
-  for (const int id : scratch.touched) {
-    out->emplace_back(id, scratch.counts[static_cast<size_t>(id)]);
+  out->reserve(touched_count);
+  for (size_t i = 0; i < touched_count; ++i) {
+    const int id = touched[i];
+    out->emplace_back(id, counts[id]);
+    counts[id] = 0;
   }
+}
+
+void GridIndex::CloseCounts(TrajectoryView query,
+                            std::vector<std::pair<int, int>>* out) const {
+  UnsortedCloseCounts(query, out);
+  std::sort(out->begin(), out->end());
 }
 
 std::vector<std::pair<int, int>> GridIndex::CloseCounts(
@@ -372,7 +428,7 @@ void GridIndex::SurvivorCounts(
     TrajectoryView query, double mu,
     std::vector<std::pair<int, int>>* out) const {
   thread_local std::vector<std::pair<int, int>> counts;
-  CloseCounts(query, &counts);
+  UnsortedCloseCounts(query, &counts);
   const double threshold = mu * static_cast<double>(query.size());
   out->clear();
   for (const auto& [id, count] : counts) {
@@ -387,6 +443,7 @@ void GridIndex::Candidates(TrajectoryView query, double mu,
   out->clear();
   out->reserve(survivors.size());
   for (const auto& [id, count] : survivors) out->push_back(id);
+  std::sort(out->begin(), out->end());
 }
 
 std::vector<int> GridIndex::Candidates(TrajectoryView query,
@@ -398,16 +455,11 @@ std::vector<int> GridIndex::Candidates(TrajectoryView query,
 
 void GridIndex::OrderedCandidates(TrajectoryView query, double mu,
                                   std::vector<int>* out) const {
-  thread_local std::vector<std::pair<int, int>> survivors;
   thread_local std::vector<std::pair<int, int>> order;
-  SurvivorCounts(query, mu, &survivors);  // same set as Candidates()
-  order.clear();
-  order.reserve(survivors.size());
-  for (const auto& [id, count] : survivors) {
-    // Negated count so the default pair ordering yields descending count,
-    // ascending id — a deterministic most-promising-first order.
-    order.emplace_back(-count, id);
-  }
+  SurvivorCounts(query, mu, &order);  // same set as Candidates()
+  // Negated count so the default pair ordering yields descending count,
+  // ascending id — a deterministic most-promising-first order.
+  for (auto& entry : order) entry = {-entry.second, entry.first};
   std::sort(order.begin(), order.end());
   out->clear();
   out->reserve(order.size());

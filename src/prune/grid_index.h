@@ -96,8 +96,15 @@ struct GridIndexStats {
 /// node-based hash map — plus a flat open-addressed slot table for O(1)
 /// key-to-cell lookup, so a cell probe is one hash, a short linear scan over
 /// two flat arrays and a contiguous run of ids that prefetches cleanly.
-/// Per-query counting uses an epoch-stamped dense counter array held in
-/// thread-local scratch, so steady-state queries allocate nothing. Ids are
+/// Per-query counting visits each distinct cell once per block of up to 64
+/// query points: the block's 9 * m neighbour keys are grouped by cell into
+/// a mask of the block points each cell neighbours, and every posting of
+/// the cell ORs that mask into a per-trajectory word; the popcount of the
+/// word is then the block's close count for the trajectory. A cell that
+/// several query points share — consecutive points mostly do — is read
+/// once instead of once per point, and no per-visit dedupe test is needed.
+/// The per-id words and counts live in thread-local scratch that every call
+/// leaves zeroed, so steady-state queries allocate nothing. Ids are
 /// local to the DatasetView the index was built over (identical to global
 /// ids for a whole-dataset view).
 /// Storage is owned (built by the constructor) or *borrowed* (FromParts:
@@ -199,9 +206,13 @@ class GridIndex {
   void SyncViews();
   /// Postings of the cell with `key`, or an empty range.
   std::pair<const int32_t*, const int32_t*> CellRange(int64_t key) const;
+  /// close(q, T) of every trajectory with a nonzero count, as (id, count)
+  /// pairs in first-touch order (see the class comment).
+  void UnsortedCloseCounts(TrajectoryView query,
+                           std::vector<std::pair<int, int>>* out) const;
   /// The one mu-threshold filter both Candidates() and OrderedCandidates()
   /// select survivors with: (id, close count) pairs with
-  /// close(q, T) >= mu * |query|, ascending id.
+  /// close(q, T) >= mu * |query|, in UnsortedCloseCounts' order.
   void SurvivorCounts(TrajectoryView query, double mu,
                       std::vector<std::pair<int, int>>* out) const;
 

@@ -58,7 +58,7 @@ void CmaSuffixFloor::Bind(const DistanceSpec& spec, CmaWedVariant variant,
   if (kind_ == Kind::kNone) return;
   // Pad to whole pairs of lane groups by repeating the last point; the pad
   // lanes' floors are computed and never read.
-  const size_t group = 2 * simd::kLanes;
+  const size_t group = ChunkBoxes::kGroup;
   const size_t padded =
       (static_cast<size_t>(m_) + group - 1) / group * group;
   qx_->resize(padded);
@@ -89,79 +89,15 @@ CmaAbandonRule CmaSuffixFloor::Fill(TrajectoryView data, double cutoff,
   CmaAbandonRule non_finite;
   non_finite.never = kind_ == Kind::kMax;
   if (!finite_query_) return non_finite;
-  constexpr int kChunk = 8;
-  const int n = static_cast<int>(data.size());
-  const int boxes = (n + kChunk - 1) / kChunk;
-  box_->resize(4 * static_cast<size_t>(boxes));
-  double* lox = box_->data();
-  double* hix = lox + boxes;
-  double* loy = hix + boxes;
-  double* hiy = loy + boxes;
-  bool finite = true;
-  for (int b = 0; b < boxes; ++b) {
-    const int end = std::min(n, (b + 1) * kChunk);
-    const Point first = data[static_cast<size_t>(b * kChunk)];
-    double x0 = first.x, x1 = first.x, y0 = first.y, y1 = first.y;
-    for (int j = b * kChunk; j < end; ++j) {
-      const Point p = data[static_cast<size_t>(j)];
-      finite = finite && std::isfinite(p.x) && std::isfinite(p.y);
-      x0 = std::min(x0, p.x);
-      x1 = std::max(x1, p.x);
-      y0 = std::min(y0, p.y);
-      y1 = std::max(y1, p.y);
-    }
-    lox[b] = x0;
-    hix[b] = x1;
-    loy[b] = y0;
-    hiy[b] = y1;
-  }
-  if (!finite) return non_finite;
-
-  // lb[k] = min over boxes of the squared distance from q_k to the box:
-  // per axis q minus q clamped into [lo, hi] (the gap lo - q or q - hi up
-  // to sign, or 0 inside), squared and summed like SquaredDistance. No NaN
-  // can arise (all inputs finite), so the vector and scalar mins agree bit
-  // for bit. The vector loop runs two groups of kLanes query points per
-  // box, sharing the box broadcasts.
+  box_->resize(ChunkBoxes::StorageSize(data.size()));
+  if (!boxes_.Build(data, vector_, box_->data())) return non_finite;
+  // lb[k] = a floor under min_j |q_k - d_j|^2 from the candidate's chunk
+  // boxes, one group of query points at a time (the pad lanes included).
   const double* qx = qx_->data();
   const double* qy = qy_->data();
   double* lb = lb_->data();
-  const int padded = static_cast<int>(lb_->size());
-  if (vector_) {
-    using simd::VecD;
-    constexpr int kStep = simd::kLanes;
-    for (int k = 0; k < padded; k += 2 * kStep) {
-      const VecD x0 = VecD::Load(qx + k);
-      const VecD y0 = VecD::Load(qy + k);
-      const VecD x1 = VecD::Load(qx + k + kStep);
-      const VecD y1 = VecD::Load(qy + k + kStep);
-      VecD best0 = VecD::Broadcast(kNoCutoff);
-      VecD best1 = best0;
-      for (int b = 0; b < boxes; ++b) {
-        const VecD lo_x = VecD::Broadcast(lox[b]);
-        const VecD hi_x = VecD::Broadcast(hix[b]);
-        const VecD lo_y = VecD::Broadcast(loy[b]);
-        const VecD hi_y = VecD::Broadcast(hiy[b]);
-        const VecD gx0 = x0 - VecD::Min(VecD::Max(x0, lo_x), hi_x);
-        const VecD gy0 = y0 - VecD::Min(VecD::Max(y0, lo_y), hi_y);
-        const VecD gx1 = x1 - VecD::Min(VecD::Max(x1, lo_x), hi_x);
-        const VecD gy1 = y1 - VecD::Min(VecD::Max(y1, lo_y), hi_y);
-        best0 = VecD::Min(best0, gx0 * gx0 + gy0 * gy0);
-        best1 = VecD::Min(best1, gx1 * gx1 + gy1 * gy1);
-      }
-      best0.Store(lb + k);
-      best1.Store(lb + k + kStep);
-    }
-  } else {
-    for (int k = 0; k < m_; ++k) {
-      double best = kNoCutoff;
-      for (int b = 0; b < boxes; ++b) {
-        const double gx = qx[k] - std::min(std::max(qx[k], lox[b]), hix[b]);
-        const double gy = qy[k] - std::min(std::max(qy[k], loy[b]), hiy[b]);
-        best = std::min(best, gx * gx + gy * gy);
-      }
-      lb[k] = best;
-    }
+  for (size_t k = 0; k < lb_->size(); k += ChunkBoxes::kGroup) {
+    boxes_.MinSquares(qx + k, qy + k, vector_, lb + k);
   }
 
   const double* del = del_->data();

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "distance/distance.h"
+#include "prune/chunk_boxes.h"
 #include "search/query_run.h"
 #include "search/result.h"
 #include "util/check.h"
@@ -111,15 +112,15 @@ enum class CmaWedVariant {
 /// \brief Per-candidate suffix floors for the CMA plans.
 ///
 /// Bind compiles the query side once (deletion costs, query coordinate
-/// columns padded to the lane width); Fill then bounds min_j sub(q_k, d_j)
-/// for every query point from the bounding boxes of 8-point chunks of the
-/// candidate, never from the points themselves: a box is at most as far
-/// from q_k as any point in it, also after rounding (subtraction, squaring,
-/// addition and sqrt are monotone), so the bound is never above the DP's
-/// computed substitution cost. The boxes are rebuilt per candidate in plan
-/// scratch, nothing is stored. One VecD min over the boxes' squared
-/// distances covers kLanes query points; then one sqrt per query point (or,
-/// for EDR, the same squared-distance-vs-eps^2 test as EdrCosts::Sub).
+/// columns padded to ChunkBoxes::kGroup); Fill then bounds min_j
+/// sub(q_k, d_j) for every query point from the bounding boxes of 8-point
+/// chunks of the candidate (ChunkBoxes, the kernel the KPF bound shares),
+/// never from the points themselves: a box is at most as far from q_k as
+/// any point in it, also after rounding (subtraction, squaring, addition
+/// and sqrt are monotone), so the bound is never above the DP's computed
+/// substitution cost. The boxes are rebuilt per candidate in plan scratch,
+/// nothing is stored. Then one sqrt per query point (or, for EDR, the same
+/// squared-distance-vs-eps^2 test as EdrCosts::Sub).
 class CmaSuffixFloor {
  public:
   /// Compiles the query side. Custom WED costs and the kEq7Rolling variant
@@ -147,8 +148,9 @@ class CmaSuffixFloor {
   std::vector<double>* qx_ = nullptr;   // query columns, lane-padded
   std::vector<double>* qy_ = nullptr;
   std::vector<double>* del_ = nullptr;  // del(q_k); +inf for DTW/Fréchet
-  std::vector<double>* box_ = nullptr;  // chunk boxes: min x|max x|min y|max y
+  std::vector<double>* box_ = nullptr;  // storage of boxes_
   std::vector<double>* lb_ = nullptr;   // per query point cost floor
+  ChunkBoxes boxes_;                    // the candidate's chunk boxes
 };
 
 /// Lets a cost adapter (CmaRowCosts) prepare row i before CmaWedRows reads

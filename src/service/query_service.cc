@@ -325,12 +325,20 @@ bool QueryService::CompactInternal() {
   // old base corpus, its shard engines and its delta grid; keeping it past
   // the lock frees them here, not inside ingest_mu_ where appends wait.
   std::shared_ptr<const ServingState> retired;
+  std::shared_ptr<const ServingState> swapped;
   {
     MutexLock lock(ingest_mu_);
     live_.AdoptBase(merged, pinned.delta_size());
     base_state_ = std::move(rebuilt);
     retired = State();
     PublishLocked();
+    swapped = State();
+  }
+  // Index the appends that raced the rebuild (the new generation's delta)
+  // here, not inside the first query after the swap. Queries catch up the
+  // same grid concurrently; CatchUp serializes on the grid's own lock.
+  if (swapped->base->delta_grid != nullptr) {
+    swapped->base->delta_grid->CatchUp(swapped->view.delta());
   }
   metrics_.compactions->Add(1);
   metrics_.compaction_nanos->AddSeconds(watch.Seconds());

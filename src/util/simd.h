@@ -28,27 +28,21 @@
 //    (cell [x] of lane l at x*kLanes + l) so steppers load whole lane
 //    groups without gathers.
 //
-// Outside the DP, the KPF bound (prune/key_point_filter.cc) is a plain
-// min-scan: it puts consecutive *data points* in the lanes, read straight
-// from the AoS pool with the deinterleaving LoadXY. Its data may hold NaN,
-// and Min orders NaN differently per ISA (AVX2 returns the second operand,
-// NEON returns NaN), so the scan checks its lanes for NaN itself. The
-// corpus bounding box (core/dataset.cc) folds two AoS points per vector
-// with Min/Max and relies on AVX2's second-operand rule to skip NaN, so it
-// runs only on AVX2.
-//
-// LoadXY's lane order depends on the ISA: AVX2 yields points 0 2 1 3, NEON
-// points 0 1, the scalar build point 0. x and y always share the order, so
-// a lanewise point kernel is right, but lane l is not point l. Use it only
-// where the result does not depend on which lane holds which point — an
-// order-free reduction like the KPF min-scan. Never Store its lanes as
-// per-point results (e.g. out[j..j+kLanes) for points j..j+kLanes); kernels
-// that need point j in lane j - j0 copy the points into columns first
-// (CopyCols in distance/dp.h) and Load those.
+// Outside the DP, the KPF bound (prune/key_point_filter.cc) puts *key
+// points* in the lanes: each candidate point is broadcast against two lane
+// groups of key points, each lane keeps its own running minimum of squared
+// distances (no horizontal reduce) and one Sqrt per lane group finishes.
+// The chunk-box kernel that KPF and CMA's suffix floor share
+// (prune/chunk_boxes.cc) puts query points in the lanes the same way
+// against broadcast boxes, and builds each 8-point box by folding whole AoS
+// loads (x y x y ...) with Min/Max. Both run only on finite data, so no
+// lane meets a NaN. The corpus bounding box (core/dataset.cc) folds AoS
+// points with Min/Max too and relies on AVX2's second-operand rule to skip
+// NaN, so it runs only on AVX2.
 //
 // Dispatch is one switch: when Enabled(), every stepper with a vector
-// kernel (the WED column stepper and all batch kernels), the KPF scan and
-// the AVX2 bounding-box pass use it.
+// kernel (the WED column stepper and all batch kernels), the KPF and
+// chunk-box kernels and the AVX2 bounding-box pass use it.
 //
 // Bit-identity contract: every lane operation here is a single correctly
 // rounded IEEE-754 double operation (add/sub/mul/sqrt/min/max/compare), so a
@@ -109,18 +103,6 @@ struct VecD {
     const __m256d mask = _mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ);
     return {_mm256_blendv_pd(y.v, x.v, mask)};
   }
-
-  /// Deinterleaving load of kLanes AoS (x, y) pairs starting at `p`: two
-  /// unaligned loads and one unpack each. The lanes come out in the order
-  /// 0, 2, 1, 3 — the same order in `x` and `y`, which is all a lanewise
-  /// point kernel followed by a cross-lane min needs (see the lane-order
-  /// note at the top of this file).
-  static void LoadXY(const double* p, VecD* x, VecD* y) {
-    const __m256d a = _mm256_loadu_pd(p);      // x0 y0 x1 y1
-    const __m256d b = _mm256_loadu_pd(p + 4);  // x2 y2 x3 y3
-    x->v = _mm256_unpacklo_pd(a, b);           // x0 x2 x1 x3
-    y->v = _mm256_unpackhi_pd(a, b);           // y0 y2 y1 y3
-  }
 };
 
 #elif defined(TRAJSEARCH_SIMD_NEON)
@@ -153,14 +135,6 @@ struct VecD {
     const uint64x2_t mask = vcltq_f64(a.v, b.v);
     return {vbslq_f64(mask, x.v, y.v)};
   }
-
-  /// Deinterleaving load of kLanes AoS (x, y) pairs starting at `p`, in
-  /// point order 0, 1 (unlike AVX2; see the lane-order note at the top).
-  static void LoadXY(const double* p, VecD* x, VecD* y) {
-    const float64x2x2_t xy = vld2q_f64(p);
-    x->v = xy.val[0];
-    y->v = xy.val[1];
-  }
 };
 
 #else
@@ -191,11 +165,6 @@ struct VecD {
 
   static VecD SelectLT(VecD a, VecD b, VecD x, VecD y) {
     return {a.v < b.v ? x.v : y.v};
-  }
-
-  static void LoadXY(const double* p, VecD* x, VecD* y) {
-    x->v = p[0];
-    y->v = p[1];
   }
 };
 

@@ -970,6 +970,54 @@ TEST(LiveCorpusStatsTest, DeltaGridIndexesEachAppendOnce) {
             std::string::npos);
 }
 
+/// The compactor catches the new base's delta grid up before Compact()
+/// returns: the appends that raced the rebuild are indexed by the
+/// compaction, not inside the first query after the swap. No query runs
+/// while the compactions do, so the counter moves only by that catch-up;
+/// the first query afterwards indexes just the appends made since, so each
+/// append is still indexed exactly once.
+TEST(LiveCorpusStatsTest, CompactionCatchesTheNewDeltaGridUp) {
+  Rng rng(929);
+  Dataset base("catch-up");
+  for (int i = 0; i < 1500; ++i) base.Add(RandomWalk(&rng, 40));
+  ServiceOptions options;
+  options.engine.spec = DistanceSpec::Dtw();
+  options.engine.top_k = 3;
+  options.shards = 2;
+  options.compact_delta_trajectories = 0;
+  QueryService service(std::move(base), options);
+  const obs::Counter* indexed =
+      service.metrics().counter("service.delta_grid.indexed_trajectories");
+  const Trajectory walk = RandomWalk(&rng, 12);
+  service.AppendBatch({walk.View(), walk.View()});
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> appends{0};
+  std::thread appender([&]() {
+    while (!stop.load()) {
+      service.Append(walk);
+      appends.fetch_add(1);
+      std::this_thread::yield();
+    }
+  });
+  while (appends.load() == 0) std::this_thread::yield();
+  bool raced = false;
+  uint64_t before = 0;
+  for (int attempt = 0; attempt < 20 && !raced; ++attempt) {
+    before = indexed->Value();
+    ASSERT_TRUE(service.Compact());
+    const uint64_t caught_up = indexed->Value() - before;
+    EXPECT_LE(caught_up, static_cast<uint64_t>(service.View().delta_size()));
+    raced = caught_up > 0;
+  }
+  stop.store(true);
+  appender.join();
+  EXPECT_TRUE(raced) << "no append raced a compaction in 20 attempts";
+  service.Submit(walk);
+  EXPECT_EQ(indexed->Value() - before,
+            static_cast<uint64_t>(service.View().delta_size()));
+}
+
 /// Ingest counters and generation stamps surface through Stats()/Shape().
 TEST(LiveCorpusStatsTest, IngestAndCompactionCountersTrack) {
   Rng rng(818);

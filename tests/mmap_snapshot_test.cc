@@ -464,6 +464,139 @@ TEST_F(SnapshotV4RejectionTest, CorruptCompressedHeader) {
 }
 
 // ---------------------------------------------------------------------------
+// The corpus box recorded in the grid section
+// ---------------------------------------------------------------------------
+
+/// File offset of the corpus box at the end of a flagged grid section.
+std::streamoff GridBoxOffset(const std::string& path,
+                             const SnapshotSectionInfo& grid) {
+  const auto base = static_cast<std::streamoff>(grid.offset);
+  const auto cells = ReadScalarAt<uint64_t>(path, base + 16);
+  const auto ids = ReadScalarAt<uint64_t>(path, base + 24);
+  const auto slots = ReadScalarAt<uint64_t>(path, base + 32);
+  return base + static_cast<std::streamoff>(40 + cells * 8 + (cells + 1) * 8 +
+                                            slots * 8 + ids * 4 + slots * 4);
+}
+
+void ExpectSameBox(const BoundingBox& a, const BoundingBox& b,
+                   const std::string& context) {
+  EXPECT_EQ(a.min_x, b.min_x) << context;
+  EXPECT_EQ(a.min_y, b.min_y) << context;
+  EXPECT_EQ(a.max_x, b.max_x) << context;
+  EXPECT_EQ(a.max_y, b.max_y) << context;
+}
+
+TEST(SnapshotBoundsTest, RecordedBoxEqualsAFreshScanOnEveryTier) {
+  const Dataset corpus = GenerateTaxiDataset(PortoProfile(120));
+  const std::string path = TempPath("v4_box.snap");
+  for (int tier = 0; tier < 3; ++tier) {
+    V4WriteOptions options;
+    options.compress = tier > 0;
+    options.codec.store_residuals = tier == 1;
+    const std::string context = "tier " + std::to_string(tier);
+    ASSERT_TRUE(WriteSnapshotV4(corpus, path, options).ok()) << context;
+    const Result<SnapshotInfo> probe = ProbeSnapshot(path);
+    ASSERT_TRUE(probe.ok()) << context;
+    const SnapshotSectionInfo* grid =
+        FindSection(probe.value(), kV4SectionGrid);
+    ASSERT_NE(grid, nullptr) << context;
+    EXPECT_EQ(ReadScalarAt<uint32_t>(
+                  path, static_cast<std::streamoff>(grid->offset + 12)),
+              kV4GridFlagBounds)
+        << context;
+
+    Result<MmapSnapshot> opened = MmapSnapshot::Open(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const Dataset& served = opened.value().dataset();
+    // Bounds() hands back the recorded box; a view scans the pool.
+    ExpectSameBox(served.Bounds(), DatasetView(served).Bounds(), context);
+    const Dataset copy = served;
+    ExpectSameBox(copy.Bounds(), DatasetView(served).Bounds(), context);
+    EXPECT_TRUE(opened.value().Verify().ok()) << context;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotBoundsTest, FlagZeroFilesScanAndServeTheSameHits) {
+  const Dataset corpus = GenerateTaxiDataset(PortoProfile(150));
+  const std::string flagged = TempPath("v4_box_flagged.snap");
+  const std::string plain = TempPath("v4_box_plain.snap");
+  ASSERT_TRUE(WriteSnapshotV4(corpus, flagged).ok());
+  ASSERT_TRUE(WriteSnapshotV4(corpus, plain).ok());
+  // Rewrite `plain` as a writer without the box left it: grid flags 0 and
+  // a section 32 bytes shorter (the box becomes page padding).
+  const Result<SnapshotInfo> probe = ProbeSnapshot(plain);
+  ASSERT_TRUE(probe.ok());
+  size_t entry = 0;
+  while (probe.value().sections[entry].type != kV4SectionGrid) ++entry;
+  const SnapshotSectionInfo& grid = probe.value().sections[entry];
+  WriteScalarAt<uint32_t>(plain, static_cast<std::streamoff>(grid.offset + 12),
+                          0u);
+  const auto length_field = static_cast<std::streamoff>(
+      40 + corpus.name().size() + 8 + entry * 24 + 16);
+  ASSERT_EQ(ReadScalarAt<uint64_t>(plain, length_field), grid.length);
+  WriteScalarAt<uint64_t>(plain, length_field, grid.length - 32);
+
+  Result<MmapSnapshot> with_box = MmapSnapshot::Open(flagged);
+  Result<MmapSnapshot> without_box = MmapSnapshot::Open(plain);
+  ASSERT_TRUE(with_box.ok()) << with_box.status().ToString();
+  ASSERT_TRUE(without_box.ok()) << without_box.status().ToString();
+  EXPECT_TRUE(without_box.value().Verify().ok());
+  ExpectSameBox(without_box.value().dataset().Bounds(),
+                with_box.value().dataset().Bounds(), "flag 0");
+
+  // The service pins the same GBP cell from the recorded box as from a
+  // scan of the heap corpus, and both files serve the same hits.
+  ServiceOptions options;
+  options.engine.use_gbp = true;
+  options.engine.use_kpf = true;
+  options.engine.mu = 0.2;
+  options.engine.top_k = 5;
+  options.shards = 2;
+  options.worker_threads = 2;
+  options.engine.prebuilt_grid = with_box.value().grid();
+  QueryService served(with_box.value().dataset(), options);
+  options.engine.prebuilt_grid = without_box.value().grid();
+  QueryService scanned(without_box.value().dataset(), options);
+  EXPECT_EQ(served.options().engine.cell_size,
+            DefaultCellSize(DatasetView(corpus).Bounds()));
+  EXPECT_EQ(served.options().engine.cell_size,
+            scanned.options().engine.cell_size);
+  for (int id = 0; id < 150; id += 15) {
+    const TrajectoryRef source = corpus[id];
+    const TrajectoryView query =
+        source.View().subspan(0, std::min<size_t>(source.size(), 20));
+    ExpectSameHits(served.Submit(query, id), scanned.Submit(query, id),
+                   "query " + std::to_string(id));
+  }
+  std::remove(flagged.c_str());
+  std::remove(plain.c_str());
+}
+
+TEST_F(SnapshotV4RejectionTest, TamperedCorpusBoxFailsVerify) {
+  // Open trusts the recorded box (reading it faults no point payload); the
+  // deep Verify pass rescans the pool and rejects a box that disagrees.
+  const SnapshotSectionInfo* grid = FindSection(info_, kV4SectionGrid);
+  ASSERT_NE(grid, nullptr);
+  const std::streamoff box = GridBoxOffset(path_, *grid);
+  const auto min_x = ReadScalarAt<double>(path_, box);
+  EXPECT_EQ(min_x, DatasetView(corpus_).Bounds().min_x);
+  WriteScalarAt<double>(path_, box, min_x - 1.0);
+  Result<MmapSnapshot> opened = MmapSnapshot::Open(path_);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened.value().dataset().Bounds().min_x, min_x - 1.0);
+  EXPECT_FALSE(opened.value().Verify().ok());
+}
+
+TEST_F(SnapshotV4RejectionTest, UnknownGridFlagsRejected) {
+  const SnapshotSectionInfo* grid = FindSection(info_, kV4SectionGrid);
+  ASSERT_NE(grid, nullptr);
+  WriteScalarAt<uint32_t>(path_, static_cast<std::streamoff>(grid->offset + 12),
+                          kV4GridFlagBounds | 2u);
+  EXPECT_FALSE(MmapSnapshot::Open(path_).ok());
+}
+
+// ---------------------------------------------------------------------------
 // Column codec
 // ---------------------------------------------------------------------------
 

@@ -523,6 +523,47 @@ TEST(PlanAllocTest, KpfBoundPlanLowerBoundDoesNotAllocate) {
   }
 }
 
+// The prune stage's scratch is per thread (GBP's mask words and counts, the
+// survivor lists) or per call (KPF's chunk boxes and box terms, on the stack
+// up to a size and thread-local past it), and only ever grows: once every
+// query and candidate has been seen on a thread, the same work again
+// allocates nothing. The long candidate takes KPF's spill path.
+TEST(PlanAllocTest, SteadyStatePruneAllocatesNothing) {
+  const testing::PortoWorkbench w = testing::MakePortoWorkbench(8);
+  const GridIndex grid(w.corpus, DefaultCellSize(w.corpus.Bounds()));
+  Rng rng(515);
+  std::vector<Trajectory> candidates;
+  for (int id = 0; id < w.corpus.size(); id += 9) {
+    candidates.push_back(Trajectory(w.corpus[id].View()));
+  }
+  candidates.push_back(RandomWalk(&rng, 5000));
+  KpfBoundPlan plan;
+  std::vector<int> ordered;
+  std::vector<int> survivors;
+  std::vector<std::pair<int, int>> counts;
+  double sum = 0;
+  auto prune = [&]() {
+    for (const Trajectory& query : w.queries) {
+      grid.OrderedCandidates(query, 0.2, &ordered);
+      grid.Candidates(query, 0.2, &survivors);
+      grid.CloseCounts(query, &counts);
+      sum += static_cast<double>(ordered.size() + survivors.size() +
+                                 counts.size());
+      for (const DistanceSpec& spec : w.specs) {
+        plan.Bind(spec, query, 1.0);
+        for (const Trajectory& data : candidates) {
+          const double full = plan.LowerBound(data);
+          sum += full + plan.LowerBound(data, full / 2);
+        }
+      }
+    }
+  };
+  prune();  // warm: every scratch reaches its steady size
+  const long long before = AllocationCount();
+  prune();
+  EXPECT_EQ(AllocationCount() - before, 0) << "checksum " << sum;
+}
+
 // Publishing a live delta shares its entry table instead of copying it, so
 // the bytes one AppendBatch allocates (ids, the published views, and now and
 // then a chunk or a table regrowth) do not depend on how large the delta

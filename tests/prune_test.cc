@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "gen/taxi.h"
+#include "io/snapshot_v4.h"
 #include "prune/grid_index.h"
 #include "prune/key_point_filter.h"
 #include "search/cma.h"
@@ -394,6 +396,149 @@ TEST(KpfBoundTest, PointMinCostUsesDeletionWhenCheaper) {
 }
 
 // ---------------------------------------------------------------------------
+// GBP counting identity: the block-mask count against the per-point stamp
+// count it replaced.
+// ---------------------------------------------------------------------------
+
+/// The stamp-based close count the mask count replaced, over the grid's raw
+/// CSR arrays (cells found by binary search on the sorted keys): one token
+/// per query point dedupes the postings of its nine cells, and a counter
+/// per touched id counts the tokens. Ascending id.
+std::vector<std::pair<int, int>> ReferenceCloseCounts(const GridIndex& grid,
+                                                      TrajectoryView query) {
+  const std::span<const int64_t> keys = grid.cell_keys();
+  const std::span<const uint64_t> offsets = grid.cell_offsets();
+  const std::span<const int32_t> ids = grid.posting_ids();
+  const auto size = static_cast<size_t>(grid.dataset_size());
+  std::vector<uint64_t> point_stamp(size, 0);
+  std::vector<int> counts(size, 0);
+  std::vector<int> touched;
+  for (size_t qi = 0; qi < query.size(); ++qi) {
+    const uint64_t token = qi + 1;
+    const Point& p = query[qi];
+    for (const int64_t key : CloseCellKeys(p.x, p.y, grid.cell_size())) {
+      const auto it = std::lower_bound(keys.begin(), keys.end(), key);
+      if (it == keys.end() || *it != key) continue;
+      const auto c = static_cast<size_t>(it - keys.begin());
+      for (uint64_t at = offsets[c]; at < offsets[c + 1]; ++at) {
+        const auto id = static_cast<size_t>(ids[at]);
+        if (point_stamp[id] == token) continue;
+        point_stamp[id] = token;
+        if (counts[id]++ == 0) touched.push_back(static_cast<int>(id));
+      }
+    }
+  }
+  std::sort(touched.begin(), touched.end());
+  std::vector<std::pair<int, int>> out;
+  for (const int id : touched) {
+    out.emplace_back(id, counts[static_cast<size_t>(id)]);
+  }
+  return out;
+}
+
+/// Every GBP output of `grid` for `query` against the stamp reference.
+void ExpectCountsMatchReference(const GridIndex& grid, TrajectoryView query,
+                                const std::string& where) {
+  const std::vector<std::pair<int, int>> expected =
+      ReferenceCloseCounts(grid, query);
+  ASSERT_EQ(grid.CloseCounts(query), expected) << where;
+  for (const double mu : {0.0, 0.1, 0.5, 1.0}) {
+    const double threshold = mu * static_cast<double>(query.size());
+    std::vector<int> candidates;
+    std::vector<std::pair<int, int>> order;
+    for (const auto& [id, count] : expected) {
+      if (static_cast<double>(count) >= threshold) {
+        candidates.push_back(id);
+        order.emplace_back(-count, id);
+      }
+    }
+    std::sort(order.begin(), order.end());
+    std::vector<int> ordered;
+    for (const auto& [neg_count, id] : order) ordered.push_back(id);
+    ASSERT_EQ(grid.Candidates(query, mu), candidates)
+        << where << " mu=" << mu;
+    std::vector<int> got;
+    grid.OrderedCandidates(query, mu, &got);
+    ASSERT_EQ(got, ordered) << where << " mu=" << mu;
+  }
+}
+
+TEST(GridCountIdentityTest, MaskCountMatchesStampCountOnEveryShape) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Dataset corpus = GenerateTaxiDataset(PortoProfile(300));
+  const double cell = DefaultCellSize(corpus.Bounds());
+  // Points in the saturated edge cells: huge, infinite and NaN coordinates.
+  const std::vector<Point> specials = {
+      Point{1e300, -1e300}, Point{-1e300, 1e300}, Point{inf, 2.0},
+      Point{-inf, -inf},    Point{nan, 1.0},      Point{2.0, nan}};
+  Rng rng(2024);
+  for (int i = 0; i < 12; ++i) {
+    const TrajectoryRef source = corpus[static_cast<int>(rng.UniformInt(0, 299))];
+    std::vector<Point> pts(source.points().begin(), source.points().end());
+    pts[static_cast<size_t>(i) % pts.size()] =
+        specials[static_cast<size_t>(i) % specials.size()];
+    corpus.Add(Trajectory(std::move(pts)));
+  }
+
+  // Queries of m = 1, 63, 64, 65 and 130 points (one, one full and a
+  // spilling mask block, two full blocks plus two points), walked through
+  // corpus points so they touch many trajectories, with repeated cells
+  // (every point taken twice in a row) and special points mixed in.
+  std::vector<Trajectory> queries;
+  for (const int m : {1, 63, 64, 65, 130}) {
+    for (int variant = 0; variant < 3; ++variant) {
+      std::vector<Point> pts;
+      while (static_cast<int>(pts.size()) < m) {
+        const TrajectoryRef source =
+            corpus[static_cast<int>(rng.UniformInt(0, 299))];
+        for (const Point& p : source.points()) {
+          if (static_cast<int>(pts.size()) == m) break;
+          pts.push_back(p);
+          if (variant == 1 && static_cast<int>(pts.size()) < m) {
+            pts.push_back(p);
+          }
+        }
+      }
+      if (variant == 2) {
+        for (size_t k = 0; k < specials.size(); ++k) {
+          pts[(k * 37) % pts.size()] = specials[k];
+        }
+      }
+      queries.push_back(Trajectory(std::move(pts)));
+    }
+  }
+
+  // The whole corpus, two shard views (one with begin_id() > 0) and a grid
+  // borrowed from a v4 snapshot.
+  std::vector<std::pair<std::string, GridIndex>> grids;
+  grids.emplace_back("whole", GridIndex(corpus, cell));
+  grids.emplace_back("shard 0", GridIndex(DatasetView(corpus, 0, 150), cell));
+  grids.emplace_back("shard 1",
+                     GridIndex(DatasetView(corpus, 150, corpus.size() - 150),
+                               cell));
+  const std::string path = ::testing::TempDir() + "/gbp_identity.snap";
+  V4WriteOptions options;
+  options.grid_cell = cell;
+  ASSERT_TRUE(WriteSnapshotV4(corpus, path, options).ok());
+  Result<MmapSnapshot> opened = MmapSnapshot::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ASSERT_NE(opened.value().grid(), nullptr);
+  ASSERT_TRUE(opened.value().grid()->borrowed());
+  grids.emplace_back("v4", *opened.value().grid());
+
+  for (const auto& [name, grid] : grids) {
+    for (const Trajectory& query : queries) {
+      ExpectCountsMatchReference(
+          grid, query, name + " m=" + std::to_string(query.size()));
+    }
+  }
+  // A grid on the same thread after a larger one: the scratch stays clean.
+  ExpectCountsMatchReference(grids[1].second, queries.back(), "shard again");
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
 // KpfBoundPlan: the vector min-scan and the early abandon against the scalar
 // KpfLowerBoundEstimate oracle.
 // ---------------------------------------------------------------------------
@@ -451,26 +596,23 @@ std::vector<Trajectory> BoundCorpus(Rng* rng) {
   return corpus;
 }
 
-/// The bound over the first p key points, accumulated and rescaled as
-/// KpfLowerBoundEstimate does, for the smallest p whose bound is >= t (NaN
-/// if none is).
-double FirstPrefixBoundAtLeast(const DistanceSpec& spec, TrajectoryView query,
-                               TrajectoryView data, double rate, double t) {
-  const int m = static_cast<int>(query.size());
-  const int key_count =
-      std::max(1, static_cast<int>(std::ceil(rate * static_cast<double>(m))));
-  const double effective_rate =
-      static_cast<double>(key_count) / static_cast<double>(m);
-  const bool use_max = spec.kind == DistanceKind::kFrechet;
-  double total = 0;
-  for (int k = 0; k < key_count; ++k) {
-    const int i = static_cast<int>((static_cast<int64_t>(k) * m) / key_count);
-    const double c = KpfPointMinCost(spec, query, i, data);
-    total = use_max ? std::max(total, c) : total + c;
-    const double bound = use_max ? total : total / effective_rate;
-    if (bound >= t) return bound;
+/// Abandon thresholds for a candidate whose full bound is `full`: the
+/// bound itself and its neighbours, the extremes, and six random fractions
+/// of it.
+std::vector<double> AbandonThresholds(double full, Rng* rng) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> thresholds = {0.0,
+                                    full,
+                                    std::nextafter(full, 0.0),
+                                    std::nextafter(full, inf),
+                                    inf,
+                                    1e-300,
+                                    1e300};
+  for (int t = 0; t < 6; ++t) {
+    thresholds.push_back(rng->Uniform(0.0, 3.0) *
+                         (std::isfinite(full) ? full : 50.0));
   }
-  return std::numeric_limits<double>::quiet_NaN();
+  return thresholds;
 }
 
 class KpfBoundPlanIdentityTest : public ::testing::TestWithParam<bool> {
@@ -522,27 +664,15 @@ TEST_P(KpfBoundPlanIdentityTest, MatchesScalarEstimateBitForBitAndAbandons) {
                                     " n=" + std::to_string(data.size());
           ASSERT_EQ(Bits(plan.LowerBound(data)), Bits(full)) << where;
           ++compared;
-          std::vector<double> thresholds = {0.0,
-                                            full,
-                                            std::nextafter(full, 0.0),
-                                            std::nextafter(full, inf),
-                                            inf,
-                                            1e-300,
-                                            1e300};
-          for (int t = 0; t < 6; ++t) {
-            thresholds.push_back(rng.Uniform(0.0, 3.0) *
-                                 (std::isfinite(full) ? full : 50.0));
-          }
-          for (const double t : thresholds) {
+          for (const double t : AbandonThresholds(full, &rng)) {
             if (std::isnan(t)) continue;
             const double partial = plan.LowerBound(data, t);
             ASSERT_EQ(partial >= t, full >= t) << where << " t=" << t;
             if (Bits(partial) != Bits(full)) {
-              // An abandon returns the first rescaled prefix bound >= t.
+              // An abandon returns a bound that decides, never above the
+              // full one.
               ++abandoned;
-              ASSERT_EQ(Bits(partial), Bits(FirstPrefixBoundAtLeast(
-                                           spec, query, data, rate, t)))
-                  << where << " t=" << t;
+              ASSERT_LE(partial, full) << where << " t=" << t;
             }
           }
         }
@@ -551,6 +681,48 @@ TEST_P(KpfBoundPlanIdentityTest, MatchesScalarEstimateBitForBitAndAbandons) {
   }
   EXPECT_GT(compared, 1000);
   EXPECT_GT(abandoned, 0);  // the thresholds do reach the abandon path
+}
+
+// Finite walks of every length 1-70 (every chunk tail, boxes of one to nine
+// chunks) against queries whose key counts leave every key-group padding:
+// the box path serves all of them, so its box-prefix and box-suffix
+// abandons run wherever a threshold falls below the full bound.
+TEST_P(KpfBoundPlanIdentityTest, FiniteWalksAbandonAtOrBelowTheFullBound) {
+  Rng rng(977);
+  const WedCostFns wed = TestWedFns();
+  std::vector<Trajectory> corpus;
+  for (int len = 1; len <= 70; ++len) corpus.push_back(RandomWalk(&rng, len));
+  std::vector<Trajectory> queries;
+  for (const int len : {1, 2, 7, 9, 16, 17, 33, 40, 65}) {
+    queries.push_back(RandomWalk(&rng, len));
+  }
+  KpfBoundPlan plan;
+  int compared = 0;
+  int abandoned = 0;
+  for (const DistanceSpec& spec : AllBoundSpecs(&wed)) {
+    for (const double rate : {0.3, 1.0}) {
+      for (const Trajectory& query : queries) {
+        plan.Bind(spec, query, rate);
+        for (const Trajectory& data : corpus) {
+          const double full = KpfLowerBoundEstimate(spec, query, data, rate);
+          const std::string where = std::string(ToString(spec.kind)) +
+                                    " r=" + std::to_string(rate) + " m=" +
+                                    std::to_string(query.size()) +
+                                    " n=" + std::to_string(data.size());
+          ASSERT_EQ(Bits(plan.LowerBound(data)), Bits(full)) << where;
+          ++compared;
+          for (const double t : AbandonThresholds(full, &rng)) {
+            const double partial = plan.LowerBound(data, t);
+            ASSERT_EQ(partial >= t, full >= t) << where << " t=" << t;
+            ASSERT_LE(partial, full) << where << " t=" << t;
+            if (Bits(partial) != Bits(full)) ++abandoned;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 6000);
+  EXPECT_GT(abandoned, 10000);
 }
 
 INSTANTIATE_TEST_SUITE_P(Dispatch, KpfBoundPlanIdentityTest,
