@@ -17,6 +17,7 @@
 #include "distance/dp.h"
 #include "gen/taxi.h"
 #include "gen/workload.h"
+#include "prune/delta_grid.h"
 #include "prune/grid_index.h"
 #include "prune/key_point_filter.h"
 #include "search/cma.h"
@@ -498,6 +499,30 @@ void BM_GridOrderedCandidates(benchmark::State& state) {
       benchmark::Counter(candidates, benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_GridOrderedCandidates)->Unit(benchmark::kMicrosecond);
+
+// The live delta's GBP read: a DeltaGridIndex over the 1,024 newest
+// trajectories of the Porto corpus at the base's cell, read capped at its
+// size by the same 64 queries at mu = 0.1 (the delta engine's candidate
+// source in porto-live).
+void BM_DeltaGridOrderedCandidates(benchmark::State& state) {
+  const Dataset& corpus = BuildCorpus(1);
+  const PortoPrune& p = PortoPruneInputs();
+  DeltaGridIndex delta(p.grid->cell_size());
+  for (int id = corpus.size() - 1024; id < corpus.size(); ++id) {
+    delta.Add(corpus[id].View());
+  }
+  std::vector<int> out;
+  size_t q = 0;
+  double candidates = 0;
+  for (auto _ : state) {
+    delta.OrderedCandidates(p.queries[q], 0.1, &out, delta.size());
+    candidates += static_cast<double>(out.size());
+    q = (q + 1) % p.queries.size();
+  }
+  state.counters["candidates"] =
+      benchmark::Counter(candidates, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_DeltaGridOrderedCandidates)->Unit(benchmark::kMicrosecond);
 
 // KPF (DTW, r = 1) over one Porto query's GBP candidates per iteration,
 // abandoning at the full bound of rank candidates / 10: about nine in ten

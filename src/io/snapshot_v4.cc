@@ -604,12 +604,21 @@ Status MmapSnapshot::Verify() const {
     }
   }
   if (grid_.has_value()) {
-    // Open validates everything memory-safety-relevant (CSR bounds, slot
-    // targets); the deep pass adds the pure integrity invariant that the
-    // builder always emits sorted cell keys.
+    // Open validates the structure the probe path walks (CSR bounds, slot
+    // targets) but reads no posting id: the GBP counter sinks an id outside
+    // the corpus instead. The deep pass rejects such ids, and unsorted cell
+    // keys, which the builder never emits.
     const std::span<const int64_t> keys = grid_->cell_keys();
     if (!std::is_sorted(keys.begin(), keys.end())) {
       return Status::InvalidArgument("snapshot grid cell keys not sorted");
+    }
+    const auto size = static_cast<uint32_t>(grid_->dataset_size());
+    uint32_t out_of_range = 0;
+    for (const int32_t id : grid_->posting_ids()) {
+      out_of_range |= static_cast<uint32_t>(static_cast<uint32_t>(id) >= size);
+    }
+    if (out_of_range != 0) {
+      return Status::InvalidArgument("snapshot grid posting id out of range");
     }
   }
   return Status::OK();

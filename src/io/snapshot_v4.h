@@ -148,8 +148,10 @@ class MmapSnapshot {
   /// mincore probe is not free).
   void UpdateGauges(obs::Registry* registry = nullptr) const;
 
-  /// Full-payload checksum verification: recomputes the corpus fingerprint
-  /// (faulting every page it needs) against the header's.
+  /// Full-payload verification: recomputes the corpus fingerprint (faulting
+  /// every page it needs) against the header's, rescans a recorded corpus
+  /// box, and checks the grid's cell-key order and that every posting id
+  /// lies in [0, corpus size) — the parts of the grid Open does not read.
   Status Verify() const;
 
  private:

@@ -9,6 +9,7 @@
 #include "core/live_dataset.h"
 #include "core/trajectory.h"
 #include "obs/metrics.h"
+#include "prune/grid_index.h"
 #include "util/sync.h"
 
 namespace trajsearch {
@@ -17,21 +18,24 @@ namespace trajsearch {
 ///
 /// The base corpus keeps its CSR GridIndex — contiguous, cache-friendly, and
 /// immutable — while trajectories appended since the last compaction are
-/// indexed here: a small chained hash-grid that supports O(points) Add()
-/// with no rebuild. Candidate generation over a live corpus unions the two:
-/// base candidates from the CSR postings, delta candidates from these. Cell
-/// geometry (CellKey, the 3x3 close-neighbourhood, the mu threshold)
-/// matches GridIndex exactly, so for any common cell size
+/// indexed here: a hash map from cell key to a growable vector of ids, which
+/// supports O(points) Add() with no rebuild. Candidate generation over a
+/// live corpus unions the two: base candidates from the CSR postings, delta
+/// candidates from these. Both grids describe themselves as GbpPostings and
+/// are counted by the one GBP counter (GbpCloseCounts) with the same cell
+/// geometry (CellKey, the 3x3 close-neighbourhood, the mu threshold), so
+/// for any common cell size
 ///   close counts(base CSR) ∪ close counts(delta grid)
 ///     == close counts(one grid over base + delta),
 /// which is what the live-vs-fresh equivalence gate relies on.
 ///
 /// Ids are delta-local ([0, size()) in Add order); the serving layer maps
 /// them to corpus ids by adding the base size. Every cell's postings ascend,
-/// so a read capped at `limit` sees exactly what a grid over the first
-/// `limit` trajectories would: the service keeps one index per base
-/// generation (SharedDeltaGrid below), extended as the delta grows, and
-/// each query reads it capped at its pinned generation's delta size. Reads
+/// so a read capped at `limit` — which hands the counter only each cell's
+/// postings below the cap — sees exactly what a grid over the first `limit`
+/// trajectories would: the service keeps one index per base generation
+/// (SharedDeltaGrid below), extended as the delta grows, and each query
+/// reads it capped at its pinned generation's delta size. Reads
 /// (CloseCounts and friends) are const and safe from many threads; Add is
 /// writer-side only.
 class DeltaGridIndex {
@@ -43,6 +47,10 @@ class DeltaGridIndex {
 
   /// Indexes the next delta trajectory (id = number of prior Adds).
   void Add(TrajectoryView trajectory);
+
+  /// This grid as the GBP counter reads it: the ids below `limit` (and
+  /// size()).
+  GbpPostings postings(int limit) const;
 
   /// close(q, T) for every delta trajectory with id < `limit` and a nonzero
   /// count, as (delta id, count) pairs in ascending id order — the same
@@ -69,8 +77,10 @@ class DeltaGridIndex {
   size_t entry_count() const { return entry_count_; }
 
  private:
-  void SurvivorCounts(TrajectoryView query, double mu, int limit,
-                      std::vector<std::pair<int, int>>* out) const;
+  /// GbpPostings::cell over `cells_` (`grid` is a DeltaGridIndex): the
+  /// cell's postings below `id_bound`.
+  static PostingRange CellPostings(const void* grid, int64_t key,
+                                   int id_bound);
 
   double cell_size_;
   int size_ = 0;

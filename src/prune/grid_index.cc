@@ -12,11 +12,11 @@ namespace trajsearch {
 
 namespace {
 
-/// Per-thread counting scratch, shared by every GridIndex on the thread.
+/// Per-thread counting scratch, shared by every grid the thread counts.
 ///
 /// Between calls every word and count is zero again (each call clears what
 /// it set), so nothing is cleared per query; the per-id arrays only grow to
-/// the largest dataset seen on the thread.
+/// the largest id bound seen on the thread.
 struct GridScratch {
   /// Per id: the query-point mask of the current block (bit b set when
   /// block point b has the id in one of its nine cells).
@@ -24,7 +24,7 @@ struct GridScratch {
   /// Per id: close count over the blocks so far.
   std::vector<int> counts;
   /// Ids whose word went non-zero in the current block, and ids with a
-  /// non-zero count, each in first-touch order; sized to the dataset, so
+  /// non-zero count, each in first-touch order; sized to the id bound, so
   /// appends are unconditional stores.
   std::vector<int> block_ids;
   std::vector<int> touched;
@@ -60,7 +60,129 @@ inline uint64_t HashKey(int64_t key) {
   return x;
 }
 
+/// A built grid's five arrays: one immutable block that every copy of the
+/// grid shares through its keepalive.
+struct GridStorage {
+  std::vector<int64_t> cell_keys;
+  std::vector<uint64_t> cell_offsets;
+  std::vector<int32_t> ids;
+  std::vector<int64_t> slot_keys;
+  std::vector<int32_t> slot_cells;
+};
+
+/// close(q, T) of every trajectory with a nonzero count, as (id, count)
+/// pairs in first-touch order (see GbpCloseCounts).
+void UnsortedCloseCounts(const GbpPostings& grid, TrajectoryView query,
+                         std::vector<std::pair<int, int>>* out) {
+  // Query points per block: one bit of a mask word each.
+  constexpr size_t kBlock = 64;
+  // A power of two >= 2 * 9 * kBlock: a block's distinct neighbour cells
+  // fill the cell table at most half.
+  constexpr size_t kCellSlots = 2048;
+  constexpr size_t kCellMask = kCellSlots - 1;
+  GridScratch& scratch = LocalScratch();
+  // Ids outside [0, id_bound) count in the sink slot at id_bound, which is
+  // never reported; one spare entry past it, because the id lists store
+  // before they decide to advance.
+  const auto sink = static_cast<uint32_t>(grid.id_bound);
+  scratch.EnsureSize(static_cast<size_t>(sink) + 2);
+  if (scratch.cell_masks.size() != kCellSlots) {
+    scratch.cell_keys.assign(kCellSlots, 0);
+    scratch.cell_masks.assign(kCellSlots, 0);
+    scratch.cell_slots.reserve(9 * kBlock);
+  }
+  uint64_t* words = scratch.words.data();
+  int* counts = scratch.counts.data();
+  int* block_ids = scratch.block_ids.data();
+  int* touched = scratch.touched.data();
+  int64_t* cell_keys = scratch.cell_keys.data();
+  uint64_t* cell_masks = scratch.cell_masks.data();
+  size_t touched_count = 0;
+  for (size_t begin = 0; begin < query.size(); begin += kBlock) {
+    const size_t end = std::min(query.size(), begin + kBlock);
+    // Group the block's 9 * (end - begin) neighbour keys by cell: each
+    // distinct cell gets the mask of the block points it neighbours.
+    scratch.cell_slots.clear();
+    for (size_t qi = begin; qi < end; ++qi) {
+      const uint64_t bit = uint64_t{1} << (qi - begin);
+      const Point& p = query[qi];
+      for (const int64_t key : CloseCellKeys(p.x, p.y, grid.cell_size)) {
+        size_t h = HashKey(key) & kCellMask;
+        while (cell_masks[h] != 0 && cell_keys[h] != key) {
+          h = (h + 1) & kCellMask;
+        }
+        if (cell_masks[h] == 0) {
+          cell_keys[h] = key;
+          scratch.cell_slots.push_back(static_cast<int>(h));
+        }
+        cell_masks[h] |= bit;
+      }
+    }
+    // Visit each distinct cell's postings once, OR-ing its mask into the
+    // trajectory's word; a word going non-zero lists the id for the block.
+    size_t block_count = 0;
+    for (const int h : scratch.cell_slots) {
+      const uint64_t mask = cell_masks[h];
+      cell_masks[h] = 0;
+      const auto [it, stop] = grid.cell(grid.grid, cell_keys[h], grid.id_bound);
+      for (const int32_t* id_ptr = it; id_ptr != stop; ++id_ptr) {
+        // As unsigned, a negative id is past the bound too.
+        const uint32_t id = std::min(static_cast<uint32_t>(*id_ptr), sink);
+        const uint64_t word = words[id];
+        block_ids[block_count] = static_cast<int>(id);
+        block_count += static_cast<size_t>(word == 0);
+        words[id] = word | mask;
+      }
+    }
+    // Each set bit is one block point close to the trajectory.
+    for (size_t i = 0; i < block_count; ++i) {
+      const int id = block_ids[i];
+      const int count = counts[id];
+      touched[touched_count] = id;
+      touched_count += static_cast<size_t>(count == 0);
+      counts[id] = count + std::popcount(words[id]);
+      words[id] = 0;
+    }
+  }
+  out->clear();
+  out->reserve(touched_count);
+  for (size_t i = 0; i < touched_count; ++i) {
+    const int id = touched[i];
+    if (id != grid.id_bound) out->emplace_back(id, counts[id]);
+    counts[id] = 0;
+  }
+}
+
 }  // namespace
+
+void GbpCloseCounts(const GbpPostings& grid, TrajectoryView query,
+                    std::vector<std::pair<int, int>>* out) {
+  UnsortedCloseCounts(grid, query, out);
+  std::sort(out->begin(), out->end());
+}
+
+void GbpCandidates(const GbpPostings& grid, TrajectoryView query, double mu,
+                   bool ordered, std::vector<int>* out) {
+  thread_local std::vector<std::pair<int, int>> survivors;
+  UnsortedCloseCounts(grid, query, &survivors);
+  // Keep the survivors in place as (-count, id): the default pair order is
+  // then descending count, ascending id — a deterministic
+  // most-promising-first order.
+  const double threshold = mu * static_cast<double>(query.size());
+  size_t kept = 0;
+  for (size_t i = 0; i < survivors.size(); ++i) {
+    const auto [id, count] = survivors[i];
+    if (static_cast<double>(count) >= threshold) {
+      survivors[kept++] = {-count, id};
+    }
+  }
+  survivors.resize(kept);
+  if (ordered) std::sort(survivors.begin(), survivors.end());
+  out->clear();
+  out->reserve(kept);
+  for (const auto& [neg_count, id] : survivors) out->push_back(id);
+  if (!ordered) std::sort(out->begin(), out->end());
+}
 
 double DefaultCellSize(const BoundingBox& box) {
   const double cell = std::max(box.Width(), box.Height()) / 256.0;
@@ -141,95 +263,73 @@ GridIndex::GridIndex(DatasetView data, double cell_size)
   // offsets; each dense cell's count becomes its write cursor.
   const size_t cells = dense.size();
   std::sort(dense.begin(), dense.end());
-  cell_keys_.resize(cells);
-  cell_offsets_.resize(cells + 1);
+  const auto storage = std::make_shared<GridStorage>();
+  std::vector<int64_t>& cell_keys = storage->cell_keys;
+  std::vector<uint64_t>& cell_offsets = storage->cell_offsets;
+  std::vector<int32_t>& ids = storage->ids;
+  cell_keys.resize(cells);
+  cell_offsets.resize(cells + 1);
   std::vector<uint64_t>& cursor = dense_count;
   uint64_t total = 0;
   for (size_t c = 0; c < cells; ++c) {
     const auto [key, cell] = dense[c];
-    cell_keys_[c] = key;
-    cell_offsets_[c] = total;
+    cell_keys[c] = key;
+    cell_offsets[c] = total;
     total += std::exchange(cursor[static_cast<size_t>(cell)], total);
   }
-  cell_offsets_[cells] = total;
+  cell_offsets[cells] = total;
 
   // Scatter ids in id order, so every cell's postings ascend exactly as a
   // sort of the (cell, id) pairs would leave them.
-  ids_.resize(total);
+  ids.resize(total);
   at = 0;
   for (int id = 0; id < size; ++id) {
     const size_t end = at + static_cast<size_t>(data[id].size());
     for (; at < end; ++at) {
       const int32_t cell = point_cell[at];
-      if (cell >= 0) ids_[cursor[static_cast<size_t>(cell)]++] = id;
+      if (cell >= 0) ids[cursor[static_cast<size_t>(cell)]++] = id;
     }
   }
 
   // Slot table at load factor <= 0.5 (power-of-two size, linear probing).
   size_t slots = 16;
-  while (slots < cell_keys_.size() * 2) slots <<= 1;
-  slot_mask_ = slots - 1;
-  slot_key_.assign(slots, 0);
-  slot_cell_.assign(slots, -1);
-  for (size_t c = 0; c < cell_keys_.size(); ++c) {
-    size_t h = HashKey(cell_keys_[c]) & slot_mask_;
-    while (slot_cell_[h] != -1) h = (h + 1) & slot_mask_;
-    slot_key_[h] = cell_keys_[c];
-    slot_cell_[h] = static_cast<int32_t>(c);
+  while (slots < cells * 2) slots <<= 1;
+  std::vector<int64_t>& slot_keys = storage->slot_keys;
+  std::vector<int32_t>& slot_cells = storage->slot_cells;
+  slot_keys.assign(slots, 0);
+  slot_cells.assign(slots, -1);
+  for (size_t c = 0; c < cells; ++c) {
+    size_t h = HashKey(cell_keys[c]) & (slots - 1);
+    while (slot_cells[h] != -1) h = (h + 1) & (slots - 1);
+    slot_keys[h] = cell_keys[c];
+    slot_cells[h] = static_cast<int32_t>(c);
   }
 
-  SyncViews();
-  stats_.cell_size = cell_size_;
-  stats_.cell_count = cell_keys_.size();
-  stats_.entry_count = ids_.size();
-  stats_.index_bytes = cell_keys_.size() * sizeof(int64_t) +
-                       cell_offsets_.size() * sizeof(uint64_t) +
-                       ids_.size() * sizeof(int32_t) +
-                       slot_key_.size() * sizeof(int64_t) +
-                       slot_cell_.size() * sizeof(int32_t);
+  Adopt(cell_keys, cell_offsets, ids, slot_keys, slot_cells, storage);
   stats_.build_seconds = build_watch.Seconds();
 }
 
-void GridIndex::SyncViews() {
-  cell_keys_data_ = cell_keys_.data();
-  cell_count_ = cell_keys_.size();
-  cell_offsets_data_ = cell_offsets_.data();
-  ids_data_ = ids_.data();
-  id_count_ = ids_.size();
-  slot_key_data_ = slot_key_.data();
-  slot_cell_data_ = slot_cell_.data();
-  slot_mask_ = slot_key_.empty() ? 0 : slot_key_.size() - 1;
-}
-
-GridIndex::GridIndex(const GridIndex& other)
-    : cell_size_(other.cell_size_),
-      dataset_size_(other.dataset_size_),
-      borrowed_(other.borrowed_),
-      cell_keys_(other.cell_keys_),
-      cell_offsets_(other.cell_offsets_),
-      ids_(other.ids_),
-      slot_key_(other.slot_key_),
-      slot_cell_(other.slot_cell_),
-      cell_keys_data_(other.cell_keys_data_),
-      cell_count_(other.cell_count_),
-      cell_offsets_data_(other.cell_offsets_data_),
-      ids_data_(other.ids_data_),
-      id_count_(other.id_count_),
-      slot_key_data_(other.slot_key_data_),
-      slot_cell_data_(other.slot_cell_data_),
-      slot_mask_(other.slot_mask_),
-      keepalive_(other.keepalive_),
-      stats_(other.stats_) {
-  // Borrowed copies share the keepalive (views stay valid); owned copies got
-  // fresh vector buffers and must repoint at them.
-  if (!borrowed_) SyncViews();
-}
-
-GridIndex& GridIndex::operator=(const GridIndex& other) {
-  if (this == &other) return *this;
-  GridIndex copy(other);
-  *this = std::move(copy);
-  return *this;
+void GridIndex::Adopt(std::span<const int64_t> cell_keys,
+                      std::span<const uint64_t> cell_offsets,
+                      std::span<const int32_t> ids,
+                      std::span<const int64_t> slot_keys,
+                      std::span<const int32_t> slot_cells,
+                      std::shared_ptr<const void> keepalive) {
+  cell_keys_ = cell_keys.data();
+  cell_count_ = cell_keys.size();
+  cell_offsets_ = cell_offsets.data();
+  ids_ = ids.data();
+  id_count_ = ids.size();
+  slot_keys_ = slot_keys.data();
+  slot_cells_ = slot_cells.data();
+  slot_mask_ = slot_keys.size() - 1;
+  keepalive_ = std::move(keepalive);
+  stats_.cell_size = cell_size_;
+  stats_.cell_count = cell_keys.size();
+  stats_.entry_count = ids.size();
+  stats_.index_bytes = cell_keys.size_bytes() + cell_offsets.size_bytes() +
+                       ids.size_bytes() + slot_keys.size_bytes() +
+                       slot_cells.size_bytes();
 }
 
 Result<GridIndex> GridIndex::FromParts(double cell_size, int dataset_size,
@@ -260,7 +360,7 @@ Result<GridIndex> GridIndex::FromParts(double cell_size, int dataset_size,
         "grid parts: offset table is not a valid CSR layout");
   }
   // cell_keys sortedness is deliberately NOT checked here: lookups go
-  // through the hash slot table only (CellRange never binary-searches the
+  // through the hash slot table only (CellPostings never binary-searches the
   // keys), so an out-of-order key cannot cause out-of-bounds access — it is
   // an integrity property, and MmapSnapshot::Verify() checks it on the deep
   // path. Keeping the 8-bytes-per-cell stream out of FromParts matters for
@@ -291,7 +391,7 @@ Result<GridIndex> GridIndex::FromParts(double cell_size, int dataset_size,
     return Status::InvalidArgument("grid parts: slot target out of range");
   }
   if (empty_slots == 0) {
-    // CellRange's open-addressing probe terminates on an empty slot or a key
+    // CellPostings' open-addressing probe terminates on an empty slot or a key
     // match; a table with no empty slot would spin forever on the first
     // lookup of an absent key. The builder never fills a table (load factor
     // is bounded at 1/2), so this only rejects corrupt or crafted files.
@@ -301,120 +401,34 @@ Result<GridIndex> GridIndex::FromParts(double cell_size, int dataset_size,
   grid.cell_size_ = cell_size;
   grid.dataset_size_ = dataset_size;
   grid.borrowed_ = true;
-  grid.cell_keys_data_ = cell_keys.data();
-  grid.cell_count_ = cell_keys.size();
-  grid.cell_offsets_data_ = cell_offsets.data();
-  grid.ids_data_ = ids.data();
-  grid.id_count_ = ids.size();
-  grid.slot_key_data_ = slot_keys.data();
-  grid.slot_cell_data_ = slot_cells.data();
-  grid.slot_mask_ = slot_keys.size() - 1;
-  grid.keepalive_ = std::move(keepalive);
-  grid.stats_.cell_size = cell_size;
-  grid.stats_.cell_count = cell_keys.size();
-  grid.stats_.entry_count = ids.size();
-  grid.stats_.index_bytes = cell_keys.size_bytes() +
-                            cell_offsets.size_bytes() + ids.size_bytes() +
-                            slot_keys.size_bytes() + slot_cells.size_bytes();
-  grid.stats_.build_seconds = 0;  // served prebuilt, nothing was built
-  return grid;
+  grid.Adopt(cell_keys, cell_offsets, ids, slot_keys, slot_cells,
+             std::move(keepalive));
+  return grid;  // served prebuilt: build_seconds stays 0
 }
 
-std::pair<const int32_t*, const int32_t*> GridIndex::CellRange(
-    int64_t key) const {
-  size_t h = HashKey(key) & slot_mask_;
+GbpPostings GridIndex::postings() const {
+  return {cell_size_, dataset_size_, this, &GridIndex::CellPostings};
+}
+
+PostingRange GridIndex::CellPostings(const void* grid, int64_t key,
+                                     int /*id_bound*/) {
+  const auto& self = *static_cast<const GridIndex*>(grid);
+  size_t h = HashKey(key) & self.slot_mask_;
   while (true) {
-    const int32_t c = slot_cell_data_[h];
+    const int32_t c = self.slot_cells_[h];
     if (c == -1) return {nullptr, nullptr};
-    if (slot_key_data_[h] == key) {
-      return {ids_data_ + cell_offsets_data_[static_cast<size_t>(c)],
-              ids_data_ + cell_offsets_data_[static_cast<size_t>(c) + 1]};
+    if (self.slot_keys_[h] == key) {
+      const int32_t* ids = self.ids_;
+      return {ids + self.cell_offsets_[static_cast<size_t>(c)],
+              ids + self.cell_offsets_[static_cast<size_t>(c) + 1]};
     }
-    h = (h + 1) & slot_mask_;
-  }
-}
-
-void GridIndex::UnsortedCloseCounts(
-    TrajectoryView query, std::vector<std::pair<int, int>>* out) const {
-  // Query points per block: one bit of a mask word each.
-  constexpr size_t kBlock = 64;
-  // A power of two >= 2 * 9 * kBlock: a block's distinct neighbour cells
-  // fill the cell table at most half.
-  constexpr size_t kCellSlots = 2048;
-  constexpr size_t kCellMask = kCellSlots - 1;
-  GridScratch& scratch = LocalScratch();
-  // One spare entry: the id lists store before they decide to advance.
-  scratch.EnsureSize(static_cast<size_t>(dataset_size_) + 1);
-  if (scratch.cell_masks.size() != kCellSlots) {
-    scratch.cell_keys.assign(kCellSlots, 0);
-    scratch.cell_masks.assign(kCellSlots, 0);
-    scratch.cell_slots.reserve(9 * kBlock);
-  }
-  uint64_t* words = scratch.words.data();
-  int* counts = scratch.counts.data();
-  int* block_ids = scratch.block_ids.data();
-  int* touched = scratch.touched.data();
-  int64_t* cell_keys = scratch.cell_keys.data();
-  uint64_t* cell_masks = scratch.cell_masks.data();
-  size_t touched_count = 0;
-  for (size_t begin = 0; begin < query.size(); begin += kBlock) {
-    const size_t end = std::min(query.size(), begin + kBlock);
-    // Group the block's 9 * (end - begin) neighbour keys by cell: each
-    // distinct cell gets the mask of the block points it neighbours.
-    scratch.cell_slots.clear();
-    for (size_t qi = begin; qi < end; ++qi) {
-      const uint64_t bit = uint64_t{1} << (qi - begin);
-      const Point& p = query[qi];
-      for (const int64_t key : CloseCellKeys(p.x, p.y, cell_size_)) {
-        size_t h = HashKey(key) & kCellMask;
-        while (cell_masks[h] != 0 && cell_keys[h] != key) {
-          h = (h + 1) & kCellMask;
-        }
-        if (cell_masks[h] == 0) {
-          cell_keys[h] = key;
-          scratch.cell_slots.push_back(static_cast<int>(h));
-        }
-        cell_masks[h] |= bit;
-      }
-    }
-    // Visit each distinct cell's postings once, OR-ing its mask into the
-    // trajectory's word; a word going non-zero lists the id for the block.
-    size_t block_count = 0;
-    for (const int h : scratch.cell_slots) {
-      const uint64_t mask = cell_masks[h];
-      cell_masks[h] = 0;
-      const auto [it, stop] = CellRange(cell_keys[h]);
-      for (const int32_t* id_ptr = it; id_ptr != stop; ++id_ptr) {
-        const int32_t id = *id_ptr;
-        const uint64_t word = words[id];
-        block_ids[block_count] = id;
-        block_count += static_cast<size_t>(word == 0);
-        words[id] = word | mask;
-      }
-    }
-    // Each set bit is one block point close to the trajectory.
-    for (size_t i = 0; i < block_count; ++i) {
-      const int id = block_ids[i];
-      const int count = counts[id];
-      touched[touched_count] = id;
-      touched_count += static_cast<size_t>(count == 0);
-      counts[id] = count + std::popcount(words[id]);
-      words[id] = 0;
-    }
-  }
-  out->clear();
-  out->reserve(touched_count);
-  for (size_t i = 0; i < touched_count; ++i) {
-    const int id = touched[i];
-    out->emplace_back(id, counts[id]);
-    counts[id] = 0;
+    h = (h + 1) & self.slot_mask_;
   }
 }
 
 void GridIndex::CloseCounts(TrajectoryView query,
                             std::vector<std::pair<int, int>>* out) const {
-  UnsortedCloseCounts(query, out);
-  std::sort(out->begin(), out->end());
+  GbpCloseCounts(postings(), query, out);
 }
 
 std::vector<std::pair<int, int>> GridIndex::CloseCounts(
@@ -424,26 +438,9 @@ std::vector<std::pair<int, int>> GridIndex::CloseCounts(
   return result;
 }
 
-void GridIndex::SurvivorCounts(
-    TrajectoryView query, double mu,
-    std::vector<std::pair<int, int>>* out) const {
-  thread_local std::vector<std::pair<int, int>> counts;
-  UnsortedCloseCounts(query, &counts);
-  const double threshold = mu * static_cast<double>(query.size());
-  out->clear();
-  for (const auto& [id, count] : counts) {
-    if (static_cast<double>(count) >= threshold) out->emplace_back(id, count);
-  }
-}
-
 void GridIndex::Candidates(TrajectoryView query, double mu,
                            std::vector<int>* out) const {
-  thread_local std::vector<std::pair<int, int>> survivors;
-  SurvivorCounts(query, mu, &survivors);
-  out->clear();
-  out->reserve(survivors.size());
-  for (const auto& [id, count] : survivors) out->push_back(id);
-  std::sort(out->begin(), out->end());
+  GbpCandidates(postings(), query, mu, /*ordered=*/false, out);
 }
 
 std::vector<int> GridIndex::Candidates(TrajectoryView query,
@@ -455,15 +452,7 @@ std::vector<int> GridIndex::Candidates(TrajectoryView query,
 
 void GridIndex::OrderedCandidates(TrajectoryView query, double mu,
                                   std::vector<int>* out) const {
-  thread_local std::vector<std::pair<int, int>> order;
-  SurvivorCounts(query, mu, &order);  // same set as Candidates()
-  // Negated count so the default pair ordering yields descending count,
-  // ascending id — a deterministic most-promising-first order.
-  for (auto& entry : order) entry = {-entry.second, entry.first};
-  std::sort(order.begin(), order.end());
-  out->clear();
-  out->reserve(order.size());
-  for (const auto& [neg_count, id] : order) out->push_back(id);
+  GbpCandidates(postings(), query, mu, /*ordered=*/true, out);
 }
 
 }  // namespace trajsearch

@@ -82,6 +82,56 @@ struct GridIndexStats {
   double build_seconds = 0;
 };
 
+/// Postings of one GBP cell: ascending trajectory ids in [first, second).
+using PostingRange = std::pair<const int32_t*, const int32_t*>;
+
+/// \brief What the GBP close counter reads from a grid.
+///
+/// GridIndex and DeltaGridIndex each describe themselves with one of these,
+/// so the one counter below serves the base grid, the live delta and a
+/// segment grid alike. `cell` runs once per distinct cell per block of
+/// query points, so a function pointer plus the grid it reads is enough.
+struct GbpPostings {
+  double cell_size = 0;
+  /// Exclusive bound on the ids the counter reports; sizes its per-id
+  /// scratch.
+  int id_bound = 0;
+  /// The grid `cell` reads from.
+  const void* grid = nullptr;
+  /// Ascending postings of the cell with `key` whose ids lie below
+  /// `id_bound`, or an empty range.
+  PostingRange (*cell)(const void* grid, int64_t key, int id_bound) = nullptr;
+};
+
+/// The GBP close counter (Appendix B): close(q, T) of every trajectory with
+/// a nonzero count, into `out` as (id, close count) pairs in ascending id
+/// order.
+///
+/// Counting visits each distinct cell once per block of up to 64 query
+/// points: the block's 9 * m neighbour keys are grouped by cell into a mask
+/// of the block points each cell neighbours, and every posting of the cell
+/// ORs that mask into a per-trajectory word; the popcount of the word is
+/// then the block's close count for the trajectory. A cell that several
+/// query points share — consecutive points mostly do — is read once instead
+/// of once per point, and no per-visit dedupe test is needed. The per-id
+/// words and counts live in thread-local scratch that every call leaves
+/// zeroed, so steady-state queries allocate nothing. A posting id outside
+/// [0, id_bound) — only a crafted or corrupt file holds one — is counted in
+/// a sink slot that is never reported. Reuses `out`'s capacity; safe to
+/// call concurrently from many threads.
+void GbpCloseCounts(const GbpPostings& grid, TrajectoryView query,
+                    std::vector<std::pair<int, int>>* out);
+
+/// The GBP filter (Equation 27): ids with close(q, T) >= mu * |query|, into
+/// `out` (capacity reused). Ascending id, or with `ordered`
+/// most-promising-first: descending close count, ascending id within equal
+/// counts. A high close count is a cheap proxy for a low distance, so
+/// evaluating those first tightens the global top-K threshold early and
+/// lets the bound filter and DP early abandoning prune the tail. Both
+/// orders hold the same set.
+void GbpCandidates(const GbpPostings& grid, TrajectoryView query, double mu,
+                   bool ordered, std::vector<int>* out);
+
 /// \brief Grid-Based Pruning index (GBP, Appendix B).
 ///
 /// Space is divided into square cells of side `cell_size`; an inverted index
@@ -89,28 +139,20 @@ struct GridIndexStats {
 /// query point is "close" to a trajectory if the trajectory has a point in
 /// the query point's cell or one of its 8 neighbours; close(q, T) counts the
 /// query points close to T. Trajectories with close(q, T) >= mu * m survive
-/// the filter (Equation 27).
+/// the filter (Equation 27); GbpCloseCounts does the counting.
 ///
 /// Storage is CSR: sorted unique cell keys, per-cell offsets and one flat
 /// posting array of trajectory ids — contiguous buffers instead of a
 /// node-based hash map — plus a flat open-addressed slot table for O(1)
 /// key-to-cell lookup, so a cell probe is one hash, a short linear scan over
-/// two flat arrays and a contiguous run of ids that prefetches cleanly.
-/// Per-query counting visits each distinct cell once per block of up to 64
-/// query points: the block's 9 * m neighbour keys are grouped by cell into
-/// a mask of the block points each cell neighbours, and every posting of
-/// the cell ORs that mask into a per-trajectory word; the popcount of the
-/// word is then the block's close count for the trajectory. A cell that
-/// several query points share — consecutive points mostly do — is read
-/// once instead of once per point, and no per-visit dedupe test is needed.
-/// The per-id words and counts live in thread-local scratch that every call
-/// leaves zeroed, so steady-state queries allocate nothing. Ids are
-/// local to the DatasetView the index was built over (identical to global
-/// ids for a whole-dataset view).
-/// Storage is owned (built by the constructor) or *borrowed* (FromParts:
-/// spans over prebuilt arrays — typically the CSR grid section of a mapped
-/// v4 snapshot — held alive by a refcounted keepalive), behind one set of
-/// view pointers so the probe path is identical in both modes.
+/// two flat arrays and a contiguous run of ids that prefetches cleanly. Ids
+/// are local to the DatasetView the index was built over (identical to
+/// global ids for a whole-dataset view).
+/// The five arrays are immutable once served and live in storage a
+/// refcounted keepalive holds: the builder's own block, or a FromParts
+/// caller's (typically the CSR grid section of a mapped v4 snapshot). So
+/// there is one storage mode, copying a grid shares its arrays, and the
+/// probe path is the same for a built and an adopted grid.
 class GridIndex {
  public:
   /// Builds the inverted index in O(total points + cells * log cells): a
@@ -122,22 +164,16 @@ class GridIndex {
   /// views in before one escapes.
   GridIndex() = default;
 
-  GridIndex(const GridIndex& other);
-  GridIndex& operator=(const GridIndex& other);
-  // Vector moves keep buffer addresses, so view pointers survive a move in
-  // both storage modes.
-  GridIndex(GridIndex&&) = default;
-  GridIndex& operator=(GridIndex&&) = default;
-
   /// Adopts prebuilt CSR + slot arrays without copying (the zero-copy
   /// serving path for a grid section mapped from disk). `keepalive` owns the
   /// arrays' storage. Validates the structural invariants the probe path
   /// relies on — offset-table shape, power-of-two slot table, slot targets
   /// in range — and returns InvalidArgument instead of adopting bad bytes.
-  /// Posting-id payload integrity is the snapshot checksum's job, and
-  /// cell-key sortedness (an ordering nicety the hash-probed lookups never
-  /// depend on) is MmapSnapshot::Verify()'s — neither is re-checked here,
-  /// keeping adoption inside the mmap-open latency budget.
+  /// Posting ids are not scanned, which keeps adoption inside the mmap-open
+  /// latency budget: the counter sinks an out-of-range id instead of
+  /// reading past its scratch, and MmapSnapshot::Verify() rejects one, as
+  /// it does unsorted cell keys (an ordering nicety the hash-probed lookups
+  /// never depend on).
   static Result<GridIndex> FromParts(double cell_size, int dataset_size,
                                      std::span<const int64_t> cell_keys,
                                      std::span<const uint64_t> cell_offsets,
@@ -146,9 +182,10 @@ class GridIndex {
                                      std::span<const int32_t> slot_cells,
                                      std::shared_ptr<const void> keepalive);
 
-  /// Computes close(q, T) for every trajectory with a nonzero count, into
-  /// `out` as (trajectory id, close count) pairs in ascending id order.
-  /// Reuses `out`'s capacity; safe to call concurrently from many threads.
+  /// This grid as the GBP counter reads it: every id below dataset_size().
+  GbpPostings postings() const;
+
+  /// GbpCloseCounts over this grid.
   void CloseCounts(TrajectoryView query,
                    std::vector<std::pair<int, int>>* out) const;
 
@@ -163,21 +200,15 @@ class GridIndex {
   /// Allocating convenience wrapper around the scratch-reusing overload.
   std::vector<int> Candidates(TrajectoryView query, double mu) const;
 
-  /// Candidates ordered most-promising-first for the engine's shared-
-  /// threshold search: ids with close(q, T) >= mu * |query|, sorted by
-  /// descending close count and ascending id within equal counts. A high
-  /// close count is a cheap proxy for a low distance, so evaluating these
-  /// first tightens the global top-K threshold early and lets the bound
-  /// filter and DP early abandoning prune the tail. Same candidate *set* as
-  /// Candidates() — only the order differs. Reuses `out`'s capacity; safe to
-  /// call concurrently.
+  /// The same candidates most-promising-first (see GbpCandidates), the
+  /// order the engine's shared-threshold search evaluates them in.
   void OrderedCandidates(TrajectoryView query, double mu,
                          std::vector<int>* out) const;
 
   double cell_size() const { return cell_size_; }
   size_t cell_count() const { return cell_count_; }
   int dataset_size() const { return dataset_size_; }
-  /// True when the arrays are borrowed (FromParts) rather than owned.
+  /// True when the arrays were adopted through FromParts rather than built.
   bool borrowed() const { return borrowed_; }
   const GridIndexStats& stats() const { return stats_; }
 
@@ -185,58 +216,46 @@ class GridIndex {
   /// FromParts adopts the same five arrays back).
   /// @{
   std::span<const int64_t> cell_keys() const {
-    return {cell_keys_data_, cell_count_};
+    return {cell_keys_, cell_count_};
   }
   std::span<const uint64_t> cell_offsets() const {
-    return {cell_offsets_data_, cell_count_ + 1};
+    return {cell_offsets_, cell_count_ + 1};
   }
-  std::span<const int32_t> posting_ids() const {
-    return {ids_data_, id_count_};
-  }
+  std::span<const int32_t> posting_ids() const { return {ids_, id_count_}; }
   std::span<const int64_t> slot_keys() const {
-    return {slot_key_data_, slot_mask_ + 1};
+    return {slot_keys_, slot_mask_ + 1};
   }
   std::span<const int32_t> slot_cells() const {
-    return {slot_cell_data_, slot_mask_ + 1};
+    return {slot_cells_, slot_mask_ + 1};
   }
   /// @}
 
  private:
-  /// Repoints the serving views at the owned vectors (owned mode only).
-  void SyncViews();
-  /// Postings of the cell with `key`, or an empty range.
-  std::pair<const int32_t*, const int32_t*> CellRange(int64_t key) const;
-  /// close(q, T) of every trajectory with a nonzero count, as (id, count)
-  /// pairs in first-touch order (see the class comment).
-  void UnsortedCloseCounts(TrajectoryView query,
-                           std::vector<std::pair<int, int>>* out) const;
-  /// The one mu-threshold filter both Candidates() and OrderedCandidates()
-  /// select survivors with: (id, close count) pairs with
-  /// close(q, T) >= mu * |query|, in UnsortedCloseCounts' order.
-  void SurvivorCounts(TrajectoryView query, double mu,
-                      std::vector<std::pair<int, int>>* out) const;
+  /// Points the views at the five arrays `keepalive` holds and fills the
+  /// size stats; the one way a grid gets its storage.
+  void Adopt(std::span<const int64_t> cell_keys,
+             std::span<const uint64_t> cell_offsets,
+             std::span<const int32_t> ids, std::span<const int64_t> slot_keys,
+             std::span<const int32_t> slot_cells,
+             std::shared_ptr<const void> keepalive);
+  /// GbpPostings::cell over the slot table (`grid` is a GridIndex).
+  static PostingRange CellPostings(const void* grid, int64_t key,
+                                   int id_bound);
 
   double cell_size_ = 0;
   int dataset_size_ = 0;
   bool borrowed_ = false;
-  /// Owned CSR layout (empty in borrowed mode): cell_keys_ sorted ascending;
+  /// Serving views into `keepalive_`'s storage: cell keys sorted ascending;
   /// ids of cell c are ids_[cell_offsets_[c] .. cell_offsets_[c+1]),
-  /// ascending.
-  std::vector<int64_t> cell_keys_;
-  std::vector<uint64_t> cell_offsets_;
-  std::vector<int32_t> ids_;
-  /// Open-addressed (linear probing) key -> cell slot table; slot_cell_ is
-  /// -1 for empty slots, slot table size is a power of two.
-  std::vector<int64_t> slot_key_;
-  std::vector<int32_t> slot_cell_;
-  /// Serving views over either the vectors above or borrowed storage.
-  const int64_t* cell_keys_data_ = nullptr;
+  /// ascending. Open-addressed (linear probing) key -> cell slot table of
+  /// power-of-two size; slot_cells_ is -1 for empty slots.
+  const int64_t* cell_keys_ = nullptr;
   size_t cell_count_ = 0;
-  const uint64_t* cell_offsets_data_ = nullptr;
-  const int32_t* ids_data_ = nullptr;
+  const uint64_t* cell_offsets_ = nullptr;
+  const int32_t* ids_ = nullptr;
   size_t id_count_ = 0;
-  const int64_t* slot_key_data_ = nullptr;
-  const int32_t* slot_cell_data_ = nullptr;
+  const int64_t* slot_keys_ = nullptr;
+  const int32_t* slot_cells_ = nullptr;
   size_t slot_mask_ = 0;
   std::shared_ptr<const void> keepalive_;
   GridIndexStats stats_;

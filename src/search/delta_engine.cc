@@ -18,7 +18,9 @@ void DeltaEngine::QueryInto(TrajectoryView query, const DeltaView& delta,
       delta, query,
       [&](std::vector<int>* out) {
         if (grid == nullptr) return false;
-        GridCandidates(query, delta, *grid, out);
+        TRAJ_DCHECK(grid->size() >= delta.size());
+        GbpCandidates(grid->postings(delta.size()), query, options().mu,
+                      options().order_candidates, out);
         return true;
       },
       topk, id_offset, excluded_id, /*threads=*/1, stats);
@@ -34,23 +36,13 @@ void DeltaEngine::QueryInto(TrajectoryView query, const DeltaView& delta,
         if (grid == nullptr) return false;
         grid->CatchUp(delta);
         grid->Read([&](const DeltaGridIndex& index) {
-          GridCandidates(query, delta, index, out);
+          TRAJ_DCHECK(index.size() >= delta.size());
+          GbpCandidates(index.postings(delta.size()), query, options().mu,
+                        options().order_candidates, out);
         });
         return true;
       },
       topk, id_offset, excluded_id, /*threads=*/1, stats);
-}
-
-void DeltaEngine::GridCandidates(TrajectoryView query, const DeltaView& delta,
-                                 const DeltaGridIndex& grid,
-                                 std::vector<int>* out) const {
-  TRAJ_DCHECK(grid.size() >= delta.size());
-  const EngineOptions& opts = options();
-  if (opts.order_candidates) {
-    grid.OrderedCandidates(query, opts.mu, out, delta.size());
-  } else {
-    grid.Candidates(query, opts.mu, out, delta.size());
-  }
 }
 
 }  // namespace trajsearch

@@ -55,11 +55,6 @@ class DeltaEngine {
   const EngineOptions& options() const { return pipeline_.options(); }
 
  private:
-  /// Delta ids < delta.size() from `grid`'s postings, close-count ranked
-  /// when ordering is on.
-  void GridCandidates(TrajectoryView query, const DeltaView& delta,
-                      const DeltaGridIndex& grid, std::vector<int>* out) const;
-
   SearchPipeline pipeline_;
 };
 

@@ -104,11 +104,8 @@ void SearchEngine::QueryInto(TrajectoryView query, SharedTopK* topk,
       data_, query,
       [&](std::vector<int>* out) {
         if (grid_view_ == nullptr) return false;
-        if (opts.order_candidates) {
-          grid_view_->OrderedCandidates(query, opts.mu, out);
-        } else {
-          grid_view_->Candidates(query, opts.mu, out);
-        }
+        GbpCandidates(grid_view_->postings(), query, opts.mu,
+                      opts.order_candidates, out);
         return true;
       },
       topk, id_offset, excluded_id, opts.threads, stats);

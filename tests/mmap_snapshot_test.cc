@@ -383,7 +383,7 @@ TEST_F(SnapshotV4RejectionTest, WrappedGridCountsRejected) {
 }
 
 TEST_F(SnapshotV4RejectionTest, FullGridSlotTableRejected) {
-  // A slot table with no empty slot would make CellRange's open-addressing
+  // A slot table with no empty slot would make CellPostings' open-addressing
   // probe spin forever on the first absent key; FromParts must reject it at
   // open time. Fill every empty slot with a valid cell target (0), which
   // passes the per-slot range check and fails only the termination one.
@@ -594,6 +594,66 @@ TEST_F(SnapshotV4RejectionTest, UnknownGridFlagsRejected) {
   WriteScalarAt<uint32_t>(path_, static_cast<std::streamoff>(grid->offset + 12),
                           kV4GridFlagBounds | 2u);
   EXPECT_FALSE(MmapSnapshot::Open(path_).ok());
+}
+
+TEST_F(SnapshotV4RejectionTest, OutOfRangePostingIdsAreSunkAndFailVerify) {
+  // Open reads no posting id (a pass over them would cost every open), so a
+  // file whose ids lie outside the corpus opens. The GBP counter must serve
+  // defined candidates from it anyway — every id it reports in range — and
+  // the deep Verify pass must reject it.
+  const SnapshotSectionInfo* section = FindSection(info_, kV4SectionGrid);
+  ASSERT_NE(section, nullptr);
+  const auto base = static_cast<std::streamoff>(section->offset);
+  const auto cell_count = ReadScalarAt<uint64_t>(path_, base + 16);
+  const auto id_count = ReadScalarAt<uint64_t>(path_, base + 24);
+  const auto slot_count = ReadScalarAt<uint64_t>(path_, base + 32);
+  ASSERT_GE(id_count, 2u);
+  const std::streamoff ids =
+      base + static_cast<std::streamoff>(40 + cell_count * 8 +
+                                         (cell_count + 1) * 8 +
+                                         slot_count * 8);
+  WriteScalarAt<int32_t>(path_, ids, int32_t{1} << 28);
+  WriteScalarAt<int32_t>(
+      path_, ids + static_cast<std::streamoff>(4 * (id_count - 1)), -1);
+
+  Result<MmapSnapshot> opened = MmapSnapshot::Open(path_);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const GridIndex* grid = opened.value().grid();
+  ASSERT_NE(grid, nullptr);
+  ASSERT_EQ(grid->posting_ids().front(), int32_t{1} << 28);
+  ASSERT_EQ(grid->posting_ids().back(), -1);
+
+  ServiceOptions options;
+  options.engine.use_gbp = true;
+  options.engine.mu = 0.0;
+  options.engine.top_k = 3;
+  options.shards = 1;
+  options.worker_threads = 1;
+  options.engine.prebuilt_grid = grid;
+  QueryService service(opened.value().dataset(), options);
+  // Each whole trajectory as a query: together they touch every cell, the
+  // first and the last (where the crafted ids sit) included.
+  for (int id = 0; id < corpus_.size(); ++id) {
+    const TrajectoryView query = corpus_[id].View();
+    const std::string context = "query " + std::to_string(id);
+    for (const auto& [hit, count] : grid->CloseCounts(query)) {
+      EXPECT_GE(hit, 0) << context;
+      EXPECT_LT(hit, corpus_.size()) << context;
+    }
+    std::vector<int> ordered;
+    grid->OrderedCandidates(query, 0.0, &ordered);
+    for (const int hit : ordered) {
+      EXPECT_GE(hit, 0) << context;
+      EXPECT_LT(hit, corpus_.size()) << context;
+    }
+    const std::vector<EngineHit> hits = service.Submit(query);
+    EXPECT_FALSE(hits.empty()) << context;
+    for (const EngineHit& hit : hits) {
+      EXPECT_GE(hit.trajectory_id, 0) << context;
+      EXPECT_LT(hit.trajectory_id, corpus_.size()) << context;
+    }
+  }
+  EXPECT_EQ(opened.value().Verify().code(), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include "io/column_codec.h"
 #include "io/snapshot.h"
 #include "io/snapshot_v4.h"
+#include "prune/delta_grid.h"
 #include "prune/grid_index.h"
 #include "prune/key_point_filter.h"
 #include "search/engine.h"
@@ -527,10 +528,14 @@ TEST(PlanAllocTest, KpfBoundPlanLowerBoundDoesNotAllocate) {
 // survivor lists) or per call (KPF's chunk boxes and box terms, on the stack
 // up to a size and thread-local past it), and only ever grows: once every
 // query and candidate has been seen on a thread, the same work again
-// allocates nothing. The long candidate takes KPF's spill path.
+// allocates nothing. The long candidate takes KPF's spill path; the delta
+// grid, read at two caps, runs the same counter as the base grid.
 TEST(PlanAllocTest, SteadyStatePruneAllocatesNothing) {
   const testing::PortoWorkbench w = testing::MakePortoWorkbench(8);
-  const GridIndex grid(w.corpus, DefaultCellSize(w.corpus.Bounds()));
+  const double cell = DefaultCellSize(w.corpus.Bounds());
+  const GridIndex grid(w.corpus, cell);
+  DeltaGridIndex delta(cell);
+  for (int id = 0; id < w.corpus.size(); ++id) delta.Add(w.corpus[id].View());
   Rng rng(515);
   std::vector<Trajectory> candidates;
   for (int id = 0; id < w.corpus.size(); id += 9) {
@@ -549,6 +554,13 @@ TEST(PlanAllocTest, SteadyStatePruneAllocatesNothing) {
       grid.CloseCounts(query, &counts);
       sum += static_cast<double>(ordered.size() + survivors.size() +
                                  counts.size());
+      for (const int cap : {w.corpus.size() / 2, w.corpus.size()}) {
+        delta.OrderedCandidates(query, 0.2, &ordered, cap);
+        delta.Candidates(query, 0.2, &survivors, cap);
+        delta.CloseCounts(query, &counts, cap);
+        sum += static_cast<double>(ordered.size() + survivors.size() +
+                                   counts.size());
+      }
       for (const DistanceSpec& spec : w.specs) {
         plan.Bind(spec, query, 1.0);
         for (const Trajectory& data : candidates) {

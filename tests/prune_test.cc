@@ -5,12 +5,14 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "gen/taxi.h"
 #include "io/snapshot_v4.h"
+#include "prune/delta_grid.h"
 #include "prune/grid_index.h"
 #include "prune/key_point_filter.h"
 #include "search/cma.h"
@@ -436,6 +438,23 @@ std::vector<std::pair<int, int>> ReferenceCloseCounts(const GridIndex& grid,
   return out;
 }
 
+/// The GBP filter's output given the true close counts (ascending id):
+/// survivors of close(q, T) >= mu * m in ascending id order, or with
+/// `ordered` by descending count then ascending id.
+std::vector<int> ExpectedCandidates(
+    const std::vector<std::pair<int, int>>& counts, size_t m, double mu,
+    bool ordered) {
+  const double threshold = mu * static_cast<double>(m);
+  std::vector<std::pair<int, int>> order;
+  for (const auto& [id, count] : counts) {
+    if (static_cast<double>(count) >= threshold) order.emplace_back(-count, id);
+  }
+  if (ordered) std::sort(order.begin(), order.end());
+  std::vector<int> ids;
+  for (const auto& [neg_count, id] : order) ids.push_back(id);
+  return ids;
+}
+
 /// Every GBP output of `grid` for `query` against the stamp reference.
 void ExpectCountsMatchReference(const GridIndex& grid, TrajectoryView query,
                                 const std::string& where) {
@@ -443,55 +462,53 @@ void ExpectCountsMatchReference(const GridIndex& grid, TrajectoryView query,
       ReferenceCloseCounts(grid, query);
   ASSERT_EQ(grid.CloseCounts(query), expected) << where;
   for (const double mu : {0.0, 0.1, 0.5, 1.0}) {
-    const double threshold = mu * static_cast<double>(query.size());
-    std::vector<int> candidates;
-    std::vector<std::pair<int, int>> order;
-    for (const auto& [id, count] : expected) {
-      if (static_cast<double>(count) >= threshold) {
-        candidates.push_back(id);
-        order.emplace_back(-count, id);
-      }
-    }
-    std::sort(order.begin(), order.end());
-    std::vector<int> ordered;
-    for (const auto& [neg_count, id] : order) ordered.push_back(id);
-    ASSERT_EQ(grid.Candidates(query, mu), candidates)
+    ASSERT_EQ(grid.Candidates(query, mu),
+              ExpectedCandidates(expected, query.size(), mu, false))
         << where << " mu=" << mu;
     std::vector<int> got;
     grid.OrderedCandidates(query, mu, &got);
-    ASSERT_EQ(got, ordered) << where << " mu=" << mu;
+    ASSERT_EQ(got, ExpectedCandidates(expected, query.size(), mu, true))
+        << where << " mu=" << mu;
   }
 }
 
-TEST(GridCountIdentityTest, MaskCountMatchesStampCountOnEveryShape) {
+/// The identity inputs: 300 Porto trajectories plus 12 copies with one
+/// point each in a saturated edge cell (huge, infinite or NaN coordinates),
+/// the default cell of the 300, and queries of m = 1, 63, 64, 65 and 130
+/// points (one, one full and a spilling mask block, two full blocks plus
+/// two points), walked through corpus points so they touch many
+/// trajectories, with repeated cells (every point taken twice in a row) and
+/// special points mixed in.
+struct CountIdentityInputs {
+  Dataset corpus;
+  double cell = 0;
+  std::vector<Trajectory> queries;
+};
+
+CountIdentityInputs MakeCountIdentityInputs() {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  Dataset corpus = GenerateTaxiDataset(PortoProfile(300));
-  const double cell = DefaultCellSize(corpus.Bounds());
-  // Points in the saturated edge cells: huge, infinite and NaN coordinates.
+  CountIdentityInputs in;
+  in.corpus = GenerateTaxiDataset(PortoProfile(300));
+  in.cell = DefaultCellSize(in.corpus.Bounds());
   const std::vector<Point> specials = {
       Point{1e300, -1e300}, Point{-1e300, 1e300}, Point{inf, 2.0},
       Point{-inf, -inf},    Point{nan, 1.0},      Point{2.0, nan}};
   Rng rng(2024);
   for (int i = 0; i < 12; ++i) {
-    const TrajectoryRef source = corpus[static_cast<int>(rng.UniformInt(0, 299))];
+    const TrajectoryRef source =
+        in.corpus[static_cast<int>(rng.UniformInt(0, 299))];
     std::vector<Point> pts(source.points().begin(), source.points().end());
     pts[static_cast<size_t>(i) % pts.size()] =
         specials[static_cast<size_t>(i) % specials.size()];
-    corpus.Add(Trajectory(std::move(pts)));
+    in.corpus.Add(Trajectory(std::move(pts)));
   }
-
-  // Queries of m = 1, 63, 64, 65 and 130 points (one, one full and a
-  // spilling mask block, two full blocks plus two points), walked through
-  // corpus points so they touch many trajectories, with repeated cells
-  // (every point taken twice in a row) and special points mixed in.
-  std::vector<Trajectory> queries;
   for (const int m : {1, 63, 64, 65, 130}) {
     for (int variant = 0; variant < 3; ++variant) {
       std::vector<Point> pts;
       while (static_cast<int>(pts.size()) < m) {
         const TrajectoryRef source =
-            corpus[static_cast<int>(rng.UniformInt(0, 299))];
+            in.corpus[static_cast<int>(rng.UniformInt(0, 299))];
         for (const Point& p : source.points()) {
           if (static_cast<int>(pts.size()) == m) break;
           pts.push_back(p);
@@ -505,9 +522,16 @@ TEST(GridCountIdentityTest, MaskCountMatchesStampCountOnEveryShape) {
           pts[(k * 37) % pts.size()] = specials[k];
         }
       }
-      queries.push_back(Trajectory(std::move(pts)));
+      in.queries.push_back(Trajectory(std::move(pts)));
     }
   }
+  return in;
+}
+
+TEST(GridCountIdentityTest, MaskCountMatchesStampCountOnEveryShape) {
+  const CountIdentityInputs in = MakeCountIdentityInputs();
+  const Dataset& corpus = in.corpus;
+  const double cell = in.cell;
 
   // The whole corpus, two shard views (one with begin_id() > 0) and a grid
   // borrowed from a v4 snapshot.
@@ -528,14 +552,83 @@ TEST(GridCountIdentityTest, MaskCountMatchesStampCountOnEveryShape) {
   grids.emplace_back("v4", *opened.value().grid());
 
   for (const auto& [name, grid] : grids) {
-    for (const Trajectory& query : queries) {
+    for (const Trajectory& query : in.queries) {
       ExpectCountsMatchReference(
           grid, query, name + " m=" + std::to_string(query.size()));
     }
   }
   // A grid on the same thread after a larger one: the scratch stays clean.
-  ExpectCountsMatchReference(grids[1].second, queries.back(), "shard again");
+  ExpectCountsMatchReference(grids[1].second, in.queries.back(),
+                             "shard again");
   std::remove(path.c_str());
+}
+
+// The live delta's grid goes through the same counter, its read cap cutting
+// each cell's postings: a DeltaGridIndex over the identity corpus, read at
+// caps 0, 1, size/2 and size (and uncapped), must give what the stamp
+// reference gives over a CSR grid of the same prefix.
+TEST(GridCountIdentityTest, DeltaCountMatchesStampCountAtEveryCap) {
+  const CountIdentityInputs in = MakeCountIdentityInputs();
+  DeltaGridIndex delta(in.cell);
+  for (int id = 0; id < in.corpus.size(); ++id) delta.Add(in.corpus[id].View());
+  const int size = in.corpus.size();
+  for (const int cap : {0, 1, size / 2, size, DeltaGridIndex::kAll}) {
+    const GridIndex prefix(DatasetView(in.corpus, 0, std::min(cap, size)),
+                           in.cell);
+    for (const Trajectory& query : in.queries) {
+      const std::string where = "cap=" + std::to_string(cap) +
+                                " m=" + std::to_string(query.size());
+      const std::vector<std::pair<int, int>> expected =
+          ReferenceCloseCounts(prefix, query);
+      std::vector<std::pair<int, int>> counts;
+      delta.CloseCounts(query, &counts, cap);
+      ASSERT_EQ(counts, expected) << where;
+      for (const double mu : {0.0, 0.1, 0.5, 1.0}) {
+        std::vector<int> got;
+        delta.Candidates(query, mu, &got, cap);
+        ASSERT_EQ(got, ExpectedCandidates(expected, query.size(), mu, false))
+            << where << " mu=" << mu;
+        delta.OrderedCandidates(query, mu, &got, cap);
+        ASSERT_EQ(got, ExpectedCandidates(expected, query.size(), mu, true))
+            << where << " mu=" << mu;
+      }
+    }
+  }
+}
+
+// Copying a grid shares its arrays, built or adopted: a copy keeps counting
+// identically after its source (and, for a v4 grid, the snapshot) is gone.
+TEST(GridCountIdentityTest, CopiedGridCountsAfterItsSourceIsGone) {
+  const CountIdentityInputs in = MakeCountIdentityInputs();
+  auto built = std::make_unique<GridIndex>(in.corpus, in.cell);
+  const GridIndex copy(*built);
+  GridIndex assigned;
+  assigned = *built;
+  EXPECT_EQ(copy.posting_ids().data(), built->posting_ids().data());
+  EXPECT_FALSE(copy.borrowed());
+  EXPECT_EQ(copy.stats().index_bytes, built->stats().index_bytes);
+  built.reset();
+
+  const std::string path = ::testing::TempDir() + "/gbp_copy.snap";
+  V4WriteOptions options;
+  options.grid_cell = in.cell;
+  ASSERT_TRUE(WriteSnapshotV4(in.corpus, path, options).ok());
+  auto opened =
+      std::make_unique<Result<MmapSnapshot>>(MmapSnapshot::Open(path));
+  ASSERT_TRUE(opened->ok()) << opened->status().ToString();
+  ASSERT_NE(opened->value().grid(), nullptr);
+  const GridIndex mapped_copy(*opened->value().grid());
+  opened.reset();
+  std::remove(path.c_str());
+  EXPECT_TRUE(mapped_copy.borrowed());
+
+  for (const Trajectory& query : in.queries) {
+    const std::string m = " m=" + std::to_string(query.size());
+    ExpectCountsMatchReference(copy, query, "copy" + m);
+    ExpectCountsMatchReference(assigned, query, "assigned" + m);
+    ExpectCountsMatchReference(mapped_copy, query, "v4 copy" + m);
+    ASSERT_EQ(copy.CloseCounts(query), mapped_copy.CloseCounts(query)) << m;
+  }
 }
 
 // ---------------------------------------------------------------------------
