@@ -123,8 +123,9 @@ class MmapSnapshot {
   const Dataset& dataset() const { return dataset_; }
 
   /// The prebuilt grid index section, or null if the file carries none.
-  /// Valid while this snapshot (or any dataset copy's keepalive) lives;
-  /// feed it to EngineOptions::prebuilt_grid.
+  /// Valid while this snapshot lives; feed it to
+  /// EngineOptions::prebuilt_grid. An engine that adopts it keeps a copy
+  /// sharing the mapped arrays, so the snapshot may go first.
   const GridIndex* grid() const {
     return grid_.has_value() ? &grid_.value() : nullptr;
   }

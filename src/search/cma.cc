@@ -24,27 +24,24 @@ SearchResult CmaSearch(const DistanceSpec& spec, TrajectoryView query,
   });
 }
 
-void CmaSuffixFloor::Bind(const DistanceSpec& spec, CmaWedVariant variant,
-                          TrajectoryView query, DpArena* arena) {
+void CmaSuffixFloor::Bind(const DistanceSpec& spec, TrajectoryView query,
+                          DpArena* arena) {
   m_ = static_cast<int>(query.size());
   qx_ = arena->Doubles();
   qy_ = arena->Doubles();
   del_ = arena->Doubles();
   box_ = arena->Doubles();
   lb_ = arena->Doubles();
-  const bool exact = variant == CmaWedVariant::kExact;
   switch (spec.kind) {
     case DistanceKind::kDtw:
+    case DistanceKind::kErp:
       kind_ = Kind::kSum;
       break;
     case DistanceKind::kFrechet:
       kind_ = Kind::kMax;
       break;
-    case DistanceKind::kErp:
-      kind_ = exact ? Kind::kSum : Kind::kNone;
-      break;
     case DistanceKind::kEdr:
-      kind_ = exact ? Kind::kEdr : Kind::kNone;
+      kind_ = Kind::kEdr;
       break;
     default:
       kind_ = Kind::kNone;  // opaque user costs: no bound on sub
@@ -153,8 +150,7 @@ namespace {
 /// and the same abandon row.
 class CmaPlan final : public QueryRun {
  public:
-  CmaPlan(DistanceSpec spec, CmaWedVariant variant)
-      : spec_(spec), variant_(variant) {}
+  explicit CmaPlan(DistanceSpec spec) : spec_(spec) {}
 
   void Bind(TrajectoryView query) override {
     query_ = query;
@@ -173,20 +169,17 @@ class CmaPlan final : public QueryRun {
     bs_prev_ = arena_.Doubles();
     bs_cur_ = arena_.Doubles();
     sfx_ = arena_.Doubles();
-    floor_.Bind(spec_, variant_, query, &arena_);
+    floor_.Bind(spec_, query, &arena_);
     // One suffix floor per lane (lane l at l * (m + 1)); lane 0's doubles as
     // the single-candidate floor.
     sfx_->resize(static_cast<size_t>(kW) * (query.size() + 1));
     // Dispatch is sampled here, like the steppers': DTW/Fréchet batches
-    // always vectorize; WED rows only under the kExact variant (the Vec/batch
-    // kernels implement its rolling G-minimum) and only for cost models
-    // with a SubData kernel (custom WED callbacks stay scalar).
-    const bool kind_ok =
-        spec_.kind == DistanceKind::kDtw ||
-        spec_.kind == DistanceKind::kFrechet ||
-        ((spec_.kind == DistanceKind::kEdr ||
-          spec_.kind == DistanceKind::kErp) &&
-         variant_ == CmaWedVariant::kExact);
+    // always vectorize; WED rows only for cost models with a SubData kernel
+    // (custom WED callbacks stay scalar).
+    const bool kind_ok = spec_.kind == DistanceKind::kDtw ||
+                         spec_.kind == DistanceKind::kFrechet ||
+                         spec_.kind == DistanceKind::kEdr ||
+                         spec_.kind == DistanceKind::kErp;
     vec_ = simd::Enabled() && kind_ok;
     batch_width_ = vec_ ? simd::BatchLanes() : 1;
   }
@@ -195,12 +188,6 @@ class CmaPlan final : public QueryRun {
     const int m = static_cast<int>(query_.size());
     const int n = static_cast<int>(data.size());
     TRAJ_CHECK(m >= 1 && n >= 1);
-    // The monotone row floor that justifies abandoning relies on the kExact
-    // rolling minimum; the paper's Eq-7 rolled term can locally decrease, so
-    // under kEq7Rolling the plan runs unbounded (still matching the
-    // stateless path bit for bit).
-    const double effective_cutoff =
-        variant_ == CmaWedVariant::kExact ? cutoff : kNoCutoff;
     const CmaAbandonRule rule = floor_.Fill(data, cutoff, sfx_->data());
     bool complete = true;
     int rows = 0;
@@ -209,17 +196,18 @@ class CmaPlan final : public QueryRun {
       complete = VisitWedCosts(spec_, query_, data, [&](const auto& costs) {
         using C = std::decay_t<decltype(costs)>;
         if constexpr (simd::BatchCosts<C>) {
-          if (vec_) {  // implies kExact, so effective_cutoff == cutoff
+          if (vec_) {
             // Substitutions run one data lane group at a time; the
             // n % kLanes tail of each row stays scalar.
             vec_end = n - n % simd::kLanes;
             const CmaRowCosts<C> row_costs(costs, sub_row_, ins_row_, cx_,
                                            cy_);
-            return CmaWedRows(m, n, row_costs, variant_, cutoff, rule,
-                              &c_prev_, &c_cur_, &s_prev_, &s_cur_, &rows);
+            return CmaWedRows(m, n, row_costs, CmaWedVariant::kExact, cutoff,
+                              rule, &c_prev_, &c_cur_, &s_prev_, &s_cur_,
+                              &rows);
           }
         }
-        return CmaWedRows(m, n, costs, variant_, effective_cutoff, rule,
+        return CmaWedRows(m, n, costs, CmaWedVariant::kExact, cutoff, rule,
                           &c_prev_, &c_cur_, &s_prev_, &s_cur_, &rows);
       });
     } else {
@@ -559,7 +547,6 @@ class CmaPlan final : public QueryRun {
   }
 
   DistanceSpec spec_;
-  CmaWedVariant variant_;
   TrajectoryView query_;
   std::vector<double> c_prev_, c_cur_;
   std::vector<int> s_prev_, s_cur_;
@@ -585,9 +572,8 @@ class CmaPlan final : public QueryRun {
 
 }  // namespace
 
-std::unique_ptr<QueryRun> MakeCmaRun(const DistanceSpec& spec,
-                                     CmaWedVariant variant) {
-  return std::make_unique<CmaPlan>(spec, variant);
+std::unique_ptr<QueryRun> MakeCmaRun(const DistanceSpec& spec) {
+  return std::make_unique<CmaPlan>(spec);
 }
 
 }  // namespace trajsearch

@@ -105,7 +105,10 @@ enum class CmaWedVariant {
   /// paper's measured workloads; can return larger-than-optimal distances
   /// for ERP/WED corner cases (overestimates only when
   /// sub(a,b) <= del(a) + ins(b) holds; can even underestimate when that
-  /// assumption is violated by an adversarial cost model).
+  /// assumption is violated by an adversarial cost model). Only the
+  /// stateless functions (CmaWedRows, CmaWedSearch, CmaSearch) take it,
+  /// as the reference the tests and bench_ablation compare kExact against;
+  /// the engines' plans always run kExact.
   kEq7Rolling,
 };
 
@@ -123,12 +126,11 @@ enum class CmaWedVariant {
 /// squared-distance-vs-eps^2 test as EdrCosts::Sub).
 class CmaSuffixFloor {
  public:
-  /// Compiles the query side. Custom WED costs and the kEq7Rolling variant
-  /// get no floor (every Fill returns the plain row-floor rule), and
-  /// neither does a query with a NaN or infinite coordinate (Fréchet: a
-  /// rule that never abandons, see CmaAbandonRule).
-  void Bind(const DistanceSpec& spec, CmaWedVariant variant,
-            TrajectoryView query, DpArena* arena);
+  /// Compiles the query side. Custom WED costs get no floor (every Fill
+  /// returns the plain row-floor rule), and neither does a query with a NaN
+  /// or infinite coordinate (Fréchet: a rule that never abandons, see
+  /// CmaAbandonRule).
+  void Bind(const DistanceSpec& spec, TrajectoryView query, DpArena* arena);
 
   /// Writes the suffix floor of `data` into sfx[0..m] and returns the rule
   /// that reads it. Under kNoCutoff, without a floor (see Bind) or when
@@ -486,8 +488,8 @@ SearchResult CmaSearch(const DistanceSpec& spec, TrajectoryView query,
 
 /// \brief Bind-once CMA execution plan: retains the four O(n) row buffers
 /// across candidates and honors the Run cutoff via the monotone row-floor
-/// abandon described above.
-std::unique_ptr<QueryRun> MakeCmaRun(
-    const DistanceSpec& spec, CmaWedVariant variant = CmaWedVariant::kExact);
+/// abandon described above. WED-family rows always run the kExact
+/// recurrence; kEq7Rolling lives only in the stateless functions above.
+std::unique_ptr<QueryRun> MakeCmaRun(const DistanceSpec& spec);
 
 }  // namespace trajsearch

@@ -76,11 +76,11 @@ SearchEngine::SearchEngine(DatasetView data, EngineOptions options)
         data_.size() == prebuilt->dataset_size() &&
         cell == prebuilt->cell_size()) {
       // The prebuilt index covers exactly this view at exactly this cell
-      // side, so serving it is hit-for-hit identical to building one.
-      grid_view_ = prebuilt;
+      // side, so serving it is hit-for-hit identical to building one. The
+      // copy shares its arrays and their keepalive.
+      grid_.emplace(*prebuilt);
     } else {
-      grid_ = std::make_unique<GridIndex>(data_, cell);
-      grid_view_ = grid_.get();
+      grid_.emplace(data_, cell);
     }
   }
 }
@@ -103,8 +103,8 @@ void SearchEngine::QueryInto(TrajectoryView query, SharedTopK* topk,
   pipeline_.Run(
       data_, query,
       [&](std::vector<int>* out) {
-        if (grid_view_ == nullptr) return false;
-        GbpCandidates(grid_view_->postings(), query, opts.mu,
+        if (!grid_.has_value()) return false;
+        GbpCandidates(grid_->postings(), query, opts.mu,
                       opts.order_candidates, out);
         return true;
       },

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/dataset.h"
@@ -67,12 +68,11 @@ struct EngineOptions {
   /// Scheduler pool for the multi-threaded search stage; null uses the
   /// process-wide DefaultScheduler(). The QueryService injects its own pool
   /// here so shard fan-out and per-query workers share one thread set
-  /// (never hashed into options fingerprints; not owned).
+  /// (not owned).
   ThreadPool* scheduler = nullptr;
   /// Metrics registry the engine folds its pruning funnel into
   /// (`engine.<Algorithm>.funnel.*` counters, once per QueryInto). Null
-  /// disables funnel export entirely. Observability-only: never hashed into
-  /// options fingerprints; not owned.
+  /// disables funnel export entirely. Observability-only; not owned.
   obs::Registry* metrics = nullptr;
   /// A prebuilt GBP index to serve from instead of building one — the
   /// zero-copy path for the grid section of a mapped v4 snapshot. Used only
@@ -80,8 +80,11 @@ struct EngineOptions {
   /// on, the engine's view is the whole corpus the index covers
   /// (begin_id() == 0 and size() == prebuilt_grid->dataset_size()) and the
   /// cell side equals the one this engine derives; otherwise the engine
-  /// silently builds its own (per-shard views always do). Must outlive the
-  /// engine; not owned; never hashed into options fingerprints.
+  /// silently builds its own (per-shard views always do). Read only while
+  /// the engine or service is constructed: an adopted grid is copied, and
+  /// the copy shares the arrays and their keepalive (the snapshot's
+  /// mapping), so the pointed-to index may be destroyed afterwards. Not
+  /// owned.
   const GridIndex* prebuilt_grid = nullptr;
 };
 
@@ -269,19 +272,17 @@ class SearchEngine {
   /// Exactly what the caller passed (derived values are never written back).
   const EngineOptions& options() const { return pipeline_.options(); }
   const DatasetView& data() const { return data_; }
-  /// The pruning index served from (null when GBP is disabled): the
-  /// caller's prebuilt_grid when it was adopted, else the engine-built one.
-  /// stats().cell_size holds the derived cell side when options().cell_size
-  /// was 0.
-  const GridIndex* grid() const { return grid_view_; }
+  /// The pruning index served from (null when GBP is disabled): a copy of
+  /// the caller's prebuilt_grid sharing its arrays when it was adopted,
+  /// else the engine-built one. stats().cell_size holds the derived cell
+  /// side when options().cell_size was 0.
+  const GridIndex* grid() const { return grid_ ? &*grid_ : nullptr; }
 
  private:
   DatasetView data_;
   SearchPipeline pipeline_;
-  std::unique_ptr<GridIndex> grid_;
-  /// What the query path probes: options().prebuilt_grid when adopted, else
-  /// grid_.get(); null with GBP off.
-  const GridIndex* grid_view_ = nullptr;
+  /// What the query path probes; empty with GBP off.
+  std::optional<GridIndex> grid_;
 };
 
 /// Builds the per-trajectory searcher an engine's options describe: trained

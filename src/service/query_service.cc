@@ -1,7 +1,6 @@
 #include "service/query_service.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -14,84 +13,6 @@
 #include "util/stopwatch.h"
 
 namespace trajsearch {
-
-namespace {
-
-uint64_t CombineDoubleBits(uint64_t hash, double value) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return CombineHash(hash, bits);
-}
-
-/// Content fingerprint of a WED cost table. The table holds opaque
-/// std::functions, so "content" is their observable behaviour: probe
-/// sub/ins/del over a small fixed point set and hash the returned costs.
-/// Two tables that agree on the probes fingerprint equal (in particular,
-/// content-equal tables at different addresses — the pre-PR-4 pointer hash
-/// was ASLR-dependent and collided when a different table was allocated at
-/// a recycled address); tables that differ anywhere near the probe set
-/// fingerprint apart. Probes span signs, magnitudes and exact-equality
-/// pairs so the common cost shapes (thresholded, metric, asymmetric)
-/// separate. Limitation: two tables that agree on every probe but differ
-/// elsewhere collide — a caller swapping cost models mid-service should
-/// ClearCache() (in practice a service is constructed with one table for
-/// its lifetime, so the keys only need to be stable, not perfect).
-uint64_t CombineWedContent(uint64_t hash, const WedCostFns* wed) {
-  if (wed == nullptr) return CombineHash(hash, 0x9e3779b97f4a7c15ull);
-  static constexpr Point kProbes[] = {
-      {0.0, 0.0},   {1.0, 0.0},    {0.0, -1.0},
-      {0.5, 0.25},  {-2.75, 3.5},  {41.125, -7.0625},
-  };
-  for (const Point& p : kProbes) {
-    hash = CombineDoubleBits(hash, wed->ins ? wed->ins(p) : -1.0);
-    hash = CombineDoubleBits(hash, wed->del ? wed->del(p) : -1.0);
-    for (const Point& q : kProbes) {
-      hash = CombineDoubleBits(hash, wed->sub ? wed->sub(p, q) : -1.0);
-    }
-  }
-  return hash;
-}
-
-/// Content fingerprint of a trained RLS policy: every field that influences
-/// inference (greedy action selection) — the learned weights and the skip
-/// configuration. Training-only hyper-parameters (learning rate, explore
-/// epsilon, seed, ...) are already baked into the weights and are not
-/// hashed separately.
-uint64_t CombineRlsContent(uint64_t hash, const RlsPolicy* policy) {
-  if (policy == nullptr) return CombineHash(hash, 0xc2b2ae3d27d4eb4full);
-  hash = CombineHash(hash, static_cast<uint64_t>(policy->options().allow_skip));
-  hash = CombineHash(hash,
-                     static_cast<uint64_t>(policy->options().skip_length));
-  for (const double w : policy->q().weights()) {
-    hash = CombineDoubleBits(hash, w);
-  }
-  return hash;
-}
-
-}  // namespace
-
-uint64_t EngineOptionsFingerprint(const EngineOptions& options) {
-  // Scheduling-only fields (`threads`, `use_early_abandon`,
-  // `order_candidates`, `scheduler`) are deliberately excluded: they change
-  // scheduling and the amount of DP work, not results (under a sound bound;
-  // see EngineOptions for the sampled-KPF caveat they all share).
-  uint64_t hash = 0x51a7e5e5u;
-  hash = CombineHash(hash, static_cast<uint64_t>(options.spec.kind));
-  hash = CombineDoubleBits(hash, options.spec.edr_epsilon);
-  hash = CombineDoubleBits(hash, options.spec.erp_gap.x);
-  hash = CombineDoubleBits(hash, options.spec.erp_gap.y);
-  hash = CombineWedContent(hash, options.spec.wed);
-  hash = CombineHash(hash, static_cast<uint64_t>(options.algorithm));
-  hash = CombineHash(hash, static_cast<uint64_t>(options.use_gbp));
-  hash = CombineHash(hash, static_cast<uint64_t>(options.use_kpf));
-  hash = CombineHash(hash, static_cast<uint64_t>(options.use_osf));
-  hash = CombineDoubleBits(hash, options.cell_size);
-  hash = CombineDoubleBits(hash, options.mu);
-  hash = CombineDoubleBits(hash, options.sample_rate);
-  hash = CombineHash(hash, static_cast<uint64_t>(options.top_k));
-  hash = CombineRlsContent(hash, options.rls_policy);
-  return hash;
-}
 
 // ---------------------------------------------------------------------------
 // ResultCache
@@ -148,7 +69,6 @@ QueryService::QueryService(Dataset dataset, ServiceOptions options)
     options_.engine.cell_size = DefaultCellSize(live_.View().base().Bounds());
   }
 
-  options_fingerprint_ = EngineOptionsFingerprint(options_.engine);
   options_.shards = std::max(options_.shards, 1);
 
   // Resolve every metric pointer once; all later mutation is wait-free.
@@ -211,6 +131,10 @@ QueryService::QueryService(Dataset dataset, ServiceOptions options)
 
   MutexLock lock(ingest_mu_);
   base_state_ = BuildBaseState(live_.View().base_ptr());
+  // Generation 0 has adopted (copied) the prebuilt grid if it matched; a
+  // compaction always grows the base, so it never matches again, and the
+  // caller may free it from here on.
+  shard_engine_options_.prebuilt_grid = nullptr;
   PublishLocked();
 }
 
@@ -380,8 +304,9 @@ TrajectoryRef QueryService::trajectory(int corpus_id) const {
 
 uint64_t QueryService::CacheKey(TrajectoryView query, int excluded_id,
                                 uint64_t ingest_seq) const {
+  // The cache is private to this service, whose engine options are fixed at
+  // construction, so they need no part in the key.
   uint64_t key = Fingerprint(query);
-  key = CombineHash(key, options_fingerprint_);
   key = CombineHash(key,
                     static_cast<uint64_t>(static_cast<int64_t>(excluded_id)));
   // The generation's ingest stamp: any append changes it, so a cached hit
@@ -561,7 +486,7 @@ std::vector<std::vector<EngineHit>> QueryService::SubmitBatch(
   {
     double prune = 0, bound = 0, pair = 0;
     for (const QueryStats& qs : part_stats) {
-      prune += qs.prune_seconds;
+      prune += qs.gbp_seconds + qs.bound_seconds;
       bound += qs.bound_seconds;
       pair += qs.pair_search_seconds;
     }

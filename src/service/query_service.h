@@ -73,8 +73,9 @@ struct ServiceStats {
   double compaction_seconds = 0;
   /// Engine-time split summed over every (query, shard) and (query, delta)
   /// task that actually searched (cache hits skip the engines): candidate
-  /// generation + bound filtering, bound checks alone, and per-pair
-  /// QueryRun::Run time. CPU seconds across all workers, not wall-clock.
+  /// generation + bound filtering (at any engine thread count), bound
+  /// checks alone, and per-pair QueryRun::Run time. CPU seconds across all
+  /// workers, not wall-clock.
   double prune_seconds = 0;
   double bound_seconds = 0;
   double pair_search_seconds = 0;
@@ -103,16 +104,6 @@ struct CorpusShape {
   int delta_trajectories = 0;
   size_t delta_points = 0;
 };
-
-/// Hash of every EngineOptions field that can change query *results* (used
-/// in cache keys). Pointer-valued fields hash by the pointed-to *content* —
-/// the WED cost table by probing its cost functions over a fixed point set,
-/// the RLS policy by its inference-relevant state (weights + skip config) —
-/// never by address, so fingerprints are stable across runs (no ASLR
-/// dependence) and two content-equal specs at different addresses agree.
-/// Scheduling-only fields (`threads`, `use_early_abandon`,
-/// `order_candidates`, `scheduler`) are excluded.
-uint64_t EngineOptionsFingerprint(const EngineOptions& options);
 
 /// \brief Sharded, cached serving layer for similar-subtrajectory search
 /// over a *live* corpus: queries run while trajectories are appended.
@@ -315,7 +306,6 @@ class QueryService {
   };
 
   ServiceOptions options_;
-  uint64_t options_fingerprint_ = 0;
   /// The service's own metrics registry. Declared before every member whose
   /// teardown can still record into it (the live dataset, engines, and the
   /// pool with its draining tasks), so it is destroyed after all of them.
@@ -323,6 +313,7 @@ class QueryService {
   ServiceMetrics metrics_;
   /// options_.engine plus the pinned scheduler pointer; what every shard
   /// engine, the delta engine and every compaction rebuild is created with.
+  /// Its prebuilt_grid is cleared once generation 0 is built.
   EngineOptions shard_engine_options_;
   LiveDataset live_;
   std::unique_ptr<DeltaEngine> delta_engine_;

@@ -619,7 +619,7 @@ TEST_F(BatchKernelTest, CmaSuffixFloorNeverExceedsTheFullDistance) {
           SimdModeGuard mode(vector);
           DpArena arena;
           CmaSuffixFloor floor;
-          floor.Bind(spec, CmaWedVariant::kExact, query, &arena);
+          floor.Bind(spec, query, &arena);
           EXPECT_EQ(floor.Fill(data, kNoCutoff, nullptr).sfx, nullptr) << tag;
           std::vector<double>& out = sfx[vector ? 1 : 0];
           out.assign(static_cast<size_t>(qlen) + 1, -1.0);
@@ -652,14 +652,6 @@ TEST_F(BatchKernelTest, CmaSuffixFloorNeverExceedsTheFullDistance) {
       }
     }
   }
-  // The kEq7Rolling variant never gets a floor.
-  DpArena arena;
-  CmaSuffixFloor floor;
-  const Trajectory query = RandomWalk(&rng, 4);
-  floor.Bind(DistanceSpec::Erp(Point{5.0, 5.0}), CmaWedVariant::kEq7Rolling,
-             query, &arena);
-  std::vector<double> sfx(5);
-  EXPECT_EQ(floor.Fill(corpus[3], 1.0, sfx.data()).sfx, nullptr);
 }
 
 // EDR compares squared distances with <= eps^2, so a data point exactly eps
@@ -678,7 +670,7 @@ TEST_F(BatchKernelTest, CmaSuffixFloorCountsEdrTiesAsMatches) {
   ASSERT_EQ(CmaSearch(spec, query, data).distance, 0.0);
   DpArena arena;
   CmaSuffixFloor floor;
-  floor.Bind(spec, CmaWedVariant::kExact, query, &arena);
+  floor.Bind(spec, query, &arena);
   std::vector<double> sfx(q.size() + 1);
   const CmaAbandonRule rule = floor.Fill(data, 1.0, sfx.data());
   ASSERT_NE(rule.sfx, nullptr);

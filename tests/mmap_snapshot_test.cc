@@ -19,6 +19,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -835,17 +836,79 @@ TEST(MmapSnapshotTest, EngineAdoptsPrebuiltGridWithIdenticalResults) {
   options.top_k = 3;
   options.prebuilt_grid = opened.value().grid();
   const SearchEngine served(&opened.value().dataset(), options);
-  // Adopted, not rebuilt: the engine's grid is the mapped section.
-  EXPECT_EQ(served.grid(), opened.value().grid());
+  // Adopted, not rebuilt: the engine's grid shares the mapped section's
+  // arrays.
+  ASSERT_NE(served.grid(), nullptr);
+  EXPECT_EQ(served.grid()->cell_keys().data(),
+            opened.value().grid()->cell_keys().data());
 
   EngineOptions plain = options;
   plain.prebuilt_grid = nullptr;
   const SearchEngine rebuilt(&corpus, plain);
-  EXPECT_NE(rebuilt.grid(), opened.value().grid());
+  ASSERT_NE(rebuilt.grid(), nullptr);
+  EXPECT_NE(rebuilt.grid()->cell_keys().data(),
+            opened.value().grid()->cell_keys().data());
 
   const Trajectory query = RandomWalk(&rng, 8);
   ExpectSameHits(served.Query(query.View()), rebuilt.Query(query.View()),
                  "prebuilt grid");
+  std::remove(path.c_str());
+}
+
+/// prebuilt_grid is read only while a service is constructed: the adopted
+/// grid's copy keeps the mapping alive, and a compaction never looks at the
+/// pointer again. So the snapshot it came from may go before the service —
+/// through queries, appends and a compaction — and the service still
+/// answers like a fresh engine over the merged corpus. One shard adopts the
+/// grid; two shards build their own and only the compaction's rebuild could
+/// have touched the pointer.
+TEST(MmapSnapshotTest, ServiceOutlivesTheSnapshotItsGridCameFrom) {
+  Rng rng(79);
+  Dataset corpus("lifetime");
+  for (int i = 0; i < 60; ++i) corpus.Add(RandomWalk(&rng, 10 + i % 9));
+  const std::string path = TempPath("v4_lifetime.snap");
+  ASSERT_TRUE(WriteSnapshotV4(corpus, path).ok());
+  std::vector<Trajectory> appended;
+  for (int i = 0; i < 5; ++i) appended.push_back(RandomWalk(&rng, 12));
+  std::vector<Trajectory> queries;
+  for (int i = 0; i < 4; ++i) queries.push_back(RandomWalk(&rng, 7));
+
+  for (const int shards : {1, 2}) {
+    Result<MmapSnapshot> opened = MmapSnapshot::Open(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    auto snapshot = std::make_unique<MmapSnapshot>(opened.MoveValue());
+    ASSERT_NE(snapshot->grid(), nullptr);
+
+    ServiceOptions options;
+    options.engine.use_gbp = true;
+    options.engine.use_kpf = true;
+    options.engine.sample_rate = 1.0;
+    options.engine.mu = 0.15;
+    options.engine.top_k = 3;
+    options.engine.prebuilt_grid = snapshot->grid();
+    options.shards = shards;
+    options.worker_threads = 2;
+    options.compact_delta_trajectories = 0;
+    QueryService service(snapshot->dataset(), options);
+    snapshot.reset();
+
+    EngineOptions reference = service.options().engine;
+    reference.prebuilt_grid = nullptr;
+    const auto expect_fresh = [&](const std::string& stage) {
+      const Dataset merged = LiveDataset::Merge(service.View());
+      const SearchEngine fresh(&merged, reference);
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        ExpectSameHits(service.Submit(queries[qi]), fresh.Query(queries[qi]),
+                       "shards " + std::to_string(shards) + " " + stage +
+                           " query " + std::to_string(qi));
+      }
+    };
+    expect_fresh("first");
+    for (const Trajectory& t : appended) service.Append(t);
+    expect_fresh("appended");
+    ASSERT_TRUE(service.Compact());
+    expect_fresh("compacted");
+  }
   std::remove(path.c_str());
 }
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <thread>
 
 #include "core/fingerprint.h"
@@ -339,23 +338,31 @@ TEST(QueryServiceTest, ZeroCapacityDisablesCaching) {
 
 TEST(QueryServiceTest, StatsCountQueriesAndBatches) {
   const Dataset dataset = WalkDataset(15, 12, 107);
-  ServiceOptions options;
-  options.engine = SoundOptions(DistanceSpec::Dtw(), 2);
-  options.shards = 2;
-  QueryService service(dataset, options);
-  Rng rng(15);
-  const Trajectory a = RandomWalk(&rng, 5);
-  const Trajectory b = RandomWalk(&rng, 5);
-  service.SubmitBatch({a.View(), b.View()});
-  service.Submit(a);
-  const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.queries, 3u);
-  EXPECT_EQ(stats.batches, 2u);
-  EXPECT_EQ(stats.cache_hits, 1u);  // a was cached by the batch
-  // The two cache misses actually hit the shard engines, so the engine-time
-  // split accumulated; with KPF on, the misses ran pair searches.
-  EXPECT_GT(stats.pair_search_seconds, 0.0);
-  EXPECT_GE(stats.prune_seconds, stats.bound_seconds);
+  // Engine threads > 1 move the bound checks into the chunk workers; the
+  // service's prune time must still include them.
+  for (const int threads : {1, 2}) {
+    ServiceOptions options;
+    options.engine = SoundOptions(DistanceSpec::Dtw(), 2);
+    options.engine.threads = threads;
+    options.shards = 2;
+    QueryService service(dataset, options);
+    Rng rng(15);
+    const Trajectory a = RandomWalk(&rng, 5);
+    const Trajectory b = RandomWalk(&rng, 5);
+    service.SubmitBatch({a.View(), b.View()});
+    service.Submit(a);
+    const ServiceStats stats = service.Stats();
+    EXPECT_EQ(stats.queries, 3u) << "threads " << threads;
+    EXPECT_EQ(stats.batches, 2u) << "threads " << threads;
+    EXPECT_EQ(stats.cache_hits, 1u) << "threads " << threads;  // a cached
+    // The two cache misses actually hit the shard engines, so the
+    // engine-time split accumulated; with KPF on, the misses ran bound
+    // checks and pair searches.
+    EXPECT_GT(stats.pair_search_seconds, 0.0) << "threads " << threads;
+    EXPECT_GT(stats.bound_seconds, 0.0) << "threads " << threads;
+    EXPECT_GE(stats.prune_seconds, stats.bound_seconds)
+        << "threads " << threads;
+  }
 }
 
 TEST(QueryServiceTest, ConcurrentSubmittersAreSafe) {
@@ -413,88 +420,6 @@ TEST(QueryServiceTest, TrajectoryAccessorRoutesToShards) {
               Fingerprint(dataset[id].View()))
         << "corpus id " << id;
   }
-}
-
-TEST(EngineOptionsFingerprintTest, HashesWedTableContentNotAddress) {
-  // Two content-equal WED cost tables at different addresses must produce
-  // equal fingerprints (the pre-PR-4 pointer hash made cache keys
-  // ASLR-dependent across runs and collided when a content-different table
-  // was later allocated at a recycled address).
-  auto make_table = []() {
-    auto table = std::make_unique<WedCostFns>();
-    table->sub = [](const Point& a, const Point& b) {
-      return EuclideanDistance(a, b);
-    };
-    table->ins = [](const Point&) { return 2.0; };
-    table->del = [](const Point&) { return 3.0; };
-    return table;
-  };
-  const auto table_a = make_table();
-  const auto table_b = make_table();
-  ASSERT_NE(table_a.get(), table_b.get());
-
-  EngineOptions a;
-  a.spec = DistanceSpec::Wed(table_a.get());
-  EngineOptions b;
-  b.spec = DistanceSpec::Wed(table_b.get());
-  EXPECT_EQ(EngineOptionsFingerprint(a), EngineOptionsFingerprint(b));
-
-  // A behaviourally different table must fingerprint apart, even at the
-  // same address (recycled allocation).
-  auto different = std::make_unique<WedCostFns>(*table_a);
-  different->ins = [](const Point&) { return 7.0; };
-  EngineOptions c;
-  c.spec = DistanceSpec::Wed(different.get());
-  EXPECT_NE(EngineOptionsFingerprint(a), EngineOptionsFingerprint(c));
-
-  // No table at all is its own case.
-  EngineOptions none;
-  none.spec = DistanceSpec::Dtw();
-  EXPECT_NE(EngineOptionsFingerprint(a), EngineOptionsFingerprint(none));
-}
-
-TEST(EngineOptionsFingerprintTest, HashesRlsPolicyContentNotAddress) {
-  RlsOptions rls_options;
-  rls_options.allow_skip = true;
-  const auto policy_a = std::make_unique<RlsPolicy>(rls_options);
-  const auto policy_b = std::make_unique<RlsPolicy>(rls_options);
-  ASSERT_NE(policy_a.get(), policy_b.get());
-
-  EngineOptions a;
-  a.algorithm = Algorithm::kRlsSkip;
-  a.rls_policy = policy_a.get();
-  EngineOptions b = a;
-  b.rls_policy = policy_b.get();
-  EXPECT_EQ(EngineOptionsFingerprint(a), EngineOptionsFingerprint(b));
-
-  // Training changes the weights, so a trained policy fingerprints apart.
-  Rng rng(31);
-  const Trajectory q = RandomWalk(&rng, 6);
-  const Trajectory d = RandomWalk(&rng, 20);
-  const RlsPolicy trained = TrainRlsPolicy(
-      DistanceSpec::Dtw(), {{q.View(), d.View()}}, rls_options);
-  EngineOptions c = a;
-  c.rls_policy = &trained;
-  EXPECT_NE(EngineOptionsFingerprint(a), EngineOptionsFingerprint(c));
-
-  // Skip configuration is inference-relevant content too.
-  RlsOptions no_skip = rls_options;
-  no_skip.allow_skip = false;
-  const RlsPolicy plain(no_skip);
-  EngineOptions e = a;
-  e.rls_policy = &plain;
-  EXPECT_NE(EngineOptionsFingerprint(a), EngineOptionsFingerprint(e));
-}
-
-TEST(EngineOptionsFingerprintTest, SchedulingFieldsDoNotChangeFingerprint) {
-  EngineOptions a;
-  EngineOptions b = a;
-  b.threads = 8;
-  b.use_early_abandon = false;
-  b.order_candidates = false;
-  EXPECT_EQ(EngineOptionsFingerprint(a), EngineOptionsFingerprint(b));
-  b.top_k = a.top_k + 1;  // a result-changing field still separates
-  EXPECT_NE(EngineOptionsFingerprint(a), EngineOptionsFingerprint(b));
 }
 
 }  // namespace
